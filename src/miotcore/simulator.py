@@ -14,23 +14,34 @@ dispatched concurrently when its predecessor completes; the request is
 complete when both the sequential chain and the marked hop have
 finished.
 
+The event core merges three sources in time order: request arrivals,
+read by a pointer into the sorted stream (an arrival wins every time
+tie); one pending completion per busy server, whose queue entry is
+updated in place when an arrival moves that server's next completion,
+so the queue never holds a stale entry; and, with a link latency,
+messages in flight between entities.  All processor-sharing arithmetic
+lives in :class:`PsServer`, whose idle fast path admits a job to an
+empty server without clock accrual or heap work -- the common case for
+the per-device UE servers and the eNBs.
+
 ``single_job_mode`` collapses the whole procedure into one deterministic
 job at the MME plus a constant offset, which is the exact simulation
 counterpart of the analytic delay model in :mod:`miotcore.delay`.
 """
 
 import csv
-import heapq
 import itertools
-import warnings
+from array import array
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, OverloadError
 from .delay import EntityProfile
 
+_INF = float("inf")
 _WORK_TOL = 1e-9
 _LINK_ENTITY = "link"
 
@@ -284,6 +295,9 @@ class PsServer:
     of size w entering at virtual time V finishes at virtual time V + w.
     Completion order is therefore ascending virtual-finish (equivalently,
     ascending residual work) order, with no discretization error.
+
+    Most servers of a walk are idle when a job arrives; such a job runs
+    alone, so :meth:`arrive` skips the clock accrual and the heap for it.
     """
 
     __slots__ = (
@@ -291,7 +305,6 @@ class PsServer:
         "capacity",
         "t_now",
         "virtual",
-        "epoch",
         "busy_s",
         "served_work",
         "job_seconds",
@@ -307,92 +320,97 @@ class PsServer:
         self.capacity = float(capacity)
         self.t_now = 0.0
         self.virtual = 0.0
-        self.epoch = 0
         self.busy_s = 0.0
         self.served_work = 0.0
         self.job_seconds = 0.0
-        self._jobs = {}
-        self._heap = []
+        self._jobs = {}  # job id -> work
+        self._heap = []  # (virtual finish, admission order, job id)
         self._seq = 0
 
     def __len__(self):
-        return len(self._jobs)
+        return len(self._heap)
 
-    def _accrue(self, t):
+    def arrive(self, t, job, work):
+        """Admit ``job`` of ``work`` operations at time ``t``.
+
+        Returns the server's next completion time with the job admitted.
+        """
+        if not (work > 0.0):
+            raise ValueError(f"job work must be positive, got {work!r}")
+        jobs = self._jobs
+        if job in jobs:
+            raise ValueError(f"duplicate job id {job!r}")
         dt = t - self.t_now
         if dt < 0.0:
             raise ValueError(f"time moved backwards: {self.t_now!r} -> {t!r}")
-        k = len(self._jobs)
-        if k and dt > 0.0:
-            self.virtual += dt * self.capacity / k
-            self.busy_s += dt
-            self.job_seconds += k * dt
+        jobs[job] = work
         self.t_now = t
-
-    def arrive(self, t, job_id, work):
-        if not (work > 0.0):
-            raise ValueError(f"job work must be positive, got {work!r}")
-        if job_id in self._jobs:
-            raise ValueError(f"duplicate job id {job_id!r}")
-        self._accrue(t)
-        vf = self.virtual + work
-        self._jobs[job_id] = (vf, work)
-        heapq.heappush(self._heap, (vf, self._seq, job_id))
-        self._seq += 1
-        self.epoch += 1
+        seq = self._seq
+        self._seq = seq + 1
+        heap = self._heap
+        k = len(heap)
+        virtual = self.virtual
+        if not k:
+            # idle: the job runs alone, with no service to accrue
+            vf = virtual + work
+            heap.append((vf, seq, job))
+            return t + (vf - virtual) / self.capacity
+        virtual += dt * self.capacity / k
+        self.virtual = virtual
+        self.busy_s += dt
+        self.job_seconds += k * dt
+        heappush(heap, (virtual + work, seq, job))
+        return self.next_completion_time()
 
     def next_completion_time(self):
         """Time at which the earliest-finishing active job completes, or None."""
-        if not self._jobs:
+        heap = self._heap
+        if not heap:
             return None
-        vf = self._heap[0][0]
-        k = len(self._jobs)
-        t = self.t_now + max(0.0, vf - self.virtual) * k / self.capacity
-        return t
+        head = heap[0][0] - self.virtual
+        return self.t_now + (head if head > 0.0 else 0.0) * len(heap) / self.capacity
 
-    def complete_head(self):
-        """Advance to the earliest completion and remove that job.
+    def advance(self, until):
+        """Advance to time ``until``, completing every job due by then.
 
-        Returns (job_id, completion_time).  The virtual clock is snapped to
-        the completed job's virtual finish, so rounding drift does not
-        accumulate across completions.
+        Returns the list of (job, completion_s) pairs in completion order
+        (ascending residual work).  The clock ends at ``until`` with the
+        surviving jobs' service exactly accrued.  At each completion the
+        virtual clock is snapped to the job's virtual finish, so rounding
+        drift does not accumulate across completions.
         """
-        if not self._jobs:
-            raise ValueError("no active jobs")
-        t_c = self.next_completion_time()
-        self._accrue(t_c)
-        vf, _, job_id = heapq.heappop(self._heap)
-        self.virtual = vf
-        _, work = self._jobs.pop(job_id)
-        self.served_work += work
-        self.epoch += 1
-        return job_id, t_c
+        t_now = self.t_now
+        if until < t_now:
+            raise ValueError(f"until={until!r} precedes server time {t_now!r}")
+        heap = self._heap
+        capacity = self.capacity
+        done = []
+        k = len(heap)
+        while k:
+            vf = heap[0][0]
+            head = vf - self.virtual
+            t_c = t_now + (head if head > 0.0 else 0.0) * k / capacity
+            if t_c > until:
+                dt = until - t_now
+                self.virtual += dt * capacity / k
+                self.busy_s += dt
+                self.job_seconds += k * dt
+                break
+            dt = t_c - t_now
+            self.busy_s += dt
+            self.job_seconds += k * dt
+            t_now = t_c
+            job = heappop(heap)[2]
+            self.virtual = vf
+            self.served_work += self._jobs.pop(job)
+            done.append((job, t_c))
+            k -= 1
+        self.t_now = until
+        return done
 
     def residual_work(self):
         """Remaining operations per active job, keyed by job id."""
-        return {
-            job_id: max(0.0, vf - self.virtual)
-            for job_id, (vf, _) in self._jobs.items()
-        }
-
-
-def ps_advance(server, until):
-    """Advance a PS server to time ``until``, completing every job due by then.
-
-    Returns the list of (job_id, completion_s) pairs in completion order
-    (ascending residual work).  The server clock ends at ``until`` with the
-    surviving jobs' service exactly accrued.
-    """
-    if until < server.t_now:
-        raise ValueError(f"until={until!r} precedes server time {server.t_now!r}")
-    done = []
-    while len(server):
-        t_c = server.next_completion_time()
-        if t_c > until:
-            break
-        done.append(server.complete_head())
-    server._accrue(until)
-    return done
+        return {job: max(0.0, vf - self.virtual) for vf, _, job in self._heap}
 
 
 @dataclass(frozen=True)
@@ -441,14 +459,19 @@ class UtilizationReport:
         return "\n".join(lines) + "\n"
 
 
-def _route_instance(entity, source_key, n_enb, n_sgw):
+def _route_divisor(entity, n_enb, n_sgw):
+    """How a request's source key picks the entity's server instance.
+
+    The instance is ``key % divisor``; divisor 0 means the key itself (one
+    server per device), and divisor 1 a single shared instance.
+    """
     if entity == "eNB":
-        return source_key % n_enb
+        return n_enb
     if entity == "SGW":
-        return source_key % n_sgw
+        return n_sgw
     if entity == "UE":
-        return source_key
-    return 0
+        return 0
+    return 1
 
 
 def run_bearer_simulation(
@@ -478,6 +501,10 @@ def run_bearer_simulation(
     (default 0: delays are purely computational).  ``encryption_ops`` adds
     constant extra work to the request's first MME hop (default 0).
 
+    Raises :class:`OverloadError` when two or more requests load the MME
+    to ``n / horizon_s * (ops_per_bearer + encryption_ops) / capacity >= 1``:
+    the MME queue would then grow for as long as the stream lasts.
+
     Returns ``(samples, report)``: a :class:`DelaySampleSet` ordered by
     request index and a :class:`UtilizationReport`.
     """
@@ -497,20 +524,20 @@ def run_bearer_simulation(
     n_req = int(np.searchsorted(arrivals, horizon_s, side="right"))
     arrivals = arrivals[:n_req]
     if stream.source_ids is not None:
-        source_keys = np.asarray(stream.source_ids[:n_req], dtype=np.int64)
+        keys = np.asarray(stream.source_ids[:n_req], dtype=np.int64).tolist()
     else:
-        source_keys = np.arange(n_req, dtype=np.int64)
+        keys = range(n_req)
 
     mme_prof = profile_map.get("MME")
-    if mme_prof is not None and arrivals.size >= 2:
-        span = float(arrivals[-1] - arrivals[0])
-        if span > 0.0:
-            rho = (arrivals.size / span) * mme_prof.ops_per_bearer / mme_prof.capacity
-            if rho >= 1.0:
-                warnings.warn(
-                    f"MME load factor {rho:.3f} >= 1; delays grow with the horizon",
-                    RuntimeWarning,
-                )
+    if mme_prof is not None and n_req >= 2 and horizon_s > 0.0:
+        mme_ops = mme_prof.ops_per_bearer + encryption_ops
+        rho = n_req / horizon_s * mme_ops / mme_prof.capacity
+        if rho >= 1.0:
+            raise OverloadError(
+                f"MME load factor {rho:.3f} >= 1 over the {horizon_s!r} s horizon; "
+                "its queue would grow without bound",
+                min_capacity_multiplier=rho,
+            )
 
     hops = template.hops
     n_hops = len(hops)
@@ -521,9 +548,10 @@ def run_bearer_simulation(
             if h.entity == "MME":
                 works[i] += float(encryption_ops)
                 break
-    entities = [h.entity for h in hops]
     entity_order = template.entities()
     col_of = {name: j for j, name in enumerate(entity_order)}
+    n_cols = len(entity_order)
+    hop_col = [col_of[h.entity] for h in hops]
 
     chain = [i for i in range(n_hops) if i != marked]
     next_hop = [-1] * n_hops
@@ -532,85 +560,112 @@ def run_bearer_simulation(
     first_hop = chain[0] if chain else None
     marked_trigger = None if marked is None else marked - 1
 
+    # Every request walks every hop, so the server instances are known up
+    # front: one table per entity from instance number to server.
     servers = {}
+    tables = {}
+    divisors = {}
+    distinct_keys = set(keys)
+    for entity in entity_order:
+        div = divisors[entity] = _route_divisor(entity, n_enb, n_sgw)
+        table = tables[entity] = {}
+        for inst in distinct_keys if div == 0 else {key % div for key in distinct_keys}:
+            table[inst] = servers[(entity, inst)] = PsServer(
+                entity, profile_map[entity].capacity
+            )
+    hop_table = [tables[h.entity] for h in hops]
+    hop_div = [divisors[h.entity] for h in hops]
 
-    def server_for(entity, source_key):
-        key = (entity, _route_instance(entity, int(source_key), n_enb, n_sgw))
-        srv = servers.get(key)
-        if srv is None:
-            srv = PsServer(entity, profile_map[entity].capacity)
-            servers[key] = srv
-        return key, srv
+    # per-request scratch state, flat; the breakdown is row-major
+    seq_start = array("d", [0.0]) * n_req
+    chain_end = array("d", [0.0]) * n_req
+    marked_end = array("d", [0.0]) * n_req
+    breakdown = array("d", [0.0]) * (n_req * n_cols)
 
-    breakdown = np.zeros((n_req, len(entity_order)), dtype=float)
-    seq_start = np.zeros(n_req, dtype=float)
-    chain_end = np.full(n_req, np.nan)
-    marked_end = np.full(n_req, np.nan)
-
-    seq = itertools.count()
-    events = [(float(t), next(seq), 0, req, -1) for req, t in enumerate(arrivals)]
-    heapq.heapify(events)
-    push = heapq.heappush
-    pop = heapq.heappop
+    # The event queue holds at most one entry per server, [time, order,
+    # server], kept current as the server's next completion moves, plus one
+    # [time, order, None, request, hop] per message crossing a link.
+    # Arrivals are merged from the sorted stream and win every time tie.
+    events = [[_INF, _INF, None]]  # sentinel: never popped
+    pending = {}
+    order = itertools.count().__next__
 
     def dispatch(t, req, hop):
-        key, srv = server_for(entities[hop], source_keys[req])
-        srv.arrive(t, (req, hop), works[hop])
+        div = hop_div[hop]
+        key = keys[req]
+        srv = hop_table[hop][key % div if div else key]
+        t_next = srv.arrive(t, req * n_hops + hop, works[hop])
         if hop != marked:
             seq_start[req] = t
-        push(events, (srv.next_completion_time(), next(seq), 1, key, srv.epoch))
-
-    def dispatch_later(t, req, hop):
-        # A positive link latency means the hop starts in the future; it must
-        # go through the event heap so intervening events see the server first.
-        if link_latency_s > 0.0:
-            push(events, (t + link_latency_s, next(seq), 0, req, hop))
+        entry = pending.get(srv)
+        if entry is None:
+            pending[srv] = entry = [t_next, order(), srv]
+            heappush(events, entry)
         else:
-            dispatch(t, req, hop)
+            entry[0] = t_next
+            entry[1] = order()
+            heapify(events)
 
-    def on_hop_complete(t, req, hop):
-        if hop == marked:
-            marked_end[req] = t
-            return
-        breakdown[req, col_of[entities[hop]]] += t - seq_start[req]
-        if marked_trigger is not None and hop == marked_trigger:
-            dispatch_later(t, req, marked)
-        nxt = next_hop[hop]
-        if nxt >= 0:
-            dispatch_later(t, req, nxt)
-        else:
-            chain_end[req] = t
+    # what a completed chain hop dispatches: the marked hop if it is the
+    # trigger, then its successor in the chain
+    successors = [
+        ((marked,) if hop == marked_trigger else ()) + ((nxt,) if nxt >= 0 else ())
+        for hop, nxt in enumerate(next_hop)
+    ]
 
-    while events:
-        t, _, kind, a, b = pop(events)
-        if kind == 0:
-            req = a
-            if b >= 0:
-                dispatch(t, req, b)
-                continue
+    arr = array("d", arrivals.tobytes())
+    arr.append(_INF)
+    i = 0
+    while True:
+        entry = events[0]
+        t = arr[i]
+        if t <= entry[0]:
+            if t == _INF:
+                break
             if first_hop is None:
-                chain_end[req] = t
-                if marked is not None and marked_trigger == -1:
-                    dispatch(t, req, marked)
+                chain_end[i] = t
+            else:
+                dispatch(t, i, first_hop)
+            if marked_trigger == -1:
+                dispatch(t, i, marked)
+            i += 1
+            continue
+        heappop(events)
+        t = entry[0]
+        srv = entry[2]
+        if srv is None:
+            dispatch(t, entry[3], entry[4])
+            continue
+        del pending[srv]
+        for job, t_c in srv.advance(t):
+            req, hop = divmod(job, n_hops)
+            if hop == marked:
+                marked_end[req] = t_c
                 continue
-            dispatch(t, req, first_hop)
-            if marked is not None and marked_trigger == -1:
-                dispatch(t, req, marked)
-        else:
-            srv = servers[a]
-            if b != srv.epoch:
-                continue
-            for (req, hop), t_c in ps_advance(srv, t):
-                on_hop_complete(t_c, req, hop)
-            if len(srv):
-                push(events, (srv.next_completion_time(), next(seq), 1, a, srv.epoch))
+            breakdown[req * n_cols + hop_col[hop]] += t_c - seq_start[req]
+            for nxt in successors[hop]:
+                if link_latency_s > 0.0:
+                    # across a link the hop starts later, after the events between
+                    heappush(events, [t_c + link_latency_s, order(), None, req, nxt])
+                else:
+                    dispatch(t_c, req, nxt)
+            if next_hop[hop] < 0:
+                chain_end[req] = t_c
+        if srv._heap and srv not in pending:
+            entry[0] = srv.next_completion_time()
+            entry[1] = order()
+            pending[srv] = entry
+            heappush(events, entry)
 
+    chain_end = np.frombuffer(chain_end, dtype=float)
+    breakdown = np.frombuffer(breakdown, dtype=float).reshape(n_req, n_cols)
     if marked is None:
         completions = chain_end
     else:
+        marked_end = np.frombuffer(marked_end, dtype=float)
         completions = np.maximum(chain_end, marked_end)
         extra = np.maximum(0.0, marked_end - chain_end)
-        breakdown[:, col_of[entities[marked]]] += extra
+        breakdown[:, col_of[hops[marked].entity]] += extra
 
     cols = {name: breakdown[:, j].copy() for name, j in col_of.items()}
     if link_latency_s > 0.0:

@@ -2,9 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from miotcore.config import DEFAULT_ENTITY_PROFILES
 from miotcore.traffic import EventStream
+
+# Property tests replay the same examples on every run and carry no time
+# limit per example, so a slow or busy host cannot make them flake.
+settings.register_profile(
+    "tier1", deadline=None, derandomize=True, database=None, max_examples=25)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -171,6 +171,12 @@ def test_exit_codes(tmp_path, cfg, capsys):
     err = capsys.readouterr().err
     assert "overload" in err
     assert "minimum feasible capacity multiplier" in err
+    # the full walk refuses to run an MME queue that grows without bound
+    assert run(["simulate", "--config", str(over_cfg),
+                "--out", str(tmp_path / "s")]) == 4
+    err = capsys.readouterr().err
+    assert "overload" in err
+    assert "minimum feasible capacity multiplier" in err
 
 
 def test_argparse_surface():

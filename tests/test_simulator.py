@@ -4,18 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import poisson_stream
 from miotcore.config import DEFAULT_ENTITY_PROFILES
 from miotcore.delay import EntityProfile, constant_delay_K
-from miotcore.errors import ConfigurationError
+from miotcore.errors import ConfigurationError, OverloadError
 from miotcore.simulator import (
     DelaySampleSet,
     MessageHop,
     ProcedureTemplate,
     PsServer,
+    _ps_sojourns_equal_work,
     default_bearer_template,
-    ps_advance,
     run_bearer_simulation,
     single_job_mode,
 )
@@ -29,7 +30,7 @@ def drain(server):
     """Run the server to empty, returning [(job_id, completion_time)]."""
     out = []
     while len(server):
-        out.extend(ps_advance(server, server.t_now + server.next_completion_time()))
+        out.extend(server.advance(server.next_completion_time()))
     return out
 
 
@@ -111,7 +112,7 @@ def test_ps_partial_advance_residuals_are_fair():
     srv = PsServer("MME", 1.0)
     srv.arrive(0.0, "a", 1.0)
     srv.arrive(0.0, "b", 2.0)
-    assert ps_advance(srv, 1.0) == []
+    assert srv.advance(1.0) == []
     resid = srv.residual_work()
     assert resid["a"] == pytest.approx(0.5)
     assert resid["b"] == pytest.approx(1.5)
@@ -121,7 +122,7 @@ def test_ps_partial_advance_residuals_are_fair():
 def test_ps_staggered_arrival_schedule():
     srv = PsServer("MME", 1.0)
     srv.arrive(0.0, "a", 2.0)
-    ps_advance(srv, 1.0)
+    srv.advance(1.0)
     srv.arrive(1.0, "b", 2.0)
     done = dict(drain(srv))
     # at t=1 job a has 1 unit left; sharing until a leaves at t=3, then b
@@ -137,7 +138,7 @@ def test_ps_server_input_errors():
         srv.arrive(0.0, "a", 1.0)  # duplicate id
     with pytest.raises(ValueError):
         srv.arrive(1.0, "b", 0.0)  # no work
-    ps_advance(srv, 0.5)
+    srv.advance(0.5)
     with pytest.raises(ValueError):
         srv.arrive(0.25, "c", 1.0)  # time moved backwards
     with pytest.raises(ConfigurationError):
@@ -256,6 +257,54 @@ def test_busy_run_invariants():
     assert sum(1 for r in report.rows if r.entity == "SGW") == 2
 
 
+@given(rho=st.floats(0.3, 0.98), n_jobs=st.integers(1, 5_000),
+       seed=st.integers(0, 2**32 - 1))
+def test_one_hop_walk_matches_equal_work_oracle(rho, n_jobs, seed):
+    # a one-hop MME template turns the walk into a single M/D/1-PS queue,
+    # whose sojourns the equal-work pass computes independently
+    mme = EntityProfile("MME", 9.0, 10_000.0, 1)
+    template = ProcedureTemplate(hops=(MessageHop("MME", 9.0),))
+    rate = rho / D_MME
+    stream = poisson_stream(rate, n_jobs, seed)
+    # a horizon covering n_jobs / rate keeps the load estimate at rho
+    horizon = max(float(stream.timestamps[-1]), n_jobs / rate)
+    samples, report = run_bearer_simulation(
+        stream, template, (mme,), horizon_s=horizon)
+    oracle = _ps_sojourns_equal_work(stream.timestamps, D_MME)
+    assert len(samples) == n_jobs
+    assert np.max(np.abs(samples.delays_s - oracle)) <= 1e-9
+    assert np.array_equal(samples.breakdown["MME"], samples.delays_s)
+    (row,) = report.rows
+    assert row.served_work == pytest.approx(n_jobs * 9.0, rel=1e-12)
+
+
+def test_fanned_out_walk_with_links_and_encryption_is_deterministic():
+    n_req = 3_000
+    stream = poisson_stream(400.0, n_req, seed=17,
+                            source_ids=np.arange(n_req) % 40)
+    template = default_bearer_template(DEFAULT_ENTITY_PROFILES)
+    kwargs = dict(n_enb=3, n_sgw=2, link_latency_s=5.0e-4, encryption_ops=2.0)
+    samples, report = run_bearer_simulation(
+        stream, template, DEFAULT_ENTITY_PROFILES, **kwargs)
+    again, again_report = run_bearer_simulation(
+        stream, template, DEFAULT_ENTITY_PROFILES, **kwargs)
+    assert np.array_equal(samples.completions_s, again.completions_s)
+    assert samples.breakdown.keys() == again.breakdown.keys()
+    for name, col in samples.breakdown.items():
+        assert np.array_equal(col, again.breakdown[name])
+    assert report == again_report
+    total = sum(cols for cols in samples.breakdown.values())
+    assert np.allclose(total, samples.delays_s, rtol=0.0, atol=1e-9)
+    # no request beats its 18 link crossings plus its dedicated service, and
+    # the extra MME work is served
+    floor = D_MME + 2.0 / 10_000.0 + K_CONST + 18 * 5.0e-4
+    assert np.all(samples.delays_s >= floor - 1e-12)
+    served = sum(r.served_work for r in report.rows if r.entity == "MME")
+    assert served == pytest.approx(n_req * (9.0 + 2.0), rel=1e-9)
+    assert sum(1 for r in report.rows if r.entity == "eNB") == 3
+    assert sum(1 for r in report.rows if r.entity == "SGW") == 2
+
+
 def test_horizon_cuts_late_arrivals():
     stream = EventStream(np.array([0.1, 0.2, 5.0]), np.array([0, 1, 2]))
     template = default_bearer_template(DEFAULT_ENTITY_PROFILES)
@@ -265,11 +314,34 @@ def test_horizon_cuts_late_arrivals():
     assert report.horizon_s == 1.0
 
 
-def test_overload_warning():
-    stream = poisson_stream(1500.0, 3000, seed=3)
+def test_overload_raises_with_capacity_hint():
+    n_req = 3000
+    stream = poisson_stream(1500.0, n_req, seed=3)
     template = default_bearer_template(DEFAULT_ENTITY_PROFILES)
-    with pytest.warns(RuntimeWarning, match="load factor"):
+    with pytest.raises(OverloadError, match="load factor") as info:
         run_bearer_simulation(stream, template, DEFAULT_ENTITY_PROFILES)
+    horizon = float(stream.timestamps[-1])
+    assert info.value.min_capacity_multiplier == pytest.approx(
+        n_req / horizon * D_MME, rel=1e-12)
+    # the encryption work counts: 900 req/s load the MME to 0.81 without
+    # it and to 1.35 with 6 extra operations per request
+    stream = poisson_stream(900.0, n_req, seed=3)
+    run_bearer_simulation(stream, template, DEFAULT_ENTITY_PROFILES,
+                          horizon_s=n_req / 900.0)
+    with pytest.raises(OverloadError):
+        run_bearer_simulation(stream, template, DEFAULT_ENTITY_PROFILES,
+                              horizon_s=n_req / 900.0, encryption_ops=6.0)
+
+
+def test_overload_estimate_spans_the_horizon():
+    # five requests 0.1 ms apart in a 100 s horizon load the MME to 4.5e-5,
+    # however dense the burst itself is
+    stream = EventStream(1.0 + 1.0e-4 * np.arange(5), np.arange(5))
+    template = default_bearer_template(DEFAULT_ENTITY_PROFILES)
+    samples, report = run_bearer_simulation(
+        stream, template, DEFAULT_ENTITY_PROFILES, horizon_s=100.0)
+    assert len(samples) == 5
+    assert report.per_entity()["MME"] == pytest.approx(5 * D_MME / 100.0)
 
 
 def test_simulation_input_validation():
