@@ -18,33 +18,7 @@ from .traffic import TX_PROBABILITY_DEFAULT, TrafficParams, beta_pdf
 from .traffic import _prefix as _cumulative_hazard
 
 # asymptotic two-sided KS critical values need a healthy sample
-_KS_MIN_N = 50
-
-
-@dataclass(frozen=True)
-class ConditionalAlphaCdf:
-    """CDF of the first-alarm lag, conditioned on a reference slot.
-
-    Values are indexed by `lags` (slots since the reference transmission);
-    they must start at 0 for lag 0 and be non-decreasing within [0, 1].
-    """
-
-    reference_slot: int
-    offsets_slots: tuple
-    lags: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        lags = np.asarray(self.lags)
-        vals = np.asarray(self.values)
-        if lags.shape != vals.shape:
-            raise ValueError("lags and values must align")
-        if len(lags) and lags[0] == 0 and vals[0] != 0.0:
-            raise ValueError("CDF must be 0 at lag 0")
-        if np.any(vals < 0.0) or np.any(vals > 1.0):
-            raise ValueError("CDF values must lie in [0, 1]")
-        if np.any(np.diff(vals) < 0.0):
-            raise ValueError("CDF must be non-decreasing")
+KS_MIN_SAMPLES = 50
 
 
 @dataclass(frozen=True)
@@ -261,8 +235,8 @@ def ks_distance(samples, model_cdf) -> float:
 
 def ks_critical_value(n, significance) -> float:
     """Asymptotic two-sided KS critical value c(significance)/sqrt(n)."""
-    if n < _KS_MIN_N:
-        raise ValueError(f"KS significance needs n >= {_KS_MIN_N}, got {n}")
+    if n < KS_MIN_SAMPLES:
+        raise ValueError(f"KS significance needs n >= {KS_MIN_SAMPLES}, got {n}")
     return float(special.kolmogi(significance)) / math.sqrt(n)
 
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from .delay import (
     ENTITY_MME,
+    G_TABLE_RHO_MAX,
     build_delay_model,
     constant_delay_K,
     delay_percentile,
@@ -26,7 +27,8 @@ from .errors import ConfigurationError, OverloadError
 from .simulator import single_job_mode
 from .traffic import EventStream
 
-_RHO_PREDICT_MAX = 0.995
+# the end of the g table: the controller never waits on the march
+_RHO_PREDICT_MAX = G_TABLE_RHO_MAX
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ resolved configuration, the seed, and the produced files.  Exit codes:
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .arrivals import bearer_request_rate, ks_critical_value, ks_distance
+from .arrivals import KS_MIN_SAMPLES, bearer_request_rate, ks_critical_value, ks_distance
 from .autoscale import run_scaling_loop, save_decision_log
 from .config import load_scenario, scenario_to_dict
 from .delay import (
@@ -41,7 +42,6 @@ from .trace import parse_trace, replay_rate_series, save_window_report, window_a
 from .traffic import generate_requests
 
 OUT_DIR_ENV = "MIOTCORE_OUT_DIR"
-_KS_MIN_EVENTS = 50
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ def cmd_validate_arrivals(args):
             w.writerow([repr(float(tau)), repr(float(e)), repr(float(m))])
 
     lines = [f"n_gaps: {gaps.size}", f"model_rate_per_s: {lam!r}"]
-    if gaps.size >= _KS_MIN_EVENTS:
+    if gaps.size >= KS_MIN_SAMPLES:
         d = ks_distance(gaps, model_cdf)
         crit = ks_critical_value(gaps.size, 0.01)
         verdict = "pass" if d <= crit else "fail"
@@ -176,7 +176,7 @@ def cmd_validate_arrivals(args):
         d = ks_distance(gaps, model_cdf) if gaps.size >= 2 else float("nan")
         lines += [
             f"ks_distance: {d:.6f}",
-            f"low_confidence: fewer than {_KS_MIN_EVENTS} gaps, "
+            f"low_confidence: fewer than {KS_MIN_SAMPLES} gaps, "
             "significance not assessed",
         ]
     report_path = os.path.join(out, "ks_report.txt")
@@ -300,7 +300,12 @@ def cmd_scale(args):
     save_decision_log(log_path, records)
     target = scenario.policy.target_delay_s
     for rec in records:
-        mark = "ok" if rec.empirical_percentile_s <= target else "OVER TARGET"
+        if math.isnan(rec.empirical_percentile_s):
+            mark = "no data"  # no arrivals were drawn in this window
+        elif rec.empirical_percentile_s <= target:
+            mark = "ok"
+        else:
+            mark = "OVER TARGET"
         feas = "" if rec.decision.feasible else " (infeasible)"
         print(
             f"window t={rec.window_start_s:>10.1f}s rate={rec.lambda_hat:9.3f}/s "

@@ -3,10 +3,14 @@
 The MME serves one deterministic job per bearer request under egalitarian
 processor sharing, so its sojourn tail is exponential, P(v > tau) ~
 psi * exp(-gamma * tau); every other entity contributes a constant delay
-K.  The tail exponent gamma is obtained from the queue itself: in virtual
-time the companions of a job form a self-exciting cluster whose moment
-generating function stays finite exactly up to the decay exponent, and
-that criticality is located by a backward march plus bisection.
+K.  As in the M/D/1-PS sojourn tail of Egorova, Zwart and Boxma (PEIS
+2006), gamma = g(rho) / D with g a function of the load alone.  g is the
+criticality of the queue itself: in virtual time the companions of a job
+form a self-exciting cluster whose moment generating function stays finite
+exactly up to the decay exponent, located by a backward march plus
+bisection.  The march takes 0.3-8 s per load, so g is read from a table
+generated from it (scripts/gen_g_table.py); the march stays as the test
+oracle and as the fallback outside the table.
 """
 
 import functools
@@ -16,19 +20,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._g_table import H_HIGH, H_LOW
 from .errors import ConfigurationError, NumericalError, OverloadError
 
 ENTITY_MME = "MME"
 ENTITY_NAMES = ("UE", "eNB", "MME", "HSS", "SGW", "PGW")
-
-_BISECT_REL_TOL = 1e-10
-_BISECT_MAX_ITER = 200
 
 # backward-march discretization: grid points per service time, domain cap
 # for the marched value, and bisection steps on the exponent
 _MARCH_GRID = 500
 _MARCH_CAP = 50.0
 _MARCH_BISECTIONS = 46
+
+# Domain of the g table.  h(rho) = g(rho)/(1-rho) falls smoothly from 3.1
+# at rho 0.1 to 1.007 at 0.99 and is interpolated on two Chebyshev pieces,
+# in log(rho) below _G_RHO_SPLIT and in log(1-rho) above it.  The split
+# sits just below rho_b = 0.5/(e^0.5 - 1) ~ 0.770747, where the march's
+# n_periods first leaves 32: above rho_b the march steps by 1e-8 to 4e-8
+# relative wherever n_periods changes, and a polynomial spanning rho_b
+# would carry those steps to every load.
+_G_RHO_MIN = 0.01
+_G_RHO_SPLIT = 0.7707
+G_TABLE_RHO_MAX = 0.995
 
 
 @dataclass(frozen=True)
@@ -257,57 +270,58 @@ def criticality_exponent(rho, grid_per_service=_MARCH_GRID) -> float:
     return 0.5 * (lo + hi)
 
 
-def sojourn_tail_characteristic(gamma, lambda_beta, D) -> float:
-    """Default characteristic function chi(gamma) = gamma*D - g(rho).
+def _lobatto(lo, hi, n):
+    """The n Chebyshev-Lobatto points of [lo, hi], from hi down to lo."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return [mid + half * math.cos(math.pi * j / (n - 1)) for j in range(n)]
 
-    Its unique positive root is the M/D/1-PS sojourn-tail decay rate with
-    g(rho) the first-principles criticality exponent; swap this callable
-    out in solve_gamma to use a different tail equation.
+
+# each piece's interpolation variable at its two ends
+_LOW_ENDS = (math.log(_G_RHO_MIN), math.log(_G_RHO_SPLIT))
+_HIGH_ENDS = (math.log1p(-_G_RHO_SPLIT), math.log1p(-G_TABLE_RHO_MAX))
+
+
+def g_table_node_rhos(n_low, n_high):
+    """Loads at the nodes of the low and high pieces of the g table."""
+    return ([math.exp(t) for t in _lobatto(*_LOW_ENDS, n_low)],
+            [-math.expm1(t) for t in _lobatto(*_HIGH_ENDS, n_high)])
+
+
+def _barycentric_piece(ends, values):
+    """Nodes, barycentric weights and values of one Chebyshev piece."""
+    n = len(values)
+    weights = [(-1.0) ** j * (0.5 if j in (0, n - 1) else 1.0) for j in range(n)]
+    return tuple(zip(_lobatto(*ends, n), weights, values))
+
+
+_LOW_PIECE = _barycentric_piece(_LOW_ENDS, H_LOW)
+_HIGH_PIECE = _barycentric_piece(_HIGH_ENDS, H_HIGH)
+
+
+def _interpolate(piece, t) -> float:
+    """Second-kind barycentric formula: O(n), stable on Chebyshev nodes."""
+    num = den = 0.0
+    for node, weight, value in piece:
+        if t == node:
+            return value
+        w = weight / (t - node)
+        num += w * value
+        den += w
+    return num / den
+
+
+def tail_exponent(rho) -> float:
+    """g(rho) of the M/D/1-PS sojourn tail, gamma = g(rho) / D.
+
+    Barycentric interpolation of the g table on [0.01, G_TABLE_RHO_MAX],
+    within 1e-12 relative of criticality_exponent below rho 0.7707 and
+    within 5e-8 above it; the march itself outside the table.
     """
-    return gamma * D - criticality_exponent(lambda_beta * D)
-
-
-def solve_gamma(lambda_beta, D, characteristic=None) -> float:
-    """Tail decay rate gamma: the positive root of the characteristic.
-
-    Bracketed bisection to relative tolerance 1e-10; the bracket is grown
-    geometrically from [~0, 2/D] until the characteristic changes sign.
-    """
-    if D <= 0.0:
-        raise ValueError("D must be positive")
-    rho = lambda_beta * D
-    if rho >= 1.0:
-        raise OverloadError(
-            f"rho={rho:.6g} >= 1; any capacity multiplier > {rho:.6g} "
-            f"restores stability", min_capacity_multiplier=rho)
-    if rho <= 0.0:
-        raise ValueError("lambda_beta must be positive")
-    chi = characteristic if characteristic is not None else \
-        sojourn_tail_characteristic
-    lo = 1e-9 / D
-    hi = 2.0 / D
-    chi_lo = chi(lo, lambda_beta, D)
-    chi_hi = chi(hi, lambda_beta, D)
-    grow = 0
-    while chi_lo * chi_hi > 0.0 and grow < 64:
-        hi *= 2.0
-        chi_hi = chi(hi, lambda_beta, D)
-        grow += 1
-    if chi_lo * chi_hi > 0.0:
-        raise NumericalError(
-            f"no sign change: chi({lo:.6g})={chi_lo:.6g}, "
-            f"chi({hi:.6g})={chi_hi:.6g} (lambda_beta={lambda_beta:.6g}, "
-            f"D={D:.6g})")
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= _BISECT_REL_TOL * mid:
-            break
-        if chi(mid, lambda_beta, D) * chi_lo <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-            chi_lo = chi(lo, lambda_beta, D)
-    return 0.5 * (lo + hi)
+    if _G_RHO_MIN <= rho <= _G_RHO_SPLIT:
+        return _interpolate(_LOW_PIECE, math.log(rho)) * (1.0 - rho)
+    if _G_RHO_SPLIT < rho <= G_TABLE_RHO_MAX:
+        return _interpolate(_HIGH_PIECE, math.log1p(-rho)) * (1.0 - rho)
+    return criticality_exponent(rho)
 
 
 def psi_coefficient(lambda_beta, rho, gamma) -> float:
@@ -325,7 +339,7 @@ def psi_coefficient(lambda_beta, rho, gamma) -> float:
     return num / den
 
 
-def build_delay_model(lambda_beta, profiles, characteristic=None) -> DelayModelParams:
+def build_delay_model(lambda_beta, profiles) -> DelayModelParams:
     """Assemble DelayModelParams from a rate and entity profiles.
 
     gamma crosses lambda_beta at rho = 2 - sqrt(2), where the psi
@@ -338,25 +352,24 @@ def build_delay_model(lambda_beta, profiles, characteristic=None) -> DelayModelP
     check_mme_dominance(profiles)
     d_service, rho = mme_load(lambda_beta, by_name[ENTITY_MME])
     k_const = constant_delay_K(profiles)
-    gamma = solve_gamma(lambda_beta, d_service, characteristic)
+    gamma = tail_exponent(rho) / d_service
     # near the gamma = lambda_beta crossing the psi numerator and
     # denominator vanish together; the raw ratio is ill-conditioned there,
     # so psi is taken as the average of two clean nearby evaluations
     if abs(rho - gamma * d_service) < 1e-3:
-        psi = 0.5 * (_psi_nearby(rho - 2e-3, d_service, characteristic)
-                     + _psi_nearby(rho + 2e-3, d_service, characteristic))
+        psi = 0.5 * (_psi_nearby(rho - 2e-3, d_service)
+                     + _psi_nearby(rho + 2e-3, d_service))
     else:
         try:
             psi = psi_coefficient(lambda_beta, rho, gamma)
         except NumericalError:
-            psi = 0.5 * (_psi_nearby(rho - 2e-3, d_service, characteristic)
-                         + _psi_nearby(rho + 2e-3, d_service, characteristic))
+            psi = 0.5 * (_psi_nearby(rho - 2e-3, d_service)
+                         + _psi_nearby(rho + 2e-3, d_service))
     return DelayModelParams(D=d_service, rho=rho, psi=psi, gamma=gamma, K=k_const)
 
 
-def _psi_nearby(rho, D, characteristic) -> float:
-    lam = rho / D
-    return psi_coefficient(lam, rho, solve_gamma(lam, D, characteristic))
+def _psi_nearby(rho, D) -> float:
+    return psi_coefficient(rho / D, rho, tail_exponent(rho) / D)
 
 
 def delay_survival(tau, params: DelayModelParams):

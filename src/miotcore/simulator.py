@@ -197,7 +197,8 @@ class DelaySample:
 
     ``breakdown`` maps entity name to the time the request spent being
     served (or queued) there; for the marked out-of-band hop only the span
-    extending beyond the sequential chain is attributed, so the breakdown
+    extending beyond both the sequential chain and the hop's own dispatch
+    is attributed, and link crossings go to ``link``, so the breakdown
     always sums to ``completion_s - arrival_s``.
     """
 
@@ -579,6 +580,7 @@ def run_bearer_simulation(
     # per-request scratch state, flat; the breakdown is row-major
     seq_start = array("d", [0.0]) * n_req
     chain_end = array("d", [0.0]) * n_req
+    marked_start = array("d", [0.0]) * n_req
     marked_end = array("d", [0.0]) * n_req
     breakdown = array("d", [0.0]) * (n_req * n_cols)
 
@@ -597,6 +599,8 @@ def run_bearer_simulation(
         t_next = srv.arrive(t, req * n_hops + hop, works[hop])
         if hop != marked:
             seq_start[req] = t
+        else:
+            marked_start[req] = t
         entry = pending.get(srv)
         if entry is None:
             pending[srv] = entry = [t_next, order(), srv]
@@ -664,7 +668,10 @@ def run_bearer_simulation(
     else:
         marked_end = np.frombuffer(marked_end, dtype=float)
         completions = np.maximum(chain_end, marked_end)
-        extra = np.maximum(0.0, marked_end - chain_end)
+        # the marked entity gets only its span beyond both the chain and its
+        # own dispatch; a link crossing into it stays in the link residual
+        marked_start = np.frombuffer(marked_start, dtype=float)
+        extra = np.maximum(0.0, marked_end - np.maximum(chain_end, marked_start))
         breakdown[:, col_of[hops[marked].entity]] += extra
 
     cols = {name: breakdown[:, j].copy() for name, j in col_of.items()}

@@ -16,11 +16,11 @@ from typing import Optional
 
 import numpy as np
 
-from .arrivals import ks_critical_value, ks_distance
+from .arrivals import KS_MIN_SAMPLES, ks_critical_value, ks_distance
 from .errors import TraceFormatError
 from .traffic import EventStream
 
-LOW_CONFIDENCE_EVENTS = 50
+LOW_CONFIDENCE_EVENTS = KS_MIN_SAMPLES
 
 DIURNAL_SHAPE_DEFAULT = (0.2, 0.35, 0.6, 1.0, 1.5, 2.0, 1.7, 1.2)
 

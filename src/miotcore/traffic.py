@@ -11,7 +11,6 @@ import csv
 import math
 import struct
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 import numpy as np
@@ -28,19 +27,6 @@ _HAZARD_CLAMP = 745.0
 _MAX_WAIT_PERIODS = 1000
 
 _PREFIX_CACHE = {}
-
-
-class Mode(Enum):
-    REGULAR = "regular"
-    ALARM = "alarm"
-
-
-@dataclass(frozen=True)
-class SourceState:
-    """Mode of one source; a source in Alarm at slot n is Regular at n+1."""
-
-    mode: Mode
-    group_id: int
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import yaml
 
 from miotcore.cli import OUT_DIR_ENV, main
 from miotcore.trace import make_diurnal_trace
+from miotcore.traffic import EventStream
 
 SMALL_SCENARIO = {
     "traffic": {"period_s": 10.0, "q_total": 200, "n_groups": 10,
@@ -150,6 +151,20 @@ def test_scale_replays_trace(tmp_path, cfg, capsys):
     assert windows[0].startswith("window_start_s,")
     printed = capsys.readouterr().out
     assert "multiplier=1.0" in printed and "[ok]" in printed
+
+
+def test_scale_labels_window_without_arrivals(tmp_path, cfg, capsys):
+    # two events 99 s apart fit a rate of 1/99 per s; at seed 0 the
+    # window's Poisson draw is empty, so there is no empirical percentile
+    trace = tmp_path / "trace.csv"
+    EventStream(np.array([0.0, 99.0])).save_csv(trace)
+    out = tmp_path / "scale"
+    assert run(["scale", "--config", cfg, "--out", str(out), "--seed", "0",
+                "--trace", str(trace), "--window-length", "100"]) == 0
+    row = (out / "decisions.csv").read_text().splitlines()[1].split(",")
+    assert row[4] == "nan"
+    printed = capsys.readouterr().out
+    assert "[no data]" in printed and "OVER TARGET" not in printed
 
 
 def test_exit_codes(tmp_path, cfg, capsys):

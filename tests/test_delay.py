@@ -3,7 +3,8 @@
 The g(rho) reference values below were computed independently with a
 five-times-finer backward march (2500 grid points per service time) and
 are frozen here as regression oracles; the packaged solver runs at 500
-points per service time and must stay within 5e-5 relative.
+points per service time and must stay within 5e-5 relative.  The g table
+that the model reads is checked against the packaged march itself.
 """
 
 import math
@@ -15,6 +16,7 @@ import pytest
 from miotcore.delay import (
     ENTITY_MME,
     ENTITY_NAMES,
+    G_TABLE_RHO_MAX,
     DelayModelParams,
     EntityProfile,
     build_delay_model,
@@ -23,12 +25,13 @@ from miotcore.delay import (
     criticality_exponent,
     delay_percentile,
     delay_survival,
+    g_table_node_rhos,
     mme_load,
     psi_coefficient,
     save_survival_csv,
-    sojourn_tail_characteristic,
-    solve_gamma,
+    tail_exponent,
 )
+from miotcore._g_table import H_HIGH, H_LOW
 from miotcore.errors import ConfigurationError, NumericalError, OverloadError
 
 # independently marched blow-up points g(rho) of the virtual-time cluster
@@ -129,24 +132,44 @@ def test_criticality_exponent_structural_identity():
         criticality_exponent(0.0)
 
 
-def test_solve_gamma_consistency_and_custom_characteristic():
-    gamma = solve_gamma(LAMBDA_BETA, D_MME)
+def test_closed_form_gamma_consistency(profiles):
+    gamma = tail_exponent(RHO) / D_MME
     assert gamma == pytest.approx(GAMMA, rel=1e-9)
-    # the root satisfies the characteristic to bisection tolerance
-    assert abs(sojourn_tail_characteristic(gamma, LAMBDA_BETA, D_MME)) < 1e-8
-    # swap in chi(gamma) = gamma * D - 1/2: root is 1/(2D) exactly
-    flat = lambda g, lam, d: g * d - 0.5
-    assert solve_gamma(100.0, 1e-3, characteristic=flat) == pytest.approx(
-        500.0, rel=1e-9)
+    # gamma solves the characteristic gamma * D - g(rho) = 0 of the march
+    assert abs(gamma * D_MME - criticality_exponent(RHO)) < 1e-8
     with pytest.raises(OverloadError):
-        solve_gamma(2000.0, D_MME)
+        tail_exponent(2000.0 * D_MME)
+    with pytest.raises(OverloadError):
+        build_delay_model(2000.0, profiles)
     with pytest.raises(ValueError):
-        solve_gamma(100.0, 0.0)
+        build_delay_model(0.0, profiles)
 
 
-def test_gamma_monotone_decreasing_in_load():
+def test_g_table_matches_march_off_nodes():
+    # off-node loads; the low piece reproduces the march to 1e-9 and the
+    # high piece, above rho_b = 0.5/(e^0.5-1) ~ 0.7707, to 1e-7, the size
+    # of the march's own n_periods steps
+    for rho in (0.1, 0.3, 0.5, RHO, 0.7):
+        assert tail_exponent(rho) == pytest.approx(
+            criticality_exponent(rho), rel=1e-9), rho
+    for rho in (0.8, 0.9, 0.95):
+        assert tail_exponent(rho) == pytest.approx(
+            criticality_exponent(rho), rel=1e-7), rho
+
+
+def test_g_table_nodes_equal_march():
+    # drift guard: the committed table was generated from this march
+    low, high = g_table_node_rhos(len(H_LOW), len(H_HIGH))
+    assert high[0] == pytest.approx(G_TABLE_RHO_MAX, rel=1e-15)
+    for rho, h in ((low[20], H_LOW[20]), (low[40], H_LOW[40]),
+                   (high[-2], H_HIGH[-2])):
+        assert rho <= 0.95
+        assert criticality_exponent(rho) / (1.0 - rho) == h, rho
+
+
+def test_gamma_monotone_decreasing_in_load(profiles):
     rhos = [0.1, 0.2, 0.3, 0.45, RHO, 0.7, 0.8, 0.9]
-    gammas = [solve_gamma(r / D_MME, D_MME) for r in rhos]
+    gammas = [build_delay_model(r / D_MME, profiles).gamma for r in rhos]
     assert all(a > b for a, b in zip(gammas, gammas[1:]))
     # eyeball anchors at the ends of the operating range
     assert gammas[0] == pytest.approx(3123.8, rel=2e-3)

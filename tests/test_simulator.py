@@ -193,7 +193,12 @@ def test_link_latency_adds_per_message_lag():
     # one link
     assert samples.delays_s[0] == pytest.approx(
         D_MME + K_CONST + 18 * lag, abs=1e-12)
-    assert "link" in samples.breakdown
+    # every crossing is booked to the link, including the one into the
+    # marked hop; each entity keeps exactly its own service time
+    assert samples.breakdown["link"][0] == pytest.approx(18 * lag, abs=1e-12)
+    for prof in DEFAULT_ENTITY_PROFILES:
+        assert samples.breakdown[prof.entity][0] == pytest.approx(
+            prof.ops_per_bearer / prof.capacity, abs=1e-12)
     total = sum(cols[0] for cols in samples.breakdown.values())
     assert total == pytest.approx(samples.delays_s[0], abs=1e-12)
 
