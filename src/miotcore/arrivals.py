@@ -5,6 +5,10 @@ exact conditional CDF of the time to the next request (per source and
 for the merged system), its large-population exponential limit, and the
 Erlang-mixture form of the inter-request distribution, plus
 Kolmogorov-Smirnov tooling to compare models against sampled gaps.
+
+The KS tooling is numpy and the standard library only, so importing this
+module (and with it every CLI command) does not load scipy; scipy is
+imported on demand by ``fbeta_mixture`` alone.
 """
 
 import csv
@@ -12,13 +16,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special, stats
 
 from .traffic import TX_PROBABILITY_DEFAULT, TrafficParams, beta_pdf
 from .traffic import _prefix as _cumulative_hazard
 
 # asymptotic two-sided KS critical values need a healthy sample
 KS_MIN_SAMPLES = 50
+
+# cap on Newton steps for the Kolmogorov quantile; the solve needs at
+# most 38 (at significance 1 - 2**-53), and 10 at 0.999
+_KOLMOGOROV_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -197,6 +204,8 @@ def fbeta_mixture(tau, mix: ErlangMixture):
     sum_{z=1..z_max} ErlangCDF(z, stage_rate)(tau) * p * (1-p)^(z-1);
     the mass ignored beyond z_max is bounded by mix.truncation_bound.
     """
+    from scipy import special  # the only scipy use; kept off import time
+
     tau_arr = np.asarray(tau, dtype=np.float64)
     if np.any(tau_arr < 0.0):
         raise ValueError("tau must be >= 0")
@@ -224,32 +233,96 @@ def fbeta_closed_form(tau, q_total, period_s):
 def ks_distance(samples, model_cdf) -> float:
     """Two-sided Kolmogorov-Smirnov distance of samples vs a model CDF.
 
-    sup over the sample points of |empirical CDF - model CDF|, using
-    both one-sided parts at each order statistic.
+    sup over the sample points of |empirical CDF - model CDF|: with the
+    order statistics x_(1..n) and F = model_cdf(x), the larger of
+    D+ = max(i/n - F) and D- = max(F - (i-1)/n), the same arithmetic as
+    scipy.stats.ks_1samp (which is the tests' oracle).
     """
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.size < 2:
+    x = np.sort(np.asarray(samples, dtype=np.float64))
+    n = x.size
+    if n < 2:
         raise ValueError("need >= 2 samples")
-    return float(stats.kstest(arr, model_cdf).statistic)
+    cdf = model_cdf(x)
+    d_plus = float(np.max(np.arange(1.0, n + 1) / n - cdf))
+    d_minus = float(np.max(cdf - np.arange(0.0, n) / n))
+    return d_plus if d_plus > d_minus else d_minus
+
+
+def _kolmogorov_sf(x):
+    """Q(x) = 2 sum_{k>=1} (-1)^(k-1) exp(-2 k^2 x^2) and dQ/dx, for x > 0."""
+    q = dq = 0.0
+    k, sign = 1, 1.0
+    while True:
+        term = math.exp(-2.0 * k * k * x * x)
+        if term <= 1e-17 * q:
+            return 2.0 * q, -8.0 * x * dq
+        q += sign * term
+        dq += sign * k * k * term
+        k, sign = k + 1, -sign
+
+
+def _kolmogorov_cdf(x):
+    """1 - Q(x) and its derivative, for x > 0.
+
+    Summed as sqrt(2 pi)/x sum_{k>=1} exp(-(2k-1)^2 pi^2 / (8 x^2)), which
+    is free of the cancellation that 1 - Q has for small x.
+    """
+    s = ds = 0.0
+    k = 1
+    while True:
+        a = (2 * k - 1) ** 2 * math.pi ** 2 / (8.0 * x * x)
+        term = math.exp(-a)
+        if term <= 1e-17 * s:
+            r = math.sqrt(2.0 * math.pi) / x
+            return r * s, r * (2.0 * ds - s) / x
+        s += term
+        ds += a * term
+        k += 1
 
 
 def ks_critical_value(n, significance) -> float:
-    """Asymptotic two-sided KS critical value c(significance)/sqrt(n)."""
+    """Asymptotic two-sided KS critical value c(significance)/sqrt(n).
+
+    c solves Q(c) = significance for the Kolmogorov survival function Q,
+    by Newton's method from sqrt(-ln(significance/2)/2), where the
+    series' first term alone equals significance.  Above 0.5 the solve
+    is 1 - Q(c) = 1 - significance in the complementary series, because
+    Q is flat there and a rounding in Q moves c by ulp(1)/|Q'(c)|.
+    """
     if n < KS_MIN_SAMPLES:
         raise ValueError(f"KS significance needs n >= {KS_MIN_SAMPLES}, got {n}")
-    return float(special.kolmogi(significance)) / math.sqrt(n)
+    if not 0.0 < significance < 1.0:
+        raise ValueError(f"significance must be in (0, 1), got {significance}")
+    if significance <= 0.5:
+        series, target = _kolmogorov_sf, significance
+    else:
+        series, target = _kolmogorov_cdf, 1.0 - significance
+    c = math.sqrt(-0.5 * (math.log(significance) - math.log(2.0)))
+    for _ in range(_KOLMOGOROV_MAX_STEPS):
+        value, slope = series(c)
+        if slope == 0.0:  # exp underflowed: significance ~ 1e-323, c is the start
+            break
+        step = (value - target) / slope
+        c -= step
+        if abs(step) <= 1e-15 * c:
+            break
+    return c / math.sqrt(n)
 
 
-def ks_report(samples, model_cdf) -> str:
-    """Structured text: statistic, n, and 1%/5% critical values."""
-    arr = np.asarray(samples, dtype=np.float64)
-    d = ks_distance(arr, model_cdf)
-    lines = [f"n: {arr.size}", f"ks_distance: {d:.6f}"]
-    for sig in (0.01, 0.05):
-        crit = ks_critical_value(arr.size, sig)
-        verdict = "pass" if d <= crit else "fail"
-        lines.append(f"critical_{int(sig * 100):02d}pct: {crit:.6f} ({verdict})")
-    return "\n".join(lines)
+def ks_report(distance, n) -> list:
+    """Report lines of a KS distance over n samples at 1% significance.
+
+    ks_distance, ks_critical_01pct and ks_verdict_01pct (pass/fail); with
+    fewer than KS_MIN_SAMPLES samples the asymptotic critical value is
+    not trusted, and a low_confidence line replaces the last two.
+    """
+    lines = [f"ks_distance: {distance:.6f}"]
+    if n < KS_MIN_SAMPLES:
+        return lines + [f"low_confidence: fewer than {KS_MIN_SAMPLES} gaps, "
+                        "significance not assessed"]
+    crit = ks_critical_value(n, 0.01)
+    verdict = "pass" if distance <= crit else "fail"
+    return lines + [f"ks_critical_01pct: {crit:.6f}", f"ks_verdict_01pct: {verdict}"]
 
 
 def save_cdf_csv(path, tau_grid, values):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .arrivals import KS_MIN_SAMPLES, bearer_request_rate, ks_critical_value, ks_distance
+from .arrivals import bearer_request_rate, ks_distance, ks_report
 from .autoscale import run_scaling_loop, save_decision_log
 from .config import load_scenario, scenario_to_dict
 from .delay import (
@@ -163,22 +163,8 @@ def cmd_validate_arrivals(args):
             w.writerow([repr(float(tau)), repr(float(e)), repr(float(m))])
 
     lines = [f"n_gaps: {gaps.size}", f"model_rate_per_s: {lam!r}"]
-    if gaps.size >= KS_MIN_SAMPLES:
-        d = ks_distance(gaps, model_cdf)
-        crit = ks_critical_value(gaps.size, 0.01)
-        verdict = "pass" if d <= crit else "fail"
-        lines += [
-            f"ks_distance: {d:.6f}",
-            f"ks_critical_01pct: {crit:.6f}",
-            f"ks_verdict_01pct: {verdict}",
-        ]
-    else:
-        d = ks_distance(gaps, model_cdf) if gaps.size >= 2 else float("nan")
-        lines += [
-            f"ks_distance: {d:.6f}",
-            f"low_confidence: fewer than {KS_MIN_SAMPLES} gaps, "
-            "significance not assessed",
-        ]
+    d = ks_distance(gaps, model_cdf) if gaps.size >= 2 else float("nan")
+    lines += ks_report(d, gaps.size)
     report_path = os.path.join(out, "ks_report.txt")
     with open(report_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -8,6 +8,7 @@ with a fixed probability and is back in Regular one slot later.
 """
 
 import csv
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -25,8 +26,6 @@ _HAZARD_CLAMP = 745.0
 # a healthy hazard grid accumulates ~1 unit of hazard per period; waiting
 # longer than this many periods signals a degenerate grid
 _MAX_WAIT_PERIODS = 1000
-
-_PREFIX_CACHE = {}
 
 
 @dataclass(frozen=True)
@@ -191,19 +190,20 @@ def hazard_grid(params: TrafficParams) -> np.ndarray:
     return beta_pmf(np.arange(1, params.n_slots + 1), params)
 
 
+@functools.lru_cache(maxsize=8)
 def _prefix(params: TrafficParams):
-    """Cumulative -ln(1-f) over one period: P[0..N], and the period total."""
-    cached = _PREFIX_CACHE.get(params)
-    if cached is not None:
-        return cached
+    """Cumulative -ln(1-f) over one period: P[0..N], and the period total.
+
+    Cached per parameter set, a few at a time: a run uses one, and a
+    ``hazard`` override makes every distinct grid a new key.
+    """
     f = hazard_grid(params)
     with np.errstate(divide="ignore"):
         h = -np.log1p(-f)
     h[~np.isfinite(h)] = _HAZARD_CLAMP
     h = np.minimum(h, _HAZARD_CLAMP)
     prefix = np.concatenate(([0.0], np.cumsum(h)))
-    _PREFIX_CACHE[params] = (prefix, float(prefix[-1]))
-    return _PREFIX_CACHE[params]
+    return prefix, float(prefix[-1])
 
 
 def _slots_from_targets(prefix, phi, n_slots, targets):

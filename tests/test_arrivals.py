@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from scipy import special, stats
 
 from miotcore.arrivals import (
+    KS_MIN_SAMPLES,
     ArrivalRates,
     ErlangMixture,
     arrival_rates,
@@ -223,14 +226,49 @@ def test_ks_critical_value_formula():
         ks_critical_value(49, 0.05)
 
 
+@given(n=st.integers(2, 5_000), seed=st.integers(0, 2**32 - 1),
+       form=st.sampled_from(["unsorted", "ties", "list"]))
+@example(n=2, seed=0, form="unsorted")
+@example(n=5_000, seed=1, form="ties")
+@example(n=2, seed=2, form="list")
+def test_ks_distance_equals_scipy_statistic_exactly(n, seed, form):
+    # the numpy statistic repeats scipy.stats.ks_1samp's arithmetic, so the
+    # two agree bit for bit, whatever the sample order, ties or input type
+    model = lambda x: -np.expm1(-2.0 * np.asarray(x))
+    sample = np.random.default_rng(seed).exponential(0.5, size=n)
+    if form == "ties":
+        sample = np.round(sample, 1)
+    elif form == "list":
+        sample = sample.tolist()
+    assert ks_distance(sample, model) == stats.kstest(sample, model).statistic
+
+
+def test_ks_critical_value_matches_kolmogi():
+    for s in (1e-6, 1e-3, 0.01, 0.05, 0.1, 0.5, 0.9, 0.999):
+        got = ks_critical_value(400, s) * math.sqrt(400)
+        assert got == pytest.approx(special.kolmogi(s), rel=1e-14), s
+
+
+def test_ks_critical_value_rejects_bad_significance():
+    for s in (0.0, 1.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match="significance"):
+            ks_critical_value(100, s)
+
+
 def test_ks_report_text():
     rng = np.random.default_rng(5)
     sample = rng.exponential(1.0, size=200)
-    text = ks_report(sample, lambda x: -np.expm1(-np.asarray(x)))
-    assert "n: 200" in text
-    assert "ks_distance:" in text
-    assert "critical_01pct:" in text and "critical_05pct:" in text
-    assert "pass" in text
+    d = ks_distance(sample, lambda x: -np.expm1(-np.asarray(x)))
+    crit = ks_critical_value(200, 0.01)
+    assert ks_report(d, 200) == [f"ks_distance: {d:.6f}",
+                                 f"ks_critical_01pct: {crit:.6f}",
+                                 "ks_verdict_01pct: pass"]
+    assert ks_report(1.01 * crit, 200)[-1] == "ks_verdict_01pct: fail"
+    # below KS_MIN_SAMPLES the asymptotic critical value is not trusted
+    assert ks_report(d, KS_MIN_SAMPLES - 1) == [
+        f"ks_distance: {d:.6f}",
+        f"low_confidence: fewer than {KS_MIN_SAMPLES} gaps, significance not assessed"]
+    assert ks_report(float("nan"), 1)[0] == "ks_distance: nan"
 
 
 def test_save_cdf_csv(tmp_path):

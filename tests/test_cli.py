@@ -1,6 +1,11 @@
 """Command-line entry point: artifacts, manifests, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +94,14 @@ def test_validate_arrivals_rejects_periodic_stream(tmp_path, cfg):
                 "--stream", str(trace)]) == 0
     report = (out / "ks_report.txt").read_text()
     assert "ks_verdict_01pct: fail" in report
+    # 20 gaps are too few for the asymptotic critical value
+    short = tmp_path / "short.csv"
+    short.write_text("timestamp_s\n" + "\n".join(repr(0.125 * k) for k in range(21)) + "\n")
+    assert run(["validate-arrivals", "--config", cfg, "--out", str(out),
+                "--stream", str(short)]) == 0
+    report = (out / "ks_report.txt").read_text().splitlines()
+    assert report[0] == "n_gaps: 20"
+    assert report[3] == "low_confidence: fewer than 50 gaps, significance not assessed"
 
 
 def test_simulate_full_and_single_job(tmp_path, cfg, capsys):
@@ -192,6 +205,29 @@ def test_exit_codes(tmp_path, cfg, capsys):
     err = capsys.readouterr().err
     assert "overload" in err
     assert "minimum feasible capacity multiplier" in err
+
+
+def test_cli_start_up_loads_no_scipy(tmp_path, cfg):
+    # scipy's import costs more than a whole predict; no command needs it
+    script = textwrap.dedent("""
+        import sys
+
+        def scipy_modules():
+            return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+
+        from miotcore.cli import main
+        assert not scipy_modules(), scipy_modules()[:3]
+        cfg, out = sys.argv[1:]
+        assert main(["validate-arrivals", "--config", cfg, "--out", out]) == 0
+        assert main(["predict", "--config", cfg, "--out", out]) == 0
+        assert not scipy_modules(), scipy_modules()[:3]
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", script, cfg, str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "ks_report.txt").exists()
+    assert (tmp_path / "out" / "model.txt").exists()
 
 
 def test_argparse_surface():

@@ -10,6 +10,7 @@ from miotcore.traffic import (
     EventStream,
     SourcePopulation,
     TrafficParams,
+    _prefix,
     beta_pdf,
     beta_pmf,
     generate_requests,
@@ -87,6 +88,20 @@ def test_hazard_grid_override():
     default = TrafficParams(period_s=10.0, slot_delta_s=0.1)
     assert np.array_equal(
         hazard_grid(default), beta_pmf(np.arange(1, 101), default))
+
+
+def test_prefix_cache_is_bounded():
+    # every distinct hazard override is a new cache key; the cache keeps
+    # a few and recomputes an evicted grid to the same prefix sums
+    grids = [TrafficParams(period_s=10.0, slot_delta_s=0.1,
+                           hazard=(0.001 * (i + 1),) * 100) for i in range(20)]
+    first = [_prefix(p)[0].copy() for p in grids]
+    assert _prefix.cache_info().currsize <= 8
+    for params, prefix in zip(grids, first):
+        again, phi = _prefix(params)
+        assert np.array_equal(again, prefix)
+        assert phi == prefix[-1]
+    assert _prefix.cache_info().currsize <= 8
 
 
 def test_sample_next_alarm_strictly_future_and_distribution():
