@@ -11,7 +11,6 @@ module (and with it every CLI command) does not load scipy; scipy is
 imported on demand by ``fbeta_mixture`` alone.
 """
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -22,6 +21,9 @@ from .traffic import _prefix as _cumulative_hazard
 
 # asymptotic two-sided KS critical values need a healthy sample
 KS_MIN_SAMPLES = 50
+
+# the significance of every KS verdict the package reports
+KS_SIGNIFICANCE = 0.01
 
 # cap on Newton steps for the Kolmogorov quantile; the solve needs at
 # most 38 (at significance 1 - 2**-53), and 10 at 0.999
@@ -320,19 +322,7 @@ def ks_report(distance, n) -> list:
     if n < KS_MIN_SAMPLES:
         return lines + [f"low_confidence: fewer than {KS_MIN_SAMPLES} gaps, "
                         "significance not assessed"]
-    crit = ks_critical_value(n, 0.01)
+    crit = ks_critical_value(n, KS_SIGNIFICANCE)
     verdict = "pass" if distance <= crit else "fail"
     return lines + [f"ks_critical_01pct: {crit:.6f}", f"ks_verdict_01pct: {verdict}"]
 
-
-def save_cdf_csv(path, tau_grid, values):
-    """Write a CDF evaluation as CSV with header tau_s,cdf_value."""
-    tau_arr = np.asarray(tau_grid, dtype=np.float64)
-    val_arr = np.asarray(values, dtype=np.float64)
-    if tau_arr.shape != val_arr.shape:
-        raise ValueError("grid and values must align")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["tau_s", "cdf_value"])
-        for t, v in zip(tau_arr, val_arr):
-            w.writerow([repr(float(t)), repr(float(v))])

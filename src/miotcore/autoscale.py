@@ -9,13 +9,13 @@ closed loop replays a measured rate series window by window: decide from
 the model, then simulate the window and record the empirical percentile.
 """
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
+from .csvio import write_csv
 from .delay import (
     ENTITY_MME,
     G_TABLE_RHO_MAX,
@@ -246,20 +246,12 @@ def save_decision_log(path, records):
     Columns: window_start_s, lambda_hat, multiplier, predicted_p,
     empirical_p, feasible.
     """
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["window_start_s", "lambda_hat", "multiplier", "predicted_p",
-             "empirical_p", "feasible"]
-        )
-        for rec in records:
-            w.writerow(
-                [
-                    repr(rec.window_start_s),
-                    repr(rec.lambda_hat),
-                    repr(rec.decision.multiplier),
-                    repr(rec.decision.predicted_delay_s),
-                    repr(rec.empirical_percentile_s),
-                    int(rec.decision.feasible),
-                ]
-            )
+    write_csv(path,
+              ["window_start_s", "lambda_hat", "multiplier", "predicted_p",
+               "empirical_p", "feasible"],
+              [rec.window_start_s for rec in records],
+              [rec.lambda_hat for rec in records],
+              [rec.decision.multiplier for rec in records],
+              [rec.decision.predicted_delay_s for rec in records],
+              [rec.empirical_percentile_s for rec in records],
+              [int(rec.decision.feasible) for rec in records])

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._g_table import H_HIGH, H_LOW
+from .csvio import write_csv
 from .errors import ConfigurationError, NumericalError, OverloadError
 
 ENTITY_MME = "MME"
@@ -404,14 +405,8 @@ def delay_percentile(p, params: DelayModelParams) -> float:
 
 def save_survival_csv(path, params: DelayModelParams, tau_grid):
     """Write the survival curve as CSV with header tau_s,survival."""
-    import csv
-
     tau_arr = np.asarray(tau_grid, dtype=np.float64)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         vals = delay_survival(tau_arr, params)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["tau_s", "survival"])
-        for t, v in zip(tau_arr, np.atleast_1d(vals)):
-            w.writerow([repr(float(t)), repr(float(v))])
+    write_csv(path, ["tau_s", "survival"], tau_arr, vals)

@@ -29,7 +29,6 @@ job at the MME plus a constant offset, which is the exact simulation
 counterpart of the analytic delay model in :mod:`miotcore.delay`.
 """
 
-import csv
 import itertools
 from array import array
 from dataclasses import dataclass
@@ -38,8 +37,9 @@ from typing import Optional
 
 import numpy as np
 
+from .csvio import write_csv
+from .delay import EntityProfile, _profiles_by_name
 from .errors import ConfigurationError, OverloadError
-from .delay import EntityProfile
 
 _INF = float("inf")
 _WORK_TOL = 1e-9
@@ -139,11 +139,7 @@ class ProcedureTemplate:
         and the sum of hop works at that entity must equal the profile's
         ops_per_bearer to within a 1e-9 relative tolerance.
         """
-        by_name = {}
-        for prof in profiles:
-            if prof.entity in by_name:
-                raise ConfigurationError(f"duplicate profile for entity {prof.entity!r}")
-            by_name[prof.entity] = prof
+        by_name = _profiles_by_name(profiles)
         for entity, total in self.work_by_entity().items():
             if entity not in by_name:
                 raise ConfigurationError(
@@ -172,11 +168,7 @@ def default_bearer_template(profiles):
     counts = {}
     for entity, _tag in _DEFAULT_HOP_PLAN:
         counts[entity] = counts.get(entity, 0) + 1
-    by_name = {}
-    for prof in profiles:
-        if prof.entity in by_name:
-            raise ConfigurationError(f"duplicate profile for entity {prof.entity!r}")
-        by_name[prof.entity] = prof
+    by_name = _profiles_by_name(profiles)
     hops = []
     for entity, tag in _DEFAULT_HOP_PLAN:
         prof = by_name.get(entity)
@@ -273,19 +265,8 @@ class DelaySampleSet:
         return float(np.quantile(self.delays_s, p))
 
     def save_csv(self, path):
-        delays = self.delays_s
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["request_id", "arrival_s", "completion_s", "delay_s"])
-            for i in range(len(self)):
-                w.writerow(
-                    [
-                        int(self.request_ids[i]),
-                        repr(float(self.arrivals_s[i])),
-                        repr(float(self.completions_s[i])),
-                        repr(float(delays[i])),
-                    ]
-                )
+        write_csv(path, ["request_id", "arrival_s", "completion_s", "delay_s"],
+                  self.request_ids, self.arrivals_s, self.completions_s, self.delays_s)
 
 
 class PsServer:

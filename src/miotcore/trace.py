@@ -16,7 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .arrivals import KS_MIN_SAMPLES, ks_critical_value, ks_distance
+from .arrivals import KS_MIN_SAMPLES, KS_SIGNIFICANCE, ks_critical_value, ks_distance
+from .csvio import write_csv
 from .errors import TraceFormatError
 from .traffic import EventStream
 
@@ -216,24 +217,24 @@ def replay_rate_series(windows):
     return series
 
 
-def save_window_report(path, windows, significance=0.01):
+def save_window_report(path, windows):
     """Write the per-window fit report CSV.
 
     Columns: window_start_s, n_events, lambda_hat, ks_stat, ks_pass_1pct.
     The pass column is empty for windows flagged low-confidence (the
     asymptotic critical value is not trustworthy there).
     """
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["window_start_s", "n_events", "lambda_hat", "ks_stat", "ks_pass_1pct"])
-        for win in windows:
-            rate = "" if win.rate_hat is None else repr(win.rate_hat)
-            ks = "" if win.ks_statistic is None else repr(win.ks_statistic)
-            verdict = ""
-            if win.ks_statistic is not None and win.n_events - 1 >= LOW_CONFIDENCE_EVENTS:
-                crit = ks_critical_value(win.n_events - 1, significance)
-                verdict = int(win.ks_statistic <= crit)
-            w.writerow([repr(win.start_s), win.n_events, rate, ks, verdict])
+    def verdict(win):
+        if win.ks_statistic is None or win.n_events - 1 < LOW_CONFIDENCE_EVENTS:
+            return ""
+        return int(win.ks_statistic <= ks_critical_value(win.n_events - 1, KS_SIGNIFICANCE))
+
+    write_csv(path, ["window_start_s", "n_events", "lambda_hat", "ks_stat", "ks_pass_1pct"],
+              [win.start_s for win in windows],
+              [win.n_events for win in windows],
+              ["" if win.rate_hat is None else win.rate_hat for win in windows],
+              ["" if win.ks_statistic is None else win.ks_statistic for win in windows],
+              [verdict(win) for win in windows])
 
 
 def make_diurnal_trace(base_rate_per_s, shape=DIURNAL_SHAPE_DEFAULT,

@@ -7,7 +7,6 @@ once per period.  On each Alarm visit the source emits a bearer request
 with a fixed probability and is back in Regular one slot later.
 """
 
-import csv
 import functools
 import math
 import struct
@@ -15,6 +14,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+from .csvio import write_csv
 
 # P(at least one packet during an alarm visit) for unit per-slot packet rate
 TX_PROBABILITY_DEFAULT = 1.0 - math.exp(-1.0)
@@ -130,16 +131,10 @@ class EventStream:
         return (len(self) - 1) / (self.timestamps[-1] - self.timestamps[0])
 
     def save_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            if self.source_ids is None:
-                w.writerow(["timestamp_s"])
-                for t in self.timestamps:
-                    w.writerow([repr(float(t))])
-            else:
-                w.writerow(["timestamp_s", "source_id"])
-                for t, s in zip(self.timestamps, self.source_ids):
-                    w.writerow([repr(float(t)), int(s)])
+        if self.source_ids is None:
+            write_csv(path, ["timestamp_s"], self.timestamps)
+        else:
+            write_csv(path, ["timestamp_s", "source_id"], self.timestamps, self.source_ids)
 
     def save_binary(self, path):
         """Length-prefixed stream: little-endian u64 count, then f64 seconds."""

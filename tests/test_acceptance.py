@@ -24,6 +24,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import poisson_stream
 from miotcore.arrivals import (
     ErlangMixture,
     bearer_request_rate,
@@ -58,11 +59,6 @@ PERIOD_S = 10.0
 LAMBDA_BETA_10K = 632.1205588285577  # Q = 10^4 sources
 MME = next(p for p in DEFAULT_ENTITY_PROFILES if p.entity == "MME")
 D_MME = 9.0e-4
-
-
-def _poisson(rate, n, seed):
-    rng = np.random.default_rng(seed)
-    return EventStream(np.cumsum(rng.exponential(1.0 / rate, size=n)))
 
 
 def test_criterion_1_merged_gaps_are_exponential():
@@ -122,7 +118,7 @@ def test_criterion_4_ps_mean_sojourn_matches_formula():
     """Budget: under two minutes; runs in a few seconds."""
     outcomes = []
     for rho in (0.3, 0.5, 0.8):
-        stream = _poisson(rho / D_MME, 1_000_000, seed=int(rho * 1000))
+        stream = poisson_stream(rho / D_MME, 1_000_000, seed=int(rho * 1000))
         samples = single_job_mode(stream, MME, 0.0)
         mean = float(samples.delays_s.mean())
         want = D_MME / (1.0 - rho)
@@ -140,7 +136,7 @@ def test_criterion_5_tail_model_matches_simulation_at_stock_load():
     tau99 = delay_percentile(0.99, model)
 
     # survival of the single-job queue at the model's own percentiles
-    stream = _poisson(LAMBDA_BETA_10K, 1_000_000, seed=31)
+    stream = poisson_stream(LAMBDA_BETA_10K, 1_000_000, seed=31)
     jobs = single_job_mode(stream, MME, constant_delay_K(DEFAULT_ENTITY_PROFILES))
     s90 = float(np.mean(jobs.delays_s > tau90))
     s99 = float(np.mean(jobs.delays_s > tau99))

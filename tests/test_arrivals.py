@@ -21,7 +21,6 @@ from miotcore.arrivals import (
     ks_critical_value,
     ks_distance,
     ks_report,
-    save_cdf_csv,
 )
 from miotcore.traffic import SourcePopulation, TrafficParams, beta_pmf
 
@@ -270,13 +269,3 @@ def test_ks_report_text():
         f"low_confidence: fewer than {KS_MIN_SAMPLES} gaps, significance not assessed"]
     assert ks_report(float("nan"), 1)[0] == "ks_distance: nan"
 
-
-def test_save_cdf_csv(tmp_path):
-    path = tmp_path / "cdf.csv"
-    save_cdf_csv(path, [0.0, 0.5], [0.0, 0.25])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "tau_s,cdf_value"
-    assert lines[1] == "0.0,0.0"
-    assert lines[2] == "0.5,0.25"
-    with pytest.raises(ValueError):
-        save_cdf_csv(path, [0.0, 0.5], [0.0])

@@ -208,19 +208,21 @@ def test_exit_codes(tmp_path, cfg, capsys):
 
 
 def test_cli_start_up_loads_no_scipy(tmp_path, cfg):
-    # scipy's import costs more than a whole predict; no command needs it
+    # scipy's import costs more than a whole predict and no command needs
+    # it; the process pool is only for --jobs > 1
     script = textwrap.dedent("""
         import sys
 
-        def scipy_modules():
-            return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+        def heavy_modules():
+            return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
+                    or m == "concurrent.futures.process"]
 
         from miotcore.cli import main
-        assert not scipy_modules(), scipy_modules()[:3]
+        assert not heavy_modules(), heavy_modules()[:3]
         cfg, out = sys.argv[1:]
         assert main(["validate-arrivals", "--config", cfg, "--out", out]) == 0
         assert main(["predict", "--config", cfg, "--out", out]) == 0
-        assert not scipy_modules(), scipy_modules()[:3]
+        assert not heavy_modules(), heavy_modules()[:3]
     """)
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     done = subprocess.run([sys.executable, "-c", script, cfg, str(tmp_path / "out")],

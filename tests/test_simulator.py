@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from conftest import poisson_stream
 from miotcore.config import DEFAULT_ENTITY_PROFILES
-from miotcore.delay import EntityProfile, constant_delay_K
+from miotcore.delay import EntityProfile, build_delay_model, constant_delay_K
 from miotcore.errors import ConfigurationError, OverloadError
 from miotcore.simulator import (
     DelaySampleSet,
@@ -80,6 +80,21 @@ def test_default_bearer_template_shape():
     assert template.marked_index == template.n_hops - 1
     assert template.hops[template.marked_index].entity == "UE"
     template.validate_against(DEFAULT_ENTITY_PROFILES)
+
+
+def test_duplicate_profile_has_one_wording():
+    mme = next(p for p in DEFAULT_ENTITY_PROFILES if p.entity == "MME")
+    doubled = DEFAULT_ENTITY_PROFILES + (mme,)
+    template = default_bearer_template(DEFAULT_ENTITY_PROFILES)
+    checks = (template.validate_against,
+              default_bearer_template,
+              lambda profiles: build_delay_model(100.0, profiles))
+    messages = set()
+    for check in checks:
+        with pytest.raises(ConfigurationError) as exc_info:
+            check(doubled)
+        messages.add(str(exc_info.value))
+    assert messages == {"duplicate profile for MME"}
 
 
 def test_ps_single_job_completes_at_work_over_capacity():
