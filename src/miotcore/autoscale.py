@@ -27,9 +27,6 @@ from .errors import ConfigurationError, OverloadError
 from .simulator import single_job_mode
 from .traffic import EventStream
 
-# the end of the g table: the controller never waits on the march
-_RHO_PREDICT_MAX = G_TABLE_RHO_MAX
-
 
 @dataclass(frozen=True)
 class ScalingPolicy:
@@ -109,7 +106,7 @@ def predict_percentile(lambda_beta, multiplier, profiles, policy):
     if mme is None:
         raise ConfigurationError(f"profiles must include {ENTITY_MME!r}")
     rho = lambda_beta * mme.ops_per_bearer / mme.capacity
-    if rho >= _RHO_PREDICT_MAX:
+    if rho >= G_TABLE_RHO_MAX:  # past the g table: never wait on the march
         return math.inf
     try:
         model = build_delay_model(lambda_beta, profs)

@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,29 +42,6 @@ from .traffic import generate_requests
 OUT_DIR_ENV = "MIOTCORE_OUT_DIR"
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance record written next to every command's outputs."""
-
-    command: str
-    config: dict
-    seed: int
-    artifact_version: str
-    outputs: tuple
-
-    def save(self, path):
-        doc = {
-            "command": self.command,
-            "config": self.config,
-            "seed": self.seed,
-            "artifact_version": self.artifact_version,
-            "outputs": list(self.outputs),
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
 def _out_dir(args):
     out = args.out or os.environ.get(OUT_DIR_ENV) or "miotcore_out"
     os.makedirs(out, exist_ok=True)
@@ -79,33 +55,39 @@ def _require_config(args):
 
 
 def _write_manifest(args, command, scenario, outputs, extra=None):
-    out = _out_dir(args)
+    """Write the provenance record of a command next to its outputs."""
     config = scenario_to_dict(scenario) if scenario is not None else {}
     if extra:
         config["cli"] = extra
-    manifest = RunManifest(
-        command=command,
-        config=config,
-        seed=args.seed,
-        artifact_version=__version__,
-        outputs=tuple(sorted(os.path.basename(p) for p in outputs)),
-    )
-    path = os.path.join(out, f"{command}_manifest.json")
-    manifest.save(path)
+    doc = {
+        "command": command,
+        "config": config,
+        "seed": args.seed,
+        "artifact_version": __version__,
+        "outputs": sorted(os.path.basename(p) for p in outputs),
+    }
+    path = os.path.join(_out_dir(args), f"{command}_manifest.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return path
 
 
-def _replication_streams(scenario, seed, replications):
-    """One generated EventStream per replication, deterministically seeded.
+def _replication_stream(scenario, rep_ss):
+    """The EventStream of one replication, drawn from its child seed.
 
-    Each replication redraws the group offsets and the source randomness
+    The replication redraws the group offsets and the source randomness
     from its own child of the root seed, so replications are independent.
     """
-    root = np.random.SeedSequence(seed)
-    for rep_ss in root.spawn(replications):
-        off_ss, gen_ss = rep_ss.spawn(2)
-        population = scenario.population(np.random.default_rng(off_ss))
-        yield generate_requests(population, scenario.params, scenario.horizon_s, gen_ss)
+    off_ss, gen_ss = rep_ss.spawn(2)
+    population = scenario.population(np.random.default_rng(off_ss))
+    return generate_requests(population, scenario.params, scenario.horizon_s, gen_ss)
+
+
+def _replication_streams(scenario, seed, replications):
+    """One generated EventStream per replication, deterministically seeded."""
+    for rep_ss in np.random.SeedSequence(seed).spawn(replications):
+        yield _replication_stream(scenario, rep_ss)
 
 
 def _suffix(i, n):
@@ -169,9 +151,7 @@ def cmd_validate_arrivals(args):
 
 
 def _simulate_one(scenario, rep_ss, single_job):
-    off_ss, gen_ss = rep_ss.spawn(2)
-    population = scenario.population(np.random.default_rng(off_ss))
-    stream = generate_requests(population, scenario.params, scenario.horizon_s, gen_ss)
+    stream = _replication_stream(scenario, rep_ss)
     if single_job:
         mme = next(p for p in scenario.profiles if p.entity == ENTITY_MME)
         samples = single_job_mode(stream, mme, constant_delay_K(scenario.profiles))
@@ -357,6 +337,9 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("replications", "jobs"):
+            if getattr(args, flag) < 1:
+                raise ConfigurationError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
         return args.func(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

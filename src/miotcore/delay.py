@@ -240,7 +240,7 @@ def _march_decays(rho, s, per_d, n_periods, cap, thresh) -> bool:
 
 
 @functools.lru_cache(maxsize=256)
-def criticality_exponent(rho, grid_per_service=_MARCH_GRID) -> float:
+def criticality_exponent(rho) -> float:
     """Dimensionless sojourn-tail decay exponent g(rho) of the M/D/1-PS queue.
 
     gamma = g(rho) / D.  In virtual time the jobs sharing the server with
@@ -258,13 +258,13 @@ def criticality_exponent(rho, grid_per_service=_MARCH_GRID) -> float:
     thresh = 0.5 * min(branch, _MARCH_CAP)
     n_periods = max(32, int(math.ceil(16.0 / branch)))
     lo, hi = 1e-6, max(8.0, 2.0 * -math.log(rho))
-    if not _march_decays(rho, lo, grid_per_service, n_periods, _MARCH_CAP, thresh):
+    if not _march_decays(rho, lo, _MARCH_GRID, n_periods, _MARCH_CAP, thresh):
         raise NumericalError(f"march diverges at s={lo} for rho={rho}")
-    if _march_decays(rho, hi, grid_per_service, n_periods, _MARCH_CAP, thresh):
+    if _march_decays(rho, hi, _MARCH_GRID, n_periods, _MARCH_CAP, thresh):
         raise NumericalError(f"march decays at s={hi} for rho={rho}")
     for _ in range(_MARCH_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        if _march_decays(rho, mid, grid_per_service, n_periods, _MARCH_CAP, thresh):
+        if _march_decays(rho, mid, _MARCH_GRID, n_periods, _MARCH_CAP, thresh):
             lo = mid
         else:
             hi = mid
@@ -357,15 +357,15 @@ def build_delay_model(lambda_beta, profiles) -> DelayModelParams:
     # near the gamma = lambda_beta crossing the psi numerator and
     # denominator vanish together; the raw ratio is ill-conditioned there,
     # so psi is taken as the average of two clean nearby evaluations
-    if abs(rho - gamma * d_service) < 1e-3:
-        psi = 0.5 * (_psi_nearby(rho - 2e-3, d_service)
-                     + _psi_nearby(rho + 2e-3, d_service))
-    else:
+    psi = None
+    if abs(rho - gamma * d_service) >= 1e-3:
         try:
             psi = psi_coefficient(lambda_beta, rho, gamma)
         except NumericalError:
-            psi = 0.5 * (_psi_nearby(rho - 2e-3, d_service)
-                         + _psi_nearby(rho + 2e-3, d_service))
+            pass
+    if psi is None:
+        psi = 0.5 * (_psi_nearby(rho - 2e-3, d_service)
+                     + _psi_nearby(rho + 2e-3, d_service))
     return DelayModelParams(D=d_service, rho=rho, psi=psi, gamma=gamma, K=k_const)
 
 

@@ -92,7 +92,9 @@ class ProcedureTemplate:
     ``marked_index`` names the single out-of-band hop that does not block
     the sequential chain: it is dispatched when its predecessor in the
     ordered list completes, runs concurrently with the remainder of the
-    chain, and only the request completion time waits for it.
+    chain, and only the request completion time waits for it.  It must
+    have a predecessor (``1 <= marked_index``), so every request enters
+    the walk at hop 0, on the chain.
     """
 
     hops: tuple
@@ -108,7 +110,7 @@ class ProcedureTemplate:
                 raise ConfigurationError("template hops must be MessageHop instances")
         if self.marked_index is not None:
             idx = int(self.marked_index)
-            if not 0 <= idx < len(hops):
+            if not 1 <= idx < len(hops):
                 raise ConfigurationError(
                     f"marked_index {self.marked_index} out of range for {len(hops)} hops"
                 )
@@ -183,47 +185,24 @@ def default_bearer_template(profiles):
     return ProcedureTemplate(tuple(hops), marked_index=len(hops) - 1)
 
 
-@dataclass(frozen=True)
-class DelaySample:
-    """One completed bearer request with its per-entity delay breakdown.
-
-    ``breakdown`` maps entity name to the time the request spent being
-    served (or queued) there; for the marked out-of-band hop only the span
-    extending beyond both the sequential chain and the hop's own dispatch
-    is attributed, and link crossings go to ``link``, so the breakdown
-    always sums to ``completion_s - arrival_s``.
-    """
-
-    request_id: int
-    arrival_s: float
-    completion_s: float
-    breakdown: dict
-
-    def __post_init__(self):
-        if self.completion_s < self.arrival_s:
-            raise ValueError("completion precedes arrival")
-
-    @property
-    def delay_s(self):
-        return self.completion_s - self.arrival_s
-
-
 class DelaySampleSet:
-    """Column-oriented collection of DelaySample records.
+    """Arrival and completion times of the completed bearer requests.
 
-    Behaves as a sequence of :class:`DelaySample`; bulk access goes through
-    the underlying arrays (``arrivals_s``, ``completions_s``, ``delays_s``,
-    ``breakdown``).
+    Request i is row i of the arrays ``arrivals_s``, ``completions_s`` and
+    ``delays_s``.  ``breakdown`` maps entity name to a column of the time
+    each request spent being served (or queued) there; for the marked
+    out-of-band hop only the span extending beyond both the sequential
+    chain and the hop's own dispatch is attributed, and link crossings go
+    to ``link``, so a request's breakdown sums to its delay.
     """
 
-    def __init__(self, request_ids, arrivals_s, completions_s, breakdown=None):
-        self.request_ids = np.asarray(request_ids, dtype=np.int64)
+    def __init__(self, arrivals_s, completions_s, breakdown=None):
         self.arrivals_s = np.asarray(arrivals_s, dtype=float)
         self.completions_s = np.asarray(completions_s, dtype=float)
-        n = self.request_ids.shape[0]
-        if self.arrivals_s.shape != (n,) or self.completions_s.shape != (n,):
-            raise ValueError("request_ids, arrivals_s, completions_s must align")
-        if n and np.any(self.completions_s < self.arrivals_s):
+        if self.arrivals_s.ndim != 1 or self.completions_s.shape != self.arrivals_s.shape:
+            raise ValueError("arrivals_s and completions_s must be aligned vectors")
+        n = len(self.arrivals_s)
+        if np.any(self.completions_s < self.arrivals_s):
             raise ValueError("completion precedes arrival")
         self.breakdown = {}
         for name, col in (breakdown or {}).items():
@@ -233,24 +212,7 @@ class DelaySampleSet:
             self.breakdown[name] = col
 
     def __len__(self):
-        return self.request_ids.shape[0]
-
-    def __getitem__(self, i):
-        idx = int(i)
-        if idx < 0:
-            idx += len(self)
-        if not 0 <= idx < len(self):
-            raise IndexError(i)
-        return DelaySample(
-            request_id=int(self.request_ids[idx]),
-            arrival_s=float(self.arrivals_s[idx]),
-            completion_s=float(self.completions_s[idx]),
-            breakdown={k: float(v[idx]) for k, v in self.breakdown.items()},
-        )
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
+        return len(self.arrivals_s)
 
     @property
     def delays_s(self):
@@ -266,7 +228,7 @@ class DelaySampleSet:
 
     def save_csv(self, path):
         write_csv(path, ["request_id", "arrival_s", "completion_s", "delay_s"],
-                  self.request_ids, self.arrivals_s, self.completions_s, self.delays_s)
+                  np.arange(len(self)), self.arrivals_s, self.completions_s, self.delays_s)
 
 
 class PsServer:
@@ -389,10 +351,6 @@ class PsServer:
             k -= 1
         self.t_now = until
         return done
-
-    def residual_work(self):
-        """Remaining operations per active job, keyed by job id."""
-        return {job: max(0.0, vf - self.virtual) for vf, _, job in self._heap}
 
 
 @dataclass(frozen=True)
@@ -539,7 +497,6 @@ def run_bearer_simulation(
     next_hop = [-1] * n_hops
     for pos in range(len(chain) - 1):
         next_hop[chain[pos]] = chain[pos + 1]
-    first_hop = chain[0] if chain else None
     marked_trigger = None if marked is None else marked - 1
 
     # Every request walks every hop, so the server instances are known up
@@ -607,12 +564,7 @@ def run_bearer_simulation(
         if t <= entry[0]:
             if t == _INF:
                 break
-            if first_hop is None:
-                chain_end[i] = t
-            else:
-                dispatch(t, i, first_hop)
-            if marked_trigger == -1:
-                dispatch(t, i, marked)
+            dispatch(t, i, 0)  # hop 0 is never the marked hop
             i += 1
             continue
         heappop(events)
@@ -661,7 +613,6 @@ def run_bearer_simulation(
         cols[_LINK_ENTITY] = np.maximum(0.0, residual)
 
     samples = DelaySampleSet(
-        request_ids=np.arange(n_req, dtype=np.int64),
         arrivals_s=arrivals,
         completions_s=completions,
         breakdown=cols,
@@ -747,7 +698,6 @@ def single_job_mode(stream, profile_mme, constant_delay_s):
     delays = sojourns + constant_delay_s
     n = arrivals.shape[0]
     return DelaySampleSet(
-        request_ids=np.arange(n, dtype=np.int64),
         arrivals_s=arrivals,
         completions_s=arrivals + delays,
         breakdown={

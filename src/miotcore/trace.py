@@ -21,8 +21,6 @@ from .csvio import write_csv
 from .errors import TraceFormatError
 from .traffic import EventStream
 
-LOW_CONFIDENCE_EVENTS = KS_MIN_SAMPLES
-
 DIURNAL_SHAPE_DEFAULT = (0.2, 0.35, 0.6, 1.0, 1.5, 2.0, 1.7, 1.2)
 
 
@@ -51,7 +49,7 @@ class TraceWindow:
     inter-arrival gaps inside the window (None below 2 events),
     ``ks_statistic`` the KS distance of those gaps against Exp(rate_hat)
     (None below 3 events, where the distance is meaningless).  Windows
-    with fewer than LOW_CONFIDENCE_EVENTS events are flagged
+    with fewer than KS_MIN_SAMPLES events are flagged
     low-confidence.
     """
 
@@ -172,7 +170,7 @@ def _fit_window(start, end, ts):
         timestamps=ts,
         rate_hat=rate,
         ks_statistic=ks,
-        low_confidence=ts.size < LOW_CONFIDENCE_EVENTS,
+        low_confidence=ts.size < KS_MIN_SAMPLES,
     )
 
 
@@ -183,7 +181,7 @@ def window_and_fit(stream, window_length_s):
     so per-window event counts sum to the stream length.  Per window the
     exponential rate is fitted by maximum likelihood on the within-window
     gaps (no cross-window gap) and scored with the KS statistic; windows
-    with fewer than LOW_CONFIDENCE_EVENTS events are flagged.
+    with fewer than KS_MIN_SAMPLES events are flagged.
     """
     if not window_length_s > 0.0:
         raise ValueError(f"window_length_s must be positive, got {window_length_s!r}")
@@ -225,7 +223,7 @@ def save_window_report(path, windows):
     asymptotic critical value is not trustworthy there).
     """
     def verdict(win):
-        if win.ks_statistic is None or win.n_events - 1 < LOW_CONFIDENCE_EVENTS:
+        if win.ks_statistic is None or win.n_events - 1 < KS_MIN_SAMPLES:
             return ""
         return int(win.ks_statistic <= ks_critical_value(win.n_events - 1, KS_SIGNIFICANCE))
 

@@ -20,14 +20,6 @@ from .csvio import write_csv
 # P(at least one packet during an alarm visit) for unit per-slot packet rate
 TX_PROBABILITY_DEFAULT = 1.0 - math.exp(-1.0)
 
-# -ln(1-f) for f=1 is infinite; clamped so deterministic slots stay
-# selectable by the inverse-transform search without breaking prefix sums
-_HAZARD_CLAMP = 745.0
-
-# a healthy hazard grid accumulates ~1 unit of hazard per period; waiting
-# longer than this many periods signals a degenerate grid
-_MAX_WAIT_PERIODS = 1000
-
 
 @dataclass(frozen=True)
 class TrafficParams:
@@ -43,8 +35,6 @@ class TrafficParams:
     alarm_rate_lambda: float = 1.0
     regular_rate_epsilon: float = 0.0
     tx_probability: Optional[float] = None
-    # per-slot override for slots 1..N (diagnostics and tests only)
-    hazard: Optional[tuple] = None
 
     def __post_init__(self):
         if self.period_s <= 0:
@@ -61,11 +51,6 @@ class TrafficParams:
                 self, "tx_probability", 1.0 - math.exp(-self.alarm_rate_lambda))
         if not 0.0 < self.tx_probability <= 1.0:
             raise ValueError("tx_probability must be in (0, 1]")
-        if self.hazard is not None:
-            if len(self.hazard) != self.n_slots:
-                raise ValueError("hazard override must have n_slots entries")
-            if min(self.hazard) < 0.0 or max(self.hazard) > 1.0:
-                raise ValueError("hazard values must lie in [0, 1]")
 
     @property
     def n_slots(self) -> int:
@@ -111,16 +96,6 @@ class EventStream:
 
     def __len__(self):
         return len(self.timestamps)
-
-    def __eq__(self, other):
-        if not isinstance(other, EventStream):
-            return NotImplemented
-        if not np.array_equal(self.timestamps, other.timestamps):
-            return False
-        if (self.source_ids is None) != (other.source_ids is None):
-            return False
-        return self.source_ids is None or np.array_equal(
-            self.source_ids, other.source_ids)
 
     def gaps(self) -> np.ndarray:
         return np.diff(self.timestamps)
@@ -179,9 +154,7 @@ def beta_pdf(x, period_s):
 
 
 def hazard_grid(params: TrafficParams) -> np.ndarray:
-    """Per-slot transition probabilities f(1..N), Beta shape unless overridden."""
-    if params.hazard is not None:
-        return np.asarray(params.hazard, dtype=np.float64)
+    """Per-slot transition probabilities f(1..N) of the Beta shape."""
     return beta_pmf(np.arange(1, params.n_slots + 1), params)
 
 
@@ -189,14 +162,10 @@ def hazard_grid(params: TrafficParams) -> np.ndarray:
 def _prefix(params: TrafficParams):
     """Cumulative -ln(1-f) over one period: P[0..N], and the period total.
 
-    Cached per parameter set, a few at a time: a run uses one, and a
-    ``hazard`` override makes every distinct grid a new key.
+    Cached per parameter set, a few at a time: a run uses one.  Every f
+    is at most 2.0736/N, so -ln(1-f) is finite and the total is about 1.
     """
-    f = hazard_grid(params)
-    with np.errstate(divide="ignore"):
-        h = -np.log1p(-f)
-    h[~np.isfinite(h)] = _HAZARD_CLAMP
-    h = np.minimum(h, _HAZARD_CLAMP)
+    h = -np.log1p(-hazard_grid(params))
     prefix = np.concatenate(([0.0], np.cumsum(h)))
     return prefix, float(prefix[-1])
 
@@ -208,28 +177,6 @@ def _slots_from_targets(prefix, phi, n_slots, targets):
     j = np.searchsorted(prefix, residual, side="left")
     j = np.maximum(j, 1)
     return periods * n_slots + j
-
-
-def sample_next_alarm(current_slot, offset, rng, params: TrafficParams) -> int:
-    """First slot m > current_slot whose Bernoulli(f(mod(m+offset, N))) fires.
-
-    Inverse-transform on the prefix sums of -ln(1-f): draw E ~ Exp(1) and
-    binary-search the first slot where the accumulated hazard since
-    current_slot reaches E.  Absolute slot indices, wrapping across periods.
-    """
-    prefix, phi = _prefix(params)
-    if phi <= 0.0:
-        raise RuntimeError("degenerate hazard grid: no slot has positive hazard")
-    n_slots = params.n_slots
-    y = int(current_slot) + int(offset)
-    base = (y // n_slots) * phi + prefix[y % n_slots]
-    wait = rng.exponential()
-    if wait > _MAX_WAIT_PERIODS * phi:
-        raise RuntimeError(
-            f"no alarm within {_MAX_WAIT_PERIODS} periods: degenerate hazard grid")
-    target = np.asarray([base + wait])
-    slot = int(_slots_from_targets(prefix, phi, n_slots, target)[0])
-    return slot - int(offset)
 
 
 def generate_requests(population: SourcePopulation, params: TrafficParams,
@@ -246,8 +193,6 @@ def generate_requests(population: SourcePopulation, params: TrafficParams,
         raise ValueError("horizon must cover at least one period")
     rng = np.random.default_rng(seed)
     prefix, phi = _prefix(params)
-    if phi <= 0.0:
-        raise RuntimeError("degenerate hazard grid: no slot has positive hazard")
     n_slots = params.n_slots
     delta = params.slot_delta_s
 
@@ -264,15 +209,11 @@ def generate_requests(population: SourcePopulation, params: TrafficParams,
     # cumulative hazard consumed so far, in shifted (per-source) coordinates
     base = prefix[phase % n_slots].copy()
     alive = np.ones(q_total, dtype=bool)
-    max_wait = _MAX_WAIT_PERIODS * phi
 
     times, ids = [], []
     while alive.any():
         idx = np.flatnonzero(alive)
         wait = rng.exponential(size=idx.size)
-        if np.any(wait > max_wait):
-            raise RuntimeError(
-                f"no alarm within {_MAX_WAIT_PERIODS} periods: degenerate hazard grid")
         y_alarm = _slots_from_targets(prefix, phi, n_slots, base[idx] + wait)
         t_alarm = (y_alarm - phase[idx]) * delta
         expired = t_alarm > horizon_s

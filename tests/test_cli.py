@@ -187,6 +187,12 @@ def test_exit_codes(tmp_path, cfg, capsys):
     bad_cfg.write_text(yaml.safe_dump({"traffic": {"period_s": 10.0}}))
     assert run(["generate", "--config", str(bad_cfg)]) == 2
     assert run(["scale", "--config", cfg]) == 2  # --trace required
+    # counts below 1 are refused before any output is written
+    for flag, value in (("--replications", "0"), ("--replications", "-1"),
+                        ("--jobs", "0")):
+        out = tmp_path / f"counts{flag}{value}"
+        assert run(["generate", "--config", cfg, flag, value, "--out", str(out)]) == 2
+        assert not out.exists()
     # 3: unreadable input data
     assert run(["validate-arrivals", "--config", cfg,
                 "--stream", str(tmp_path / "ghost.csv")]) == 3

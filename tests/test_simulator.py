@@ -124,14 +124,14 @@ def test_ps_unequal_jobs_work_conserving_schedule():
 
 
 def test_ps_partial_advance_residuals_are_fair():
+    # after 1 s shared, a has 0.5 left and b 1.5: a leaves at 2 s, and b
+    # serves its last unit alone until 3 s
     srv = PsServer("MME", 1.0)
     srv.arrive(0.0, "a", 1.0)
     srv.arrive(0.0, "b", 2.0)
     assert srv.advance(1.0) == []
-    resid = srv.residual_work()
-    assert resid["a"] == pytest.approx(0.5)
-    assert resid["b"] == pytest.approx(1.5)
     assert srv.busy_s == pytest.approx(1.0)
+    assert drain(srv) == [("a", 2.0), ("b", 3.0)]
 
 
 def test_ps_staggered_arrival_schedule():
@@ -182,19 +182,22 @@ def test_marked_hop_runs_concurrently_with_response_path():
     hops = (MessageHop("MME", 1.0), MessageHop("HSS", 1.0), MessageHop("PGW", 5.0))
     serial = ProcedureTemplate(hops=hops)
     fork_after_first = ProcedureTemplate(
-        hops=(MessageHop("PGW", 5.0), MessageHop("MME", 1.0),
+        hops=(MessageHop("MME", 1.0), MessageHop("PGW", 5.0),
               MessageHop("HSS", 1.0)),
-        marked_index=0)
+        marked_index=1)
     stream = EventStream(np.array([0.0]))
     flat, _ = run_bearer_simulation(stream, serial, profiles, horizon_s=1.0)
     assert flat.delays_s[0] == pytest.approx(7.0, abs=1e-12)
-    # marked_index=0 dispatches the 5s hop at arrival, overlapping the 2s
-    # response chain: the request is done when the slower branch is
+    # the 5 s hop is dispatched when the MME hop ends at 1 s, overlapping
+    # the 1 s HSS hop: the request is done when the slower branch is
     forked, _ = run_bearer_simulation(
         stream, fork_after_first, profiles, horizon_s=1.0)
-    assert forked.delays_s[0] == pytest.approx(5.0, abs=1e-12)
+    assert forked.delays_s[0] == pytest.approx(6.0, abs=1e-12)
     total = sum(cols[0] for cols in forked.breakdown.values())
-    assert total == pytest.approx(5.0, abs=1e-12)
+    assert total == pytest.approx(6.0, abs=1e-12)
+    # a marked hop needs a predecessor to dispatch it
+    with pytest.raises(ConfigurationError):
+        ProcedureTemplate(hops=fork_after_first.hops, marked_index=0)
 
 
 def test_link_latency_adds_per_message_lag():
@@ -413,17 +416,15 @@ def test_single_job_matches_full_simulation_rate_limit(profile_mme):
 
 def test_delay_sample_set_access_and_csv(tmp_path):
     samples = DelaySampleSet(
-        request_ids=np.array([0, 1], dtype=np.int64),
         arrivals_s=np.array([0.0, 1.0]),
         completions_s=np.array([0.5, 1.25]),
         breakdown={"MME": np.array([0.5, 0.25])},
     )
     assert len(samples) == 2
-    one = samples[1]
-    assert one.request_id == 1
-    assert one.delay_s == pytest.approx(0.25)
-    assert one.breakdown["MME"] == pytest.approx(0.25)
-    assert [s.request_id for s in samples] == [0, 1]
+    assert samples.delays_s.tolist() == [0.5, 0.25]
+    assert samples.breakdown["MME"][1] == 0.25
+    with pytest.raises(ValueError):
+        DelaySampleSet(arrivals_s=[0.0, 1.0], completions_s=[0.5])
     assert samples.delay_percentile(0.5) == pytest.approx(0.375)
     with pytest.raises(ValueError):
         samples.delay_percentile(0.0)
@@ -432,3 +433,4 @@ def test_delay_sample_set_access_and_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "request_id,arrival_s,completion_s,delay_s"
     assert lines[1] == "0,0.0,0.5,0.5"
+    assert lines[2] == "1,1.0,1.25,0.25"

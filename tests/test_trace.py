@@ -6,7 +6,6 @@ import pytest
 from miotcore.arrivals import ks_critical_value
 from miotcore.errors import TraceFormatError
 from miotcore.trace import (
-    LOW_CONFIDENCE_EVENTS,
     TraceWindow,
     make_diurnal_trace,
     parse_trace,

@@ -1,4 +1,4 @@
-"""Two-state source model: hazard shape, alarm sampling, stream generation."""
+"""Two-state source model: hazard shape, alarm search, stream generation."""
 
 import math
 
@@ -11,11 +11,11 @@ from miotcore.traffic import (
     SourcePopulation,
     TrafficParams,
     _prefix,
+    _slots_from_targets,
     beta_pdf,
     beta_pmf,
     generate_requests,
     hazard_grid,
-    sample_next_alarm,
 )
 
 
@@ -36,10 +36,6 @@ def test_params_validation():
         TrafficParams(tx_probability=0.0)
     with pytest.raises(ValueError):
         TrafficParams(regular_rate_epsilon=-0.1)
-    with pytest.raises(ValueError):
-        TrafficParams(period_s=10.0, slot_delta_s=0.1, hazard=(0.5,) * 99)
-    with pytest.raises(ValueError):
-        TrafficParams(period_s=10.0, slot_delta_s=0.1, hazard=(1.5,) * 100)
 
 
 def test_population_validation():
@@ -81,20 +77,16 @@ def test_beta_pdf_matches_pmf_scaling():
         beta_pdf(3.7, 10.0), rel=1e-12)
 
 
-def test_hazard_grid_override():
-    override = (0.01,) * 100
-    params = TrafficParams(period_s=10.0, slot_delta_s=0.1, hazard=override)
-    assert np.array_equal(hazard_grid(params), np.full(100, 0.01))
-    default = TrafficParams(period_s=10.0, slot_delta_s=0.1)
+def test_hazard_grid_is_the_beta_pmf():
+    params = TrafficParams(period_s=10.0, slot_delta_s=0.1)
     assert np.array_equal(
-        hazard_grid(default), beta_pmf(np.arange(1, 101), default))
+        hazard_grid(params), beta_pmf(np.arange(1, 101), params))
 
 
 def test_prefix_cache_is_bounded():
-    # every distinct hazard override is a new cache key; the cache keeps
-    # a few and recomputes an evicted grid to the same prefix sums
-    grids = [TrafficParams(period_s=10.0, slot_delta_s=0.1,
-                           hazard=(0.001 * (i + 1),) * 100) for i in range(20)]
+    # every distinct parameter set is a new cache key; the cache keeps a
+    # few and recomputes an evicted grid to the same prefix sums
+    grids = [TrafficParams(period_s=10.0 + i, slot_delta_s=0.1) for i in range(20)]
     first = [_prefix(p)[0].copy() for p in grids]
     assert _prefix.cache_info().currsize <= 8
     for params, prefix in zip(grids, first):
@@ -104,32 +96,13 @@ def test_prefix_cache_is_bounded():
     assert _prefix.cache_info().currsize <= 8
 
 
-def test_sample_next_alarm_strictly_future_and_distribution():
-    params = TrafficParams(period_s=10.0, slot_delta_s=1e-3)
-    rng = np.random.default_rng(7)
-    draws = np.array([sample_next_alarm(0, 0, rng, params) for _ in range(4000)])
-    assert np.all(draws >= 1)
-    # cumulative hazard ~ 1 per period, so the mean first-alarm time is
-    # T * int exp(-B(u)) du / (1 - e^-1) ~ 9.8 s with B the Beta(3,4) CDF
-    mean_t = draws.mean() * params.slot_delta_s
-    assert 8.0 < mean_t < 11.5
-    # fed back with current_slot = s, the next alarm is always > s
-    s = int(draws[0])
-    nxt = sample_next_alarm(s, 0, rng, params)
-    assert nxt > s
-
-
-def test_sample_next_alarm_deterministic_hazard():
-    # hazard 1 at slot 50 only: from slot 0 the next alarm is always 50,
-    # from slot 50 it wraps to 150
-    hz = [0.0] * 100
-    hz[49] = 1.0  # slot index 50 (grid covers slots 1..100)
-    params = TrafficParams(period_s=10.0, slot_delta_s=0.1, hazard=tuple(hz))
-    rng = np.random.default_rng(0)
-    assert sample_next_alarm(0, 0, rng, params) == 50
-    assert sample_next_alarm(50, 0, rng, params) == 150
-    # an offset shifts the pattern in the opposite direction
-    assert sample_next_alarm(0, 10, rng, params) == 40
+def test_slots_from_targets_is_an_exact_inverse_transform():
+    # cumulative hazard 2 at slot 50 of 100 and none elsewhere: a target
+    # in (2k, 2k + 2] is first reached at slot 50 of period k
+    prefix = np.concatenate(([0.0], np.cumsum(np.where(np.arange(1, 101) == 50, 2.0, 0.0))))
+    targets = np.array([1e-9, 1.0, 2.0 + 1e-9, 3.9, 5.0])
+    slots = _slots_from_targets(prefix, 2.0, 100, targets)
+    assert slots.tolist() == [50, 50, 150, 150, 250]
 
 
 def test_generate_requests_deterministic_and_sorted():

@@ -1,0 +1,194 @@
+"""Exact oracles for the whole bearer walk.
+
+Two independent views of ``run_bearer_simulation`` on the default 19-hop
+template:
+
+* a degenerate reduction: with every non-MME server infinitely fast the
+  walk is one M/D/1-PS queue at the MME, which ``single_job_mode``
+  computes by its own linear pass;
+* a reference walker written from the processor-sharing definition alone
+  (no heap, no idle fast path, no pending-entry map), which must agree
+  with the walk bit for bit on contended eNB, SGW and MME servers, with
+  link latency, encryption work and the marked hop.
+"""
+
+import dataclasses
+
+import numpy as np
+from hypothesis import given, strategies as st
+
+from conftest import poisson_stream
+from miotcore.config import DEFAULT_ENTITY_PROFILES
+from miotcore.delay import EntityProfile
+from miotcore.simulator import default_bearer_template, run_bearer_simulation, single_job_mode
+
+_INF = float("inf")
+
+
+def _instance(entity, key, n_enb, n_sgw):
+    if entity == "UE":
+        return key
+    if entity == "eNB":
+        return key % n_enb
+    if entity == "SGW":
+        return key % n_sgw
+    return 0
+
+
+def reference_walk(stream, template, profiles, n_enb=1, n_sgw=1,
+                   link_latency_s=0.0, encryption_ops=0.0):
+    """Walk every request of ``stream`` through ``template`` by brute force.
+
+    Each server is ``[t_now, virtual, jobs]`` with ``jobs`` mapping a job
+    to its virtual finish, updated only at that server's own arrivals and
+    completions.  The next event is found by scanning, every step: the
+    next request arrival wins a time tie, then a message crossing a link,
+    then the earliest server completion.  Returns ``(completions,
+    breakdown)`` with the walk's column conventions.
+    """
+    capacity = {p.entity: p.capacity for p in profiles}
+    hops = template.hops
+    marked = template.marked_index
+    works = [h.work for h in hops]
+    first_mme = next(i for i, h in enumerate(hops) if h.entity == "MME")
+    works[first_mme] += encryption_ops
+    chain = [i for i in range(len(hops)) if i != marked]
+    columns = template.entities()
+    col = [columns.index(h.entity) for h in hops]
+
+    arrivals = stream.timestamps
+    n = len(arrivals)
+    keys = list(range(n)) if stream.source_ids is None else stream.source_ids.tolist()
+    seq_start = [0.0] * n
+    marked_start = [0.0] * n
+    chain_end = [0.0] * n
+    marked_end = [0.0] * n
+    breakdown = [[0.0] * len(columns) for _ in range(n)]
+    servers = {}  # (entity, instance) -> [t_now, virtual, {job: virtual finish}]
+    in_flight = []  # [time, request, hop] per message crossing a link
+
+    def admit(t, req, hop):
+        entity = hops[hop].entity
+        srv = servers.setdefault(
+            (entity, _instance(entity, keys[req], n_enb, n_sgw)), [0.0, 0.0, {}])
+        t_now, virtual, jobs = srv
+        if jobs:
+            virtual += (t - t_now) * capacity[entity] / len(jobs)
+        jobs[(req, hop)] = virtual + works[hop]
+        srv[0], srv[1] = t, virtual
+        if hop == marked:
+            marked_start[req] = t
+        else:
+            seq_start[req] = t
+
+    def next_completion(name, srv):
+        t_now, virtual, jobs = srv
+        job = min(jobs, key=jobs.get)
+        return t_now + max(0.0, jobs[job] - virtual) * len(jobs) / capacity[name[0]], job
+
+    i = 0
+    while True:
+        t_arr = arrivals[i] if i < n else _INF
+        t_link = min((m[0] for m in in_flight), default=_INF)
+        t_srv, done, where = _INF, None, None
+        for name, srv in servers.items():
+            if srv[2]:
+                t_c, job = next_completion(name, srv)
+                if t_c < t_srv:
+                    t_srv, done, where = t_c, job, srv
+        if t_arr == t_link == t_srv == _INF:
+            break
+        if t_arr <= t_link and t_arr <= t_srv:
+            admit(t_arr, i, chain[0])
+            i += 1
+        elif t_link <= t_srv:
+            msg = next(m for m in in_flight if m[0] == t_link)
+            in_flight.remove(msg)
+            admit(*msg)
+        else:
+            where[0], where[1] = t_srv, where[2].pop(done)
+            req, hop = done
+            if hop == marked:
+                marked_end[req] = t_srv
+                continue
+            breakdown[req][col[hop]] += t_srv - seq_start[req]
+            pos = chain.index(hop)
+            nexts = [marked] if marked is not None and hop == marked - 1 else []
+            if pos + 1 < len(chain):
+                nexts.append(chain[pos + 1])
+            else:
+                chain_end[req] = t_srv
+            for nxt in nexts:
+                if link_latency_s > 0.0:
+                    in_flight.append([t_srv + link_latency_s, req, nxt])
+                else:
+                    admit(t_srv, req, nxt)
+
+    chain_end = np.array(chain_end)
+    breakdown = np.array(breakdown).reshape(n, len(columns))
+    completions = chain_end
+    if marked is not None:
+        marked_end = np.array(marked_end)
+        completions = np.maximum(chain_end, marked_end)
+        extra = np.maximum(0.0, marked_end - np.maximum(chain_end, np.array(marked_start)))
+        breakdown[:, col[marked]] += extra
+    cols = {name: breakdown[:, j].copy() for j, name in enumerate(columns)}
+    if link_latency_s > 0.0:
+        residual = (completions - arrivals) - breakdown.sum(axis=1)
+        cols["link"] = np.maximum(0.0, residual)
+    return completions, cols
+
+
+def _with_capacity(profiles, capacities):
+    return tuple(dataclasses.replace(p, capacity=capacities.get(p.entity, p.capacity))
+                 for p in profiles)
+
+
+@given(rho=st.floats(0.3, 0.98), n_req=st.integers(2, 1000),
+       n_enb=st.integers(1, 4), n_sgw=st.integers(1, 3),
+       encryption_ops=st.sampled_from([0.0, 1.0, 3.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_walk_with_instant_non_mme_servers_is_the_single_job_queue(
+        rho, n_req, n_enb, n_sgw, encryption_ops, seed):
+    # at capacity 1e300 every non-MME hop ends at t + w/C == t, so the nine
+    # MME visits of a request join into one job of ops + encryption_ops
+    fast = _with_capacity(DEFAULT_ENTITY_PROFILES, {
+        p.entity: 1e300 for p in DEFAULT_ENTITY_PROFILES if p.entity != "MME"})
+    mme = next(p for p in fast if p.entity == "MME")
+    ops = mme.ops_per_bearer + encryption_ops
+    rate = rho * mme.capacity / ops
+    stream = poisson_stream(rate, n_req, seed, source_ids=np.arange(n_req) % 7)
+    horizon = max(float(stream.timestamps[-1]), n_req / rate)
+    walk, _ = run_bearer_simulation(
+        stream, default_bearer_template(fast), fast, horizon_s=horizon,
+        n_enb=n_enb, n_sgw=n_sgw, encryption_ops=encryption_ops)
+    single = single_job_mode(
+        stream, EntityProfile("MME", ops, mme.capacity), 0.0)
+    assert len(walk) == n_req
+    assert np.max(np.abs(walk.completions_s - single.completions_s)) <= 1e-9
+    assert np.max(np.abs(walk.breakdown["MME"] - walk.delays_s)) <= 1e-9
+
+
+def _assert_walks_agree(stream, profiles, **kwargs):
+    template = default_bearer_template(profiles)
+    samples, _ = run_bearer_simulation(stream, template, profiles, **kwargs)
+    completions, cols = reference_walk(stream, template, profiles, **kwargs)
+    assert np.array_equal(samples.completions_s, completions)
+    assert samples.breakdown.keys() == cols.keys()
+    for name, col in cols.items():
+        assert np.array_equal(samples.breakdown[name], col), name
+
+
+def test_contended_walks_match_the_reference_walker():
+    n_req = 1000
+    # MME at 0.88, SGW at 0.60 and each of three eNBs at 0.53; every link
+    # column entry goes through the residual
+    profiles = _with_capacity(DEFAULT_ENTITY_PROFILES, {"SGW": 4000.0})
+    stream = poisson_stream(800.0, n_req, seed=5, source_ids=np.arange(n_req) % 40)
+    _assert_walks_agree(stream, profiles, n_enb=3, link_latency_s=5.0e-4,
+                        encryption_ops=2.0)
+    # with no link latency a completion admits its successor at once, so
+    # consecutive MME hops re-enter the server they just left
+    profiles = _with_capacity(DEFAULT_ENTITY_PROFILES, {"SGW": 3500.0})
+    stream = poisson_stream(700.0, n_req, seed=6, source_ids=np.arange(n_req) % 25)
+    _assert_walks_agree(stream, profiles, n_enb=2)
