@@ -337,9 +337,8 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        for flag in ("replications", "jobs"):
-            if getattr(args, flag) < 1:
-                raise ConfigurationError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
+        if args.replications < 1 or args.jobs < 1:
+            raise ConfigurationError("--replications and --jobs must be at least 1")
         return args.func(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
