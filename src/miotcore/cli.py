@@ -177,7 +177,8 @@ def cmd_simulate(args):
         # imported here: it costs every command's start-up ~15 ms
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # a pool starts all its workers at once: no more than there is work for
+        with ProcessPoolExecutor(max_workers=min(args.jobs, args.replications)) as pool:
             results = list(
                 pool.map(_simulate_one, [scenario] * len(reps), reps,
                          [args.single_job] * len(reps))

@@ -17,12 +17,13 @@ finished.
 The event core merges three sources in time order: request arrivals,
 read by a pointer into the sorted stream (an arrival wins every time
 tie); one pending completion per busy server, whose queue entry is
-updated in place when an arrival moves that server's next completion,
+updated in place when an admission moves that server's next completion,
 so the queue never holds a stale entry; and, with a link latency,
-messages in flight between entities.  All processor-sharing arithmetic
-lives in :class:`PsServer`, whose idle fast path admits a job to an
-empty server without clock accrual or heap work -- the common case for
-the per-device UE servers and the eNBs.
+messages in flight between entities.  The processor-sharing arithmetic
+runs inline in that loop, over per-server state kept in flat lists
+indexed by server id.  A job admitted to an idle server -- the common
+case for the per-device UE servers and the eNBs -- accrues no clock
+and needs no heap work.
 
 ``single_job_mode`` collapses the whole procedure into one deterministic
 job at the MME plus a constant offset, which is the exact simulation
@@ -231,128 +232,6 @@ class DelaySampleSet:
                   np.arange(len(self)), self.arrivals_s, self.completions_s, self.delays_s)
 
 
-class PsServer:
-    """Egalitarian processor-sharing server with exact virtual-time dynamics.
-
-    The virtual clock advances at rate ``capacity / k`` while k jobs are
-    active, so each active job accrues service at the common rate and a job
-    of size w entering at virtual time V finishes at virtual time V + w.
-    Completion order is therefore ascending virtual-finish (equivalently,
-    ascending residual work) order, with no discretization error.
-
-    Most servers of a walk are idle when a job arrives; such a job runs
-    alone, so :meth:`arrive` skips the clock accrual and the heap for it.
-    """
-
-    __slots__ = (
-        "entity",
-        "capacity",
-        "t_now",
-        "virtual",
-        "busy_s",
-        "served_work",
-        "job_seconds",
-        "_jobs",
-        "_heap",
-        "_seq",
-    )
-
-    def __init__(self, entity, capacity):
-        if not (capacity > 0.0):
-            raise ConfigurationError(f"capacity must be positive, got {capacity!r}")
-        self.entity = entity
-        self.capacity = float(capacity)
-        self.t_now = 0.0
-        self.virtual = 0.0
-        self.busy_s = 0.0
-        self.served_work = 0.0
-        self.job_seconds = 0.0
-        self._jobs = {}  # job id -> work
-        self._heap = []  # (virtual finish, admission order, job id)
-        self._seq = 0
-
-    def __len__(self):
-        return len(self._heap)
-
-    def arrive(self, t, job, work):
-        """Admit ``job`` of ``work`` operations at time ``t``.
-
-        Returns the server's next completion time with the job admitted.
-        """
-        if not (work > 0.0):
-            raise ValueError(f"job work must be positive, got {work!r}")
-        jobs = self._jobs
-        if job in jobs:
-            raise ValueError(f"duplicate job id {job!r}")
-        dt = t - self.t_now
-        if dt < 0.0:
-            raise ValueError(f"time moved backwards: {self.t_now!r} -> {t!r}")
-        jobs[job] = work
-        self.t_now = t
-        seq = self._seq
-        self._seq = seq + 1
-        heap = self._heap
-        k = len(heap)
-        virtual = self.virtual
-        if not k:
-            # idle: the job runs alone, with no service to accrue
-            vf = virtual + work
-            heap.append((vf, seq, job))
-            return t + (vf - virtual) / self.capacity
-        virtual += dt * self.capacity / k
-        self.virtual = virtual
-        self.busy_s += dt
-        self.job_seconds += k * dt
-        heappush(heap, (virtual + work, seq, job))
-        return self.next_completion_time()
-
-    def next_completion_time(self):
-        """Time at which the earliest-finishing active job completes, or None."""
-        heap = self._heap
-        if not heap:
-            return None
-        head = heap[0][0] - self.virtual
-        return self.t_now + (head if head > 0.0 else 0.0) * len(heap) / self.capacity
-
-    def advance(self, until):
-        """Advance to time ``until``, completing every job due by then.
-
-        Returns the list of (job, completion_s) pairs in completion order
-        (ascending residual work).  The clock ends at ``until`` with the
-        surviving jobs' service exactly accrued.  At each completion the
-        virtual clock is snapped to the job's virtual finish, so rounding
-        drift does not accumulate across completions.
-        """
-        t_now = self.t_now
-        if until < t_now:
-            raise ValueError(f"until={until!r} precedes server time {t_now!r}")
-        heap = self._heap
-        capacity = self.capacity
-        done = []
-        k = len(heap)
-        while k:
-            vf = heap[0][0]
-            head = vf - self.virtual
-            t_c = t_now + (head if head > 0.0 else 0.0) * k / capacity
-            if t_c > until:
-                dt = until - t_now
-                self.virtual += dt * capacity / k
-                self.busy_s += dt
-                self.job_seconds += k * dt
-                break
-            dt = t_c - t_now
-            self.busy_s += dt
-            self.job_seconds += k * dt
-            t_now = t_c
-            job = heappop(heap)[2]
-            self.virtual = vf
-            self.served_work += self._jobs.pop(job)
-            done.append((job, t_c))
-            k -= 1
-        self.t_now = until
-        return done
-
-
 @dataclass(frozen=True)
 class ServerStats:
     """Per server-instance accounting over one simulation run."""
@@ -463,10 +342,6 @@ def run_bearer_simulation(
         horizon_s = float(arrivals[-1]) if arrivals.size else 0.0
     n_req = int(np.searchsorted(arrivals, horizon_s, side="right"))
     arrivals = arrivals[:n_req]
-    if stream.source_ids is not None:
-        keys = np.asarray(stream.source_ids[:n_req], dtype=np.int64).tolist()
-    else:
-        keys = range(n_req)
 
     mme_prof = profile_map.get("MME")
     if mme_prof is not None and n_req >= 2 and horizon_s > 0.0:
@@ -500,20 +375,36 @@ def run_bearer_simulation(
     marked_trigger = None if marked is None else marked - 1
 
     # Every request walks every hop, so the server instances are known up
-    # front: one table per entity from instance number to server.
-    servers = {}
-    tables = {}
-    divisors = {}
-    distinct_keys = set(keys)
+    # front.  Server ``sid`` is ``names[sid]`` = (entity, instance), and
+    # ``route[entity][req]`` is the server a request's hops there use.
+    if stream.source_ids is not None:
+        keys = np.asarray(stream.source_ids[:n_req], dtype=np.int64)
+    else:
+        keys = np.arange(n_req)
+    names = []
+    route = {}
     for entity in entity_order:
-        div = divisors[entity] = _route_divisor(entity, n_enb, n_sgw)
-        table = tables[entity] = {}
-        for inst in distinct_keys if div == 0 else {key % div for key in distinct_keys}:
-            table[inst] = servers[(entity, inst)] = PsServer(
-                entity, profile_map[entity].capacity
-            )
-    hop_table = [tables[h.entity] for h in hops]
-    hop_div = [divisors[h.entity] for h in hops]
+        div = _route_divisor(entity, n_enb, n_sgw)
+        instances, inverse = np.unique(keys % div if div else keys, return_inverse=True)
+        route[entity] = (inverse + len(names)).tolist()
+        names += [(entity, inst) for inst in instances.tolist()]
+    hop_route = [route[h.entity] for h in hops]
+
+    # Per-server PS state, one list slot per server: clock, virtual clock,
+    # accounting, and a heap of (virtual finish, ticket, request, hop, work)
+    # for the jobs in service.  A job of work w admitted at virtual time V
+    # finishes at virtual time V + w; the virtual clock advances at
+    # capacity / k with k jobs in service, and snaps to a job's virtual
+    # finish when it completes, so rounding does not accumulate.
+    n_srv = len(names)
+    s_cap = [float(profile_map[entity].capacity) for entity, _ in names]
+    s_t = [0.0] * n_srv
+    s_v = [0.0] * n_srv
+    s_busy = [0.0] * n_srv
+    s_served = [0.0] * n_srv
+    s_jobsec = [0.0] * n_srv
+    s_jobs = [[] for _ in range(n_srv)]
+    s_entry = [None] * n_srv  # the server's queue entry while it is busy
 
     # per-request scratch state, flat; the breakdown is row-major
     seq_start = array("d", [0.0]) * n_req
@@ -522,30 +413,50 @@ def run_bearer_simulation(
     marked_end = array("d", [0.0]) * n_req
     breakdown = array("d", [0.0]) * (n_req * n_cols)
 
-    # The event queue holds at most one entry per server, [time, order,
-    # server], kept current as the server's next completion moves, plus one
-    # [time, order, None, request, hop] per message crossing a link.
-    # Arrivals are merged from the sorted stream and win every time tie.
+    # The event queue holds at most one entry per server, [time, ticket,
+    # sid], kept current as the server's next completion moves, plus one
+    # [time, ticket, None, request, hop] per message crossing a link.
+    # Arrivals are merged from the sorted stream and win every time tie;
+    # other ties go to the lower ticket, and one ticket sequence also
+    # orders admissions within a server.
     events = [[_INF, _INF, None]]  # sentinel: never popped
-    pending = {}
-    order = itertools.count().__next__
+    ticket = itertools.count().__next__
 
     def dispatch(t, req, hop):
-        div = hop_div[hop]
-        key = keys[req]
-        srv = hop_table[hop][key % div if div else key]
-        t_next = srv.arrive(t, req * n_hops + hop, works[hop])
+        sid = hop_route[hop][req]
+        work = works[hop]
+        dt = t - s_t[sid]
+        if dt < 0.0:
+            raise ValueError(f"time moved backwards: {s_t[sid]!r} -> {t!r}")
+        s_t[sid] = t
+        n = ticket()
+        jobs = s_jobs[sid]
+        k = len(jobs)
+        virtual = s_v[sid]
+        if k:
+            virtual += dt * s_cap[sid] / k
+            s_v[sid] = virtual
+            s_busy[sid] += dt
+            s_jobsec[sid] += k * dt
+            heappush(jobs, (virtual + work, n, req, hop, work))
+            head = jobs[0][0] - virtual
+            t_next = t + (head if head > 0.0 else 0.0) * (k + 1) / s_cap[sid]
+        else:
+            # idle: the job runs alone, with no service to accrue
+            vf = virtual + work
+            jobs.append((vf, n, req, hop, work))
+            t_next = t + (vf - virtual) / s_cap[sid]
         if hop != marked:
             seq_start[req] = t
         else:
             marked_start[req] = t
-        entry = pending.get(srv)
+        entry = s_entry[sid]
         if entry is None:
-            pending[srv] = entry = [t_next, order(), srv]
+            s_entry[sid] = entry = [t_next, n, sid]
             heappush(events, entry)
         else:
             entry[0] = t_next
-            entry[1] = order()
+            entry[1] = n
             heapify(events)
 
     # what a completed chain hop dispatches: the marked hop if it is the
@@ -569,29 +480,54 @@ def run_bearer_simulation(
             continue
         heappop(events)
         t = entry[0]
-        srv = entry[2]
-        if srv is None:
+        sid = entry[2]
+        if sid is None:
             dispatch(t, entry[3], entry[4])
             continue
-        del pending[srv]
-        for job, t_c in srv.advance(t):
-            req, hop = divmod(job, n_hops)
+        # The entry's time is the head job's finish, so that job completes
+        # now; with k jobs in service, so does every job whose finish rounds
+        # to t.  All of them complete before any successor is dispatched.
+        s_entry[sid] = None
+        jobs = s_jobs[sid]
+        k = len(jobs)
+        dt = t - s_t[sid]
+        s_t[sid] = t
+        s_busy[sid] += dt
+        s_jobsec[sid] += k * dt
+        if k == 1:
+            done = (jobs.pop(),)
+        else:
+            cap = s_cap[sid]
+            done = [heappop(jobs)]
+            k -= 1
+            while k:
+                head = jobs[0][0] - done[-1][0]
+                if t + (head if head > 0.0 else 0.0) * k / cap > t:
+                    break
+                done.append(heappop(jobs))
+                k -= 1
+        s_v[sid] = done[-1][0]
+        for _vf, _n, req, hop, work in done:
+            s_served[sid] += work
             if hop == marked:
-                marked_end[req] = t_c
+                marked_end[req] = t
                 continue
-            breakdown[req * n_cols + hop_col[hop]] += t_c - seq_start[req]
+            breakdown[req * n_cols + hop_col[hop]] += t - seq_start[req]
             for nxt in successors[hop]:
                 if link_latency_s > 0.0:
                     # across a link the hop starts later, after the events between
-                    heappush(events, [t_c + link_latency_s, order(), None, req, nxt])
+                    heappush(events, [t + link_latency_s, ticket(), None, req, nxt])
                 else:
-                    dispatch(t_c, req, nxt)
+                    dispatch(t, req, nxt)
             if next_hop[hop] < 0:
-                chain_end[req] = t_c
-        if srv._heap and srv not in pending:
-            entry[0] = srv.next_completion_time()
-            entry[1] = order()
-            pending[srv] = entry
+                chain_end[req] = t
+        if jobs and s_entry[sid] is None:
+            # jobs are left and no successor re-entered the server: queue
+            # it again, after its successors, as their tickets come first
+            head = jobs[0][0] - s_v[sid]
+            entry[0] = t + (head if head > 0.0 else 0.0) * len(jobs) / s_cap[sid]
+            entry[1] = ticket()
+            s_entry[sid] = entry
             heappush(events, entry)
 
     chain_end = np.frombuffer(chain_end, dtype=float)
@@ -619,16 +555,17 @@ def run_bearer_simulation(
     )
 
     rows = []
-    for (entity, instance), srv in sorted(servers.items()):
-        util = srv.busy_s / horizon_s if horizon_s > 0 else 0.0
+    for sid in sorted(range(n_srv), key=names.__getitem__):
+        entity, instance = names[sid]
+        util = s_busy[sid] / horizon_s if horizon_s > 0 else 0.0
         rows.append(
             ServerStats(
                 entity=entity,
                 instance=instance,
-                capacity=srv.capacity,
-                busy_s=srv.busy_s,
-                served_work=srv.served_work,
-                job_seconds=srv.job_seconds,
+                capacity=s_cap[sid],
+                busy_s=s_busy[sid],
+                served_work=s_served[sid],
+                job_seconds=s_jobsec[sid],
                 utilization=util,
             )
         )

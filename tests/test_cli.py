@@ -135,6 +135,41 @@ def test_simulate_parallel_replications_match_serial(tmp_path, cfg):
         assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records its size, starts no process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_simulate_pool_is_no_larger_than_the_replications(tmp_path, cfg, monkeypatch):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    base = ["simulate", "--config", cfg, "--replications", "2", "--seed", "4"]
+    assert run(base + ["--out", str(tmp_path / "serial")]) == 0
+    assert _SerialPool.sizes == []
+    assert run(base + ["--out", str(tmp_path / "pooled"), "--jobs", "64"]) == 0
+    assert _SerialPool.sizes == [2]
+    serial = sorted(p.name for p in (tmp_path / "serial").iterdir())
+    assert serial == sorted(p.name for p in (tmp_path / "pooled").iterdir())
+    for name in serial:
+        assert (tmp_path / "serial" / name).read_bytes() == (
+            tmp_path / "pooled" / name).read_bytes(), name
+
+
 def test_predict_writes_model_and_survival(tmp_path, cfg):
     out = tmp_path / "pred"
     assert run(["predict", "--config", cfg, "--out", str(out)]) == 0

@@ -1,6 +1,6 @@
 """Event-driven PS simulator: exact schedules, invariants, procedure walks."""
 
-import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from miotcore.simulator import (
     DelaySampleSet,
     MessageHop,
     ProcedureTemplate,
-    PsServer,
     _ps_sojourns_equal_work,
     default_bearer_template,
     run_bearer_simulation,
@@ -24,14 +23,6 @@ from miotcore.traffic import EventStream
 
 D_MME = 9.0e-4
 K_CONST = 0.0055
-
-
-def drain(server):
-    """Run the server to empty, returning [(job_id, completion_time)]."""
-    out = []
-    while len(server):
-        out.extend(server.advance(server.next_completion_time()))
-    return out
 
 
 def test_message_hop_and_template_validation():
@@ -97,67 +88,82 @@ def test_duplicate_profile_has_one_wording():
     assert messages == {"duplicate profile for MME"}
 
 
+def _walk(arrivals, hops, capacity, marked_index=None):
+    """Walk one request per arrival time, each from its own device, through
+    ``hops`` with entity capacities ``capacity``.
+
+    Returns the request completion times and the MME server's stats.
+    """
+    template = ProcedureTemplate(hops=hops, marked_index=marked_index)
+    profiles = tuple(EntityProfile(name, work, capacity[name])
+                     for name, work in template.work_by_entity().items())
+    samples, report = run_bearer_simulation(
+        EventStream(np.array(arrivals)), template, profiles, horizon_s=10.0)
+    (mme,) = (row for row in report.rows if row.entity == "MME")
+    return samples.completions_s.tolist(), mme
+
+
+# A request's first hop, at a UE of capacity 1e300, ends 1e-300 s after it
+# arrives, which vanishes against the MME's times.  It then dispatches the
+# marked MME hop a (work 1) and the chain's MME hop b (work 2) at the same
+# instant, so two unequal jobs enter the MME server together.
+_FORK = (MessageHop("UE", 1.0), MessageHop("MME", 1.0), MessageHop("MME", 2.0))
+_FORK_CAPACITY = {"UE": 1e300, "MME": 1.0}
+
+
 def test_ps_single_job_completes_at_work_over_capacity():
-    srv = PsServer("MME", 4.0)
-    srv.arrive(0.0, "a", 2.0)
-    assert drain(srv) == [("a", 0.5)]
+    done, mme = _walk([0.0], (MessageHop("MME", 2.0),), {"MME": 4.0})
+    assert done == [0.5]
+    assert (mme.busy_s, mme.served_work, mme.job_seconds) == (0.5, 2.0, 0.5)
 
 
 def test_ps_two_equal_jobs_share_equally():
-    srv = PsServer("MME", 1.0)
-    srv.arrive(0.0, "a", 1.0)
-    srv.arrive(0.0, "b", 1.0)
-    done = drain(srv)
-    assert sorted(t for _, t in done) == pytest.approx([2.0, 2.0])
+    done, mme = _walk([0.0, 0.0], (MessageHop("MME", 1.0),), {"MME": 1.0})
+    assert done == [2.0, 2.0]
+    assert (mme.busy_s, mme.job_seconds) == (2.0, 4.0)
 
 
 def test_ps_unequal_jobs_work_conserving_schedule():
-    # jobs of work w and 2w arriving together at capacity C=1: the short job
-    # finishes at 2w (each got w of service), and work conservation pins the
-    # long job's finish at the total work 3w
-    srv = PsServer("MME", 1.0)
-    srv.arrive(0.0, "short", 1.0)
-    srv.arrive(0.0, "long", 2.0)
-    done = dict(drain(srv))
-    assert done["short"] == pytest.approx(2.0, abs=1e-12)
-    assert done["long"] == pytest.approx(3.0, abs=1e-12)
+    # jobs a and b of work w and 2w at capacity C=1: the short job finishes
+    # at 2w (each got w of service), and work conservation pins the long
+    # job's finish at the total work 3w; the request ends with b, and the
+    # job-seconds are the two sojourns
+    done, mme = _walk([0.0], _FORK, _FORK_CAPACITY, marked_index=1)
+    assert done == [3.0]
+    assert (mme.busy_s, mme.job_seconds, mme.served_work) == (3.0, 2.0 + 3.0, 3.0)
 
 
 def test_ps_partial_advance_residuals_are_fair():
-    # after 1 s shared, a has 0.5 left and b 1.5: a leaves at 2 s, and b
-    # serves its last unit alone until 3 s
-    srv = PsServer("MME", 1.0)
-    srv.arrive(0.0, "a", 1.0)
-    srv.arrive(0.0, "b", 2.0)
-    assert srv.advance(1.0) == []
-    assert srv.busy_s == pytest.approx(1.0)
-    assert drain(srv) == [("a", 2.0), ("b", 3.0)]
+    # when the second request forks c (work 1) and d (work 2) onto the MME
+    # at 1 s, a has 0.5 left and b 1.5: four-way sharing ends a at 3.0,
+    # three-way sharing c at 4.5, then b at 5.5, and d serves its last
+    # half unit alone until 6.0
+    done, mme = _walk([0.0, 1.0], _FORK, _FORK_CAPACITY, marked_index=1)
+    assert done == [5.5, 6.0]
+    assert (mme.busy_s, mme.served_work) == (6.0, 6.0)
+    assert mme.job_seconds == 3.0 + 5.5 + (4.5 - 1.0) + (6.0 - 1.0)
 
 
 def test_ps_staggered_arrival_schedule():
-    srv = PsServer("MME", 1.0)
-    srv.arrive(0.0, "a", 2.0)
-    srv.advance(1.0)
-    srv.arrive(1.0, "b", 2.0)
-    done = dict(drain(srv))
     # at t=1 job a has 1 unit left; sharing until a leaves at t=3, then b
     # alone finishes its remaining 1 unit at t=4 (total work 4, no idling)
-    assert done["a"] == pytest.approx(3.0, abs=1e-12)
-    assert done["b"] == pytest.approx(4.0, abs=1e-12)
+    done, mme = _walk([0.0, 1.0], (MessageHop("MME", 2.0),), {"MME": 1.0})
+    assert done == [3.0, 4.0]
+    assert mme.busy_s == 4.0
 
 
 def test_ps_server_input_errors():
-    srv = PsServer("MME", 1.0)
-    srv.arrive(0.0, "a", 1.0)
-    with pytest.raises(ValueError):
-        srv.arrive(0.0, "a", 1.0)  # duplicate id
-    with pytest.raises(ValueError):
-        srv.arrive(1.0, "b", 0.0)  # no work
-    srv.advance(0.5)
-    with pytest.raises(ValueError):
-        srv.arrive(0.25, "c", 1.0)  # time moved backwards
-    with pytest.raises(ConfigurationError):
-        PsServer("MME", 0.0)
+    # A capacity or hop work of 0 and decreasing arrival times are refused
+    # where they are built (test_entity_profile_validation,
+    # test_message_hop_and_template_validation and
+    # test_event_stream_validation_and_roundtrips).  The walk still checks
+    # each server's clock on every admission, which a stream that skips
+    # EventStream's check reaches: both requests come from device 0.
+    stream = SimpleNamespace(timestamps=np.array([1.0, 0.5]), source_ids=np.array([0, 0]))
+    template = ProcedureTemplate(hops=(MessageHop("UE", 1.0),))
+    with pytest.raises(ValueError, match="time moved backwards"):
+        run_bearer_simulation(stream, template, (EntityProfile("UE", 1.0, 1.0),),
+                              horizon_s=10.0)
 
 
 def test_idle_request_takes_constant_plus_service_time():

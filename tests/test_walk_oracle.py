@@ -1,7 +1,7 @@
 """Exact oracles for the whole bearer walk.
 
-Two independent views of ``run_bearer_simulation`` on the default 19-hop
-template:
+Three independent views of ``run_bearer_simulation`` on the default
+19-hop template:
 
 * a degenerate reduction: with every non-MME server infinitely fast the
   walk is one M/D/1-PS queue at the MME, which ``single_job_mode``
@@ -9,10 +9,13 @@ template:
 * a reference walker written from the processor-sharing definition alone
   (no heap, no idle fast path, no pending-entry map), which must agree
   with the walk bit for bit on contended eNB, SGW and MME servers, with
-  link latency, encryption work and the marked hop.
+  link latency, encryption work and the marked hop;
+* a golden digest of a walk over a generated stream, which pins how the
+  walk orders events that fall at the same instant.
 """
 
 import dataclasses
+import hashlib
 
 import numpy as np
 from hypothesis import given, strategies as st
@@ -21,6 +24,7 @@ from conftest import poisson_stream
 from miotcore.config import DEFAULT_ENTITY_PROFILES
 from miotcore.delay import EntityProfile
 from miotcore.simulator import default_bearer_template, run_bearer_simulation, single_job_mode
+from miotcore.traffic import SourcePopulation, TrafficParams, generate_requests
 
 _INF = float("inf")
 
@@ -192,3 +196,35 @@ def test_contended_walks_match_the_reference_walker():
     profiles = _with_capacity(DEFAULT_ENTITY_PROFILES, {"SGW": 3500.0})
     stream = poisson_stream(700.0, n_req, seed=6, source_ids=np.arange(n_req) % 25)
     _assert_walks_agree(stream, profiles, n_enb=2)
+
+
+# sha256 of the walk below, recorded before the event core was rewritten
+_STOCK_WALK_SHA256 = "f16bb9ebb43f33f577d1df9a93f4aa4b414dccf72e50e6c7c5c82ceaef8ef6ca"
+
+
+def _walk_sha256(samples, report):
+    digest = hashlib.sha256(np.ascontiguousarray(samples.completions_s, "<f8").tobytes())
+    for name in sorted(samples.breakdown):
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(samples.breakdown[name], "<f8").tobytes())
+    digest.update(repr(report.rows).encode())
+    return digest.hexdigest()
+
+
+def test_stock_walk_with_tied_event_times_matches_its_golden_digest():
+    # The stream `simulate --seed 0` makes at Q=10^4 over 40 s, walked for
+    # its first 2 s (1166 requests) with 100 eNBs.  The generator's 1e-5 s
+    # slot grid makes events coincide, and a walk that breaks such ties in
+    # another order moves completions by ulps.  reference_walk cannot pin
+    # this: its scan breaks ties between servers in dict order, and differs
+    # from this walk in 39 of the first 568 completions, by up to 5.6e-15 s.
+    off_ss, gen_ss = np.random.SeedSequence(0).spawn(1)[0].spawn(2)
+    params = TrafficParams()
+    offsets = np.random.default_rng(off_ss).uniform(0.0, params.period_s, 100)
+    population = SourcePopulation(100, 100, tuple(float(x) for x in offsets))
+    stream = generate_requests(population, params, 40.0, gen_ss)
+    samples, report = run_bearer_simulation(
+        stream, default_bearer_template(DEFAULT_ENTITY_PROFILES),
+        DEFAULT_ENTITY_PROFILES, horizon_s=2.0, n_enb=100)
+    assert len(samples) == 1166
+    assert _walk_sha256(samples, report) == _STOCK_WALK_SHA256
