@@ -12,7 +12,7 @@ imported on demand by ``fbeta_mixture`` alone.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +25,8 @@ KS_MIN_SAMPLES = 50
 # the significance of every KS verdict the package reports
 KS_SIGNIFICANCE = 0.01
 
-# cap on Newton steps for the Kolmogorov quantile; the solve needs at
-# most 38 (at significance 1 - 2**-53), and 10 at 0.999
-_KOLMOGOROV_MAX_STEPS = 100
+# the Kolmogorov quantile at KS_SIGNIFICANCE: scipy.special.kolmogi(0.01)
+KS_CRITICAL_C = 1.6276236115189504
 
 
 @dataclass(frozen=True)
@@ -250,65 +249,15 @@ def ks_distance(samples, model_cdf) -> float:
     return d_plus if d_plus > d_minus else d_minus
 
 
-def _kolmogorov_sf(x):
-    """Q(x) = 2 sum_{k>=1} (-1)^(k-1) exp(-2 k^2 x^2) and dQ/dx, for x > 0."""
-    q = dq = 0.0
-    k, sign = 1, 1.0
-    while True:
-        term = math.exp(-2.0 * k * k * x * x)
-        if term <= 1e-17 * q:
-            return 2.0 * q, -8.0 * x * dq
-        q += sign * term
-        dq += sign * k * k * term
-        k, sign = k + 1, -sign
+def ks_critical_value(n) -> float:
+    """Asymptotic two-sided KS critical value at 1% significance, c/sqrt(n).
 
-
-def _kolmogorov_cdf(x):
-    """1 - Q(x) and its derivative, for x > 0.
-
-    Summed as sqrt(2 pi)/x sum_{k>=1} exp(-(2k-1)^2 pi^2 / (8 x^2)), which
-    is free of the cancellation that 1 - Q has for small x.
-    """
-    s = ds = 0.0
-    k = 1
-    while True:
-        a = (2 * k - 1) ** 2 * math.pi ** 2 / (8.0 * x * x)
-        term = math.exp(-a)
-        if term <= 1e-17 * s:
-            r = math.sqrt(2.0 * math.pi) / x
-            return r * s, r * (2.0 * ds - s) / x
-        s += term
-        ds += a * term
-        k += 1
-
-
-def ks_critical_value(n, significance) -> float:
-    """Asymptotic two-sided KS critical value c(significance)/sqrt(n).
-
-    c solves Q(c) = significance for the Kolmogorov survival function Q,
-    by Newton's method from sqrt(-ln(significance/2)/2), where the
-    series' first term alone equals significance.  Above 0.5 the solve
-    is 1 - Q(c) = 1 - significance in the complementary series, because
-    Q is flat there and a rounding in Q moves c by ulp(1)/|Q'(c)|.
+    c = KS_CRITICAL_C solves Q(c) = KS_SIGNIFICANCE for the Kolmogorov
+    survival function Q.
     """
     if n < KS_MIN_SAMPLES:
         raise ValueError(f"KS significance needs n >= {KS_MIN_SAMPLES}, got {n}")
-    if not 0.0 < significance < 1.0:
-        raise ValueError(f"significance must be in (0, 1), got {significance}")
-    if significance <= 0.5:
-        series, target = _kolmogorov_sf, significance
-    else:
-        series, target = _kolmogorov_cdf, 1.0 - significance
-    c = math.sqrt(-0.5 * (math.log(significance) - math.log(2.0)))
-    for _ in range(_KOLMOGOROV_MAX_STEPS):
-        value, slope = series(c)
-        if slope == 0.0:  # exp underflowed: significance ~ 1e-323, c is the start
-            break
-        step = (value - target) / slope
-        c -= step
-        if abs(step) <= 1e-15 * c:
-            break
-    return c / math.sqrt(n)
+    return KS_CRITICAL_C / math.sqrt(n)
 
 
 def ks_report(distance, n) -> list:
@@ -322,7 +271,7 @@ def ks_report(distance, n) -> list:
     if n < KS_MIN_SAMPLES:
         return lines + [f"low_confidence: fewer than {KS_MIN_SAMPLES} gaps, "
                         "significance not assessed"]
-    crit = ks_critical_value(n, KS_SIGNIFICANCE)
+    crit = ks_critical_value(n)
     verdict = "pass" if distance <= crit else "fail"
     return lines + [f"ks_critical_01pct: {crit:.6f}", f"ks_verdict_01pct: {verdict}"]
 

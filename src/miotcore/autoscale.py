@@ -25,7 +25,7 @@ from .delay import (
 )
 from .errors import ConfigurationError, OverloadError
 from .simulator import single_job_mode
-from .traffic import EventStream
+from .traffic import EventStream, poisson_arrivals
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,6 @@ class ScalingDecision:
     lambda_beta: float
     multiplier: float
     predicted_delay_s: float
-    predicted_at_unit_s: float
     feasible: bool
 
 
@@ -146,7 +145,6 @@ def choose_multiplier(lambda_beta, profiles, policy, previous=None):
         lambda_beta=float(lambda_beta),
         multiplier=chosen,
         predicted_delay_s=pred(chosen),
-        predicted_at_unit_s=pred(policy.multipliers[0]),
         feasible=feasible,
     )
 
@@ -156,43 +154,23 @@ class LoopRecord:
     """One closed-loop window: the decision plus the simulated outcome."""
 
     window_start_s: float
-    lambda_hat: float
     decision: ScalingDecision
     empirical_percentile_s: float
 
 
-def _poisson_arrivals(rate, length_s, rng):
-    """Poisson arrival times over [0, length_s), sorted."""
-    times = []
-    t = 0.0
-    mean_n = rate * length_s
-    chunk = max(16, int(mean_n + 6.0 * math.sqrt(mean_n + 1.0)))
-    while True:
-        gaps = rng.exponential(1.0 / rate, chunk)
-        cum = t + np.cumsum(gaps)
-        inside = cum[cum < length_s]
-        times.append(inside)
-        if inside.size < cum.size:
-            break
-        t = float(cum[-1])
-    return np.concatenate(times)
-
-
-def run_scaling_loop(rate_series, profiles, policy, window_length_s=None, seed=0):
+def run_scaling_loop(rate_series, profiles, policy, window_length_s, seed=0):
     """Replay a rate series through the controller, simulating each window.
 
-    ``rate_series`` is an ordered list of (window_start_s, rate) pairs.
-    Per window the controller decides a multiplier from the analytic model
-    (with hysteresis against the previous decision), then the window is
-    simulated in single-job mode at that multiplier -- Poisson arrivals at
-    the measured rate over the window length, job size O_MME at the scaled
-    capacity plus the scaled constant offset -- and the empirical delay
-    percentile is recorded.  Windows start from an empty queue (capacity
-    changes take effect at window boundaries with no switchover cost).
-
-    ``window_length_s`` overrides the window duration; by default it is
-    inferred from consecutive starts (a single-window series needs it
-    explicitly).  Deterministic for fixed (series, seed).
+    ``rate_series`` is an ordered list of (window_start_s, rate) pairs,
+    each window ``window_length_s`` long.  Per window the controller
+    decides a multiplier from the analytic model (with hysteresis against
+    the previous decision), then the window is simulated in single-job
+    mode at that multiplier -- Poisson arrivals at the measured rate over
+    the window length, job size O_MME at the scaled capacity plus the
+    scaled constant offset -- and the empirical delay percentile is
+    recorded.  Windows start from an empty queue (capacity changes take
+    effect at window boundaries with no switchover cost).  Deterministic
+    for fixed (series, seed).
     """
     series = [(float(s), float(r)) for s, r in rate_series]
     if not series:
@@ -200,18 +178,12 @@ def run_scaling_loop(rate_series, profiles, policy, window_length_s=None, seed=0
     starts = [s for s, _ in series]
     if any(b <= a for a, b in zip(starts, starts[1:])):
         raise ValueError("window starts must be strictly increasing")
-    if window_length_s is not None:
-        lengths = [float(window_length_s)] * len(series)
-    elif len(series) >= 2:
-        diffs = [b - a for a, b in zip(starts, starts[1:])]
-        lengths = diffs + [diffs[-1]]
-    else:
-        raise ValueError("window_length_s is required for a single-window series")
+    length = float(window_length_s)
 
     child_seeds = np.random.SeedSequence(seed).spawn(len(series))
     records = []
     previous = None
-    for (start, rate), length, child in zip(series, lengths, child_seeds):
+    for (start, rate), child in zip(series, child_seeds):
         if not rate > 0.0:
             raise ValueError(f"window at {start!r} has non-positive rate {rate!r}")
         decision = choose_multiplier(rate, profiles, policy, previous=previous)
@@ -219,20 +191,13 @@ def run_scaling_loop(rate_series, profiles, policy, window_length_s=None, seed=0
         mme = next(p for p in profs if p.entity == ENTITY_MME)
         offset = constant_delay_K(profs)
         rng = np.random.default_rng(child)
-        arrivals = _poisson_arrivals(rate, length, rng)
+        arrivals = poisson_arrivals(rate, 0.0, length, rng)
         if arrivals.size:
             samples = single_job_mode(EventStream(arrivals, None), mme, offset)
             empirical = samples.delay_percentile(policy.percentile)
         else:
             empirical = math.nan
-        records.append(
-            LoopRecord(
-                window_start_s=start,
-                lambda_hat=rate,
-                decision=decision,
-                empirical_percentile_s=empirical,
-            )
-        )
+        records.append(LoopRecord(start, decision, empirical))
         previous = decision
     return records
 
@@ -247,7 +212,7 @@ def save_decision_log(path, records):
               ["window_start_s", "lambda_hat", "multiplier", "predicted_p",
                "empirical_p", "feasible"],
               [rec.window_start_s for rec in records],
-              [rec.lambda_hat for rec in records],
+              [rec.decision.lambda_beta for rec in records],
               [rec.decision.multiplier for rec in records],
               [rec.decision.predicted_delay_s for rec in records],
               [rec.empirical_percentile_s for rec in records],

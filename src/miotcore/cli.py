@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .arrivals import bearer_request_rate, ks_distance, ks_report
+from .arrivals import ks_distance, ks_report
 from .autoscale import run_scaling_loop, save_decision_log
 from .config import load_scenario, scenario_to_dict
 from .csvio import write_csv
@@ -126,9 +126,7 @@ def cmd_validate_arrivals(args):
     else:
         stream = next(iter(_replication_streams(scenario, args.seed, 1)))
     gaps = np.sort(stream.gaps())
-    lam = bearer_request_rate(
-        scenario.q_total, scenario.params.period_s, scenario.params.tx_probability
-    )
+    lam = scenario.lambda_beta()
 
     def model_cdf(x):
         return -np.expm1(-lam * np.asarray(x, dtype=float))
@@ -272,7 +270,7 @@ def cmd_scale(args):
             mark = "OVER TARGET"
         feas = "" if rec.decision.feasible else " (infeasible)"
         print(
-            f"window t={rec.window_start_s:>10.1f}s rate={rec.lambda_hat:9.3f}/s "
+            f"window t={rec.window_start_s:>10.1f}s rate={rec.decision.lambda_beta:9.3f}/s "
             f"multiplier={rec.decision.multiplier:3.1f}{feas} "
             f"predicted={rec.decision.predicted_delay_s:.6f}s "
             f"empirical={rec.empirical_percentile_s:.6f}s [{mark}]"

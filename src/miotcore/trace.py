@@ -16,10 +16,10 @@ from typing import Optional
 
 import numpy as np
 
-from .arrivals import KS_MIN_SAMPLES, KS_SIGNIFICANCE, ks_critical_value, ks_distance
+from .arrivals import KS_MIN_SAMPLES, ks_critical_value, ks_distance
 from .csvio import write_csv
 from .errors import TraceFormatError
-from .traffic import EventStream
+from .traffic import EventStream, poisson_arrivals
 
 DIURNAL_SHAPE_DEFAULT = (0.2, 0.35, 0.6, 1.0, 1.5, 2.0, 1.7, 1.2)
 
@@ -49,8 +49,8 @@ class TraceWindow:
     inter-arrival gaps inside the window (None below 2 events),
     ``ks_statistic`` the KS distance of those gaps against Exp(rate_hat)
     (None below 3 events, where the distance is meaningless).  Windows
-    with fewer than KS_MIN_SAMPLES events are flagged
-    low-confidence.
+    with fewer than KS_MIN_SAMPLES gaps are flagged low-confidence, and
+    get no KS verdict.
     """
 
     start_s: float
@@ -170,7 +170,7 @@ def _fit_window(start, end, ts):
         timestamps=ts,
         rate_hat=rate,
         ks_statistic=ks,
-        low_confidence=ts.size < KS_MIN_SAMPLES,
+        low_confidence=ts.size - 1 < KS_MIN_SAMPLES,
     )
 
 
@@ -181,7 +181,7 @@ def window_and_fit(stream, window_length_s):
     so per-window event counts sum to the stream length.  Per window the
     exponential rate is fitted by maximum likelihood on the within-window
     gaps (no cross-window gap) and scored with the KS statistic; windows
-    with fewer than KS_MIN_SAMPLES events are flagged.
+    with fewer than KS_MIN_SAMPLES gaps are flagged.
     """
     if not window_length_s > 0.0:
         raise ValueError(f"window_length_s must be positive, got {window_length_s!r}")
@@ -223,9 +223,9 @@ def save_window_report(path, windows):
     asymptotic critical value is not trustworthy there).
     """
     def verdict(win):
-        if win.ks_statistic is None or win.n_events - 1 < KS_MIN_SAMPLES:
+        if win.ks_statistic is None or win.low_confidence:
             return ""
-        return int(win.ks_statistic <= ks_critical_value(win.n_events - 1, KS_SIGNIFICANCE))
+        return int(win.ks_statistic <= ks_critical_value(win.n_events - 1))
 
     write_csv(path, ["window_start_s", "n_events", "lambda_hat", "ks_stat", "ks_pass_1pct"],
               [win.start_s for win in windows],
@@ -249,18 +249,8 @@ def make_diurnal_trace(base_rate_per_s, shape=DIURNAL_SHAPE_DEFAULT,
     if not shape:
         raise ValueError("shape must be non-empty")
     rng = np.random.default_rng(seed)
-    times = []
     length = float(window_length_s)
-    for k, rel in enumerate(shape):
-        rate = base_rate_per_s * float(rel)
-        if rate <= 0.0:
-            continue
-        t = k * length
-        chunk = []
-        while True:
-            t += rng.exponential(1.0 / rate)
-            if t >= (k + 1) * length:
-                break
-            chunk.append(t)
-        times.extend(chunk)
-    return EventStream(np.asarray(times, dtype=float), None)
+    times = [poisson_arrivals(base_rate_per_s * float(rel), k * length,
+                              (k + 1) * length, rng)
+             for k, rel in enumerate(shape) if rel > 0.0]
+    return EventStream(np.concatenate(times) if times else np.empty(0), None)

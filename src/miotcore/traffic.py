@@ -127,6 +127,27 @@ class EventStream:
         return cls(data.copy())
 
 
+def poisson_arrivals(rate, start_s, end_s, rng):
+    """Poisson arrival times at ``rate`` over [start_s, end_s), sorted.
+
+    Gaps are drawn in chunks sized to cover the expected count with a
+    six-sigma margin, so one draw usually suffices.
+    """
+    times = []
+    t = start_s
+    mean_n = rate * (end_s - start_s)
+    chunk = max(16, int(mean_n + 6.0 * math.sqrt(mean_n + 1.0)))
+    while True:
+        gaps = rng.exponential(1.0 / rate, chunk)
+        cum = t + np.cumsum(gaps)
+        inside = cum[cum < end_s]
+        times.append(inside)
+        if inside.size < cum.size:
+            break
+        t = float(cum[-1])
+    return np.concatenate(times)
+
+
 def beta_pmf(n, params):
     """Per-slot alarm probability 60*(n*d/T)^2 * (1-n*d/T)^3 * (d/T).
 

@@ -8,7 +8,9 @@ from hypothesis import example, given, strategies as st
 from scipy import special, stats
 
 from miotcore.arrivals import (
+    KS_CRITICAL_C,
     KS_MIN_SAMPLES,
+    KS_SIGNIFICANCE,
     ArrivalRates,
     ErlangMixture,
     arrival_rates,
@@ -210,19 +212,24 @@ def test_ks_distance_discriminates():
     rng = np.random.default_rng(12)
     model = lambda x: -np.expm1(-2.0 * np.asarray(x))
     good = rng.exponential(0.5, size=5000)
-    assert ks_distance(good, model) < ks_critical_value(5000, 0.01)
+    assert ks_distance(good, model) < ks_critical_value(5000)
     lattice = np.full(5000, 0.5)  # all mass at one point
-    assert ks_distance(lattice, model) > 10 * ks_critical_value(5000, 0.01)
+    assert ks_distance(lattice, model) > 10 * ks_critical_value(5000)
 
 
 def test_ks_critical_value_formula():
-    # c(0.05) = 1.3581, c(0.01) = 1.6276 (asymptotic Kolmogorov quantiles)
-    assert ks_critical_value(100, 0.05) == pytest.approx(0.13581, abs=2e-5)
-    assert ks_critical_value(100, 0.01) == pytest.approx(0.16276, abs=2e-5)
-    assert ks_critical_value(400, 0.05) == pytest.approx(
-        ks_critical_value(100, 0.05) / 2.0, rel=1e-12)
+    # c(0.01) = 1.6276 (the asymptotic Kolmogorov quantile)
+    assert ks_critical_value(100) == pytest.approx(0.16276, abs=2e-5)
+    assert ks_critical_value(400) == pytest.approx(
+        ks_critical_value(100) / 2.0, rel=1e-12)
+    for n in (KS_MIN_SAMPLES, 51, 100, 4_999, 400_000):
+        assert ks_critical_value(n) == KS_CRITICAL_C / math.sqrt(n)
     with pytest.raises(ValueError):
-        ks_critical_value(49, 0.05)
+        ks_critical_value(KS_MIN_SAMPLES - 1)
+
+
+def test_ks_critical_constant_is_kolmogi_at_the_significance():
+    assert special.kolmogi(KS_SIGNIFICANCE) == KS_CRITICAL_C
 
 
 @given(n=st.integers(2, 5_000), seed=st.integers(0, 2**32 - 1),
@@ -242,23 +249,11 @@ def test_ks_distance_equals_scipy_statistic_exactly(n, seed, form):
     assert ks_distance(sample, model) == stats.kstest(sample, model).statistic
 
 
-def test_ks_critical_value_matches_kolmogi():
-    for s in (1e-6, 1e-3, 0.01, 0.05, 0.1, 0.5, 0.9, 0.999):
-        got = ks_critical_value(400, s) * math.sqrt(400)
-        assert got == pytest.approx(special.kolmogi(s), rel=1e-14), s
-
-
-def test_ks_critical_value_rejects_bad_significance():
-    for s in (0.0, 1.0, -0.1, math.nan):
-        with pytest.raises(ValueError, match="significance"):
-            ks_critical_value(100, s)
-
-
 def test_ks_report_text():
     rng = np.random.default_rng(5)
     sample = rng.exponential(1.0, size=200)
     d = ks_distance(sample, lambda x: -np.expm1(-np.asarray(x)))
-    crit = ks_critical_value(200, 0.01)
+    crit = ks_critical_value(200)
     assert ks_report(d, 200) == [f"ks_distance: {d:.6f}",
                                  f"ks_critical_01pct: {crit:.6f}",
                                  "ks_verdict_01pct: pass"]

@@ -81,11 +81,11 @@ def test_choose_multiplier_thresholds():
     low = choose_multiplier(40.0, PROFILES, POLICY)
     assert low.multiplier == 1.0 and low.feasible
     assert low.predicted_delay_s <= POLICY.target_delay_s
-    assert low.predicted_at_unit_s == low.predicted_delay_s
+    assert predict_percentile(40.0, 1.0, PROFILES, POLICY) == low.predicted_delay_s
 
     mid = choose_multiplier(100.0, PROFILES, POLICY)
     assert mid.multiplier == 2.0 and mid.feasible
-    assert mid.predicted_at_unit_s > POLICY.target_delay_s
+    assert predict_percentile(100.0, 1.0, PROFILES, POLICY) > POLICY.target_delay_s
 
     high = choose_multiplier(200.0, PROFILES, POLICY)
     assert high.multiplier == 2.5 and high.feasible
@@ -129,28 +129,35 @@ def test_scale_down_hysteresis_prevents_flapping():
 
 def test_run_scaling_loop_records_and_determinism():
     series = [(0.0, 40.0), (50.0, 100.0), (100.0, 40.0)]
-    records = run_scaling_loop(series, PROFILES, POLICY, seed=5)
+    records = run_scaling_loop(series, PROFILES, POLICY, 50.0, seed=5)
     assert [r.decision.multiplier for r in records] == [1.0, 2.0, 1.0]
     assert [r.window_start_s for r in records] == [0.0, 50.0, 100.0]
     for rec in records:
-        assert rec.lambda_hat in (40.0, 100.0)
+        assert rec.decision.lambda_beta in (40.0, 100.0)
         assert math.isfinite(rec.empirical_percentile_s)
         assert rec.empirical_percentile_s < POLICY.target_delay_s
-    again = run_scaling_loop(series, PROFILES, POLICY, seed=5)
+    again = run_scaling_loop(series, PROFILES, POLICY, 50.0, seed=5)
     assert [r.empirical_percentile_s for r in again] == \
         [r.empirical_percentile_s for r in records]
-    other = run_scaling_loop(series, PROFILES, POLICY, seed=6)
+    other = run_scaling_loop(series, PROFILES, POLICY, 50.0, seed=6)
     assert [r.empirical_percentile_s for r in other] != \
         [r.empirical_percentile_s for r in records]
 
 
+def test_run_scaling_loop_draws_are_pinned():
+    # exact values pin the replay's Poisson draws: a change in how a
+    # window is sampled shows here before it moves any artifact
+    records = run_scaling_loop([(0.0, 40.0), (50.0, 100.0), (100.0, 40.0)],
+                               PROFILES, POLICY, 50.0, seed=5)
+    assert [r.empirical_percentile_s for r in records] == [
+        0.04417925695050522, 0.029439114642914196, 0.043452028477574345]
+
+
 def test_run_scaling_loop_input_validation():
     with pytest.raises(ValueError):
-        run_scaling_loop([], PROFILES, POLICY)
+        run_scaling_loop([], PROFILES, POLICY, 10.0)
     with pytest.raises(ValueError):
-        run_scaling_loop([(0.0, 10.0), (0.0, 12.0)], PROFILES, POLICY)
-    with pytest.raises(ValueError):
-        run_scaling_loop([(0.0, 10.0)], PROFILES, POLICY)  # needs a length
+        run_scaling_loop([(0.0, 10.0), (0.0, 12.0)], PROFILES, POLICY, 10.0)
     with pytest.raises(ValueError):
         run_scaling_loop([(0.0, -1.0)], PROFILES, POLICY, window_length_s=10.0)
     single = run_scaling_loop([(0.0, 40.0)], PROFILES, POLICY,
@@ -162,8 +169,7 @@ def test_save_decision_log(tmp_path):
     records = [
         LoopRecord(
             window_start_s=0.0,
-            lambda_hat=40.0,
-            decision=ScalingDecision(40.0, 1.0, 0.05, 0.05, True),
+            decision=ScalingDecision(40.0, 1.0, 0.05, True),
             empirical_percentile_s=0.048,
         )
     ]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from miotcore.arrivals import ks_critical_value
+from miotcore.arrivals import KS_MIN_SAMPLES, ks_critical_value
 from miotcore.errors import TraceFormatError
 from miotcore.trace import (
     TraceWindow,
@@ -98,7 +98,7 @@ def test_window_and_fit_exact_rate_on_lattice():
         assert w.rate_hat == 8.0
         assert not w.low_confidence
         # deterministic gaps are nothing like exponential
-        assert w.ks_statistic > ks_critical_value(w.n_events - 1, 0.01)
+        assert w.ks_statistic > ks_critical_value(w.n_events - 1)
     assert windows[0].start_s == 0.0 and windows[0].end_s == 16.0
     assert windows[-1].start_s == 48.0
 
@@ -110,7 +110,7 @@ def test_window_and_fit_poisson_recovers_rate():
     windows = window_and_fit(EventStream(ts), 3600.0)
     fitted = windows[0]
     assert fitted.rate_hat == pytest.approx(rate, rel=0.02)
-    assert fitted.ks_statistic <= ks_critical_value(fitted.n_events - 1, 0.01)
+    assert fitted.ks_statistic <= ks_critical_value(fitted.n_events - 1)
     assert not fitted.low_confidence
 
 
@@ -174,6 +174,21 @@ def test_save_window_report_columns(tmp_path):
     tiny = window_and_fit(EventStream(np.array([0.1, 0.2, 0.3])), 1.0)
     save_window_report(path, tiny)
     assert path.read_text().splitlines()[1].endswith(",")
+
+
+def test_ks_verdict_needs_min_samples_gaps(tmp_path):
+    # 50 events are 49 gaps: flagged, no verdict; 51 events get one
+    rng = np.random.default_rng(8)
+    ts = np.concatenate([np.sort(rng.uniform(0.0, 10.0, KS_MIN_SAMPLES)),
+                         np.sort(rng.uniform(10.0, 20.0, KS_MIN_SAMPLES + 1))])
+    windows = window_and_fit(EventStream(ts), 10.0)
+    assert [w.n_events for w in windows] == [KS_MIN_SAMPLES, KS_MIN_SAMPLES + 1]
+    assert windows[0].low_confidence and not windows[1].low_confidence
+    path = tmp_path / "windows.csv"
+    save_window_report(path, windows)
+    rows = path.read_text().splitlines()[1:]
+    assert rows[0].endswith(",")
+    assert rows[1].split(",")[4] in ("0", "1")
 
 
 def test_make_diurnal_trace_follows_shape():

@@ -16,6 +16,7 @@ from miotcore.traffic import (
     beta_pmf,
     generate_requests,
     hazard_grid,
+    poisson_arrivals,
 )
 
 
@@ -189,6 +190,26 @@ def test_generate_requests_rejects_bad_horizon_and_offsets():
     bad = SourcePopulation(1, 1, offsets_s=(10.0,))  # must be < period
     with pytest.raises(ValueError):
         generate_requests(bad, params, 20.0, seed=0)
+
+
+def test_poisson_arrivals_window_and_count():
+    rng = np.random.default_rng(21)
+    for rate, start, end in ((40.0, 0.0, 50.0), (3.0, 7200.0, 10800.0), (0.5, 2.0, 3.0)):
+        times = poisson_arrivals(rate, start, end, rng)
+        assert np.all(np.diff(times) >= 0.0)
+        assert times.size == 0 or (times[0] >= start and times[-1] < end)
+        mean = rate * (end - start)
+        assert abs(times.size - mean) <= 5.0 * math.sqrt(mean)
+
+
+def test_poisson_arrivals_continues_across_chunks():
+    class Lattice:  # gaps of exactly 1/8 s, whatever the rate
+        def exponential(self, scale, size):
+            return np.full(size, 0.125)
+
+    # rate 1/s over 3 s asks for 16 gaps a chunk; 23 arrivals need two
+    times = poisson_arrivals(1.0, 2.0, 5.0, Lattice())
+    assert np.array_equal(times, 2.0 + 0.125 * np.arange(1, 24))
 
 
 def test_event_stream_validation_and_roundtrips(tmp_path):
