@@ -33,7 +33,6 @@ A scenario file is a nested key/value document with four optional blocks
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
 import yaml
 
 from .arrivals import bearer_request_rate

@@ -32,6 +32,7 @@ counterpart of the analytic delay model in :mod:`miotcore.delay`.
 
 import itertools
 from array import array
+from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Optional
@@ -579,36 +580,32 @@ def _ps_sojourns_equal_work(arrivals, service_s):
     With equal job sizes virtual-finish order equals arrival order, so the
     exact virtual-time dynamics reduce to one linear pass: ``service_s`` is
     the job size expressed in seconds of dedicated service (work / capacity).
+    The jobs in service are a FIFO of virtual finishes, so the pass holds
+    only those beside the completion instants it returns.
     """
-    n = len(arrivals)
-    out = np.empty(n, dtype=float)
-    vfs = np.empty(n, dtype=float)
+    arrivals = np.ascontiguousarray(arrivals, dtype=float)
+    done = array("d")
+    vfs = deque()
     v = 0.0
     t = 0.0
-    head = 0
-    for i in range(n):
-        a = float(arrivals[i])
-        while head < i:
-            k = i - head
-            t_c = t + (vfs[head] - v) * k
+    for a in memoryview(arrivals):
+        while vfs:
+            t_c = t + (vfs[0] - v) * len(vfs)
             if t_c > a:
                 break
             t = t_c
-            v = vfs[head]
-            out[head] = t
-            head += 1
-        k = i - head
+            v = vfs.popleft()
+            done.append(t)
+        k = len(vfs)
         if k:
             v += (a - t) / k
         t = a
-        vfs[i] = v + service_s
-    while head < n:
-        k = n - head
-        t = t + (vfs[head] - v) * k
-        v = vfs[head]
-        out[head] = t
-        head += 1
-    return out - np.asarray(arrivals, dtype=float)
+        vfs.append(v + service_s)
+    while vfs:
+        t = t + (vfs[0] - v) * len(vfs)
+        v = vfs.popleft()
+        done.append(t)
+    return np.frombuffer(done, dtype=float) - arrivals
 
 
 def single_job_mode(stream, profile_mme, constant_delay_s):

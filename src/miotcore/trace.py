@@ -11,6 +11,7 @@ capacity-scaling loop can replay.
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,10 +19,18 @@ import numpy as np
 
 from .arrivals import KS_MIN_SAMPLES, ks_critical_value, ks_distance
 from .csvio import write_csv
-from .errors import TraceFormatError
+from .errors import ConfigurationError, TraceFormatError
 from .traffic import EventStream, poisson_arrivals
 
 DIURNAL_SHAPE_DEFAULT = (0.2, 0.35, 0.6, 1.0, 1.5, 2.0, 1.7, 1.2)
+
+# the known header lines, mapped to whether rows carry a source id
+_HEADERS = {("timestamp_s",): False, ("timestamp_s", "source_id"): True}
+# source ids are stored as int64
+_ID_MIN, _ID_MAX = -2**63, 2**63 - 1
+# every window of a span becomes a TraceWindow, so a tiny window length
+# over a long trace is refused rather than left to exhaust memory
+MAX_WINDOWS = 100_000
 
 
 @dataclass(frozen=True)
@@ -81,9 +90,14 @@ def parse_trace(path):
     The file must start with a header line ``timestamp_s`` or
     ``timestamp_s,source_id``.  Rows out of order are allowed (output is
     sorted, stable on ties).  Malformed rows (wrong field count,
-    non-numeric or negative or non-finite timestamps, non-integer source
-    ids) are rejected and counted; duplicate timestamps are kept and
-    counted.  Returns ``(stream, report)``.
+    non-numeric or negative or non-finite timestamps, source ids that are
+    not integers in the int64 range) are rejected and counted; duplicate
+    timestamps are kept and counted.  Returns ``(stream, report)``.
+
+    A clean file is read by one ``np.loadtxt`` call.  Where that call
+    raises, or yields a negative or non-finite timestamp, the file is read
+    again row by row with :mod:`csv`, which decides and counts every row,
+    so both reads give the same stream and report.
 
     Raises TraceFormatError if the file is unreadable, the header is
     unknown, or no valid rows remain.
@@ -93,58 +107,17 @@ def parse_trace(path):
     except OSError as exc:
         raise TraceFormatError(f"cannot read trace {path!r}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TraceFormatError(f"trace {path!r} is empty") from None
-        header = [h.strip() for h in header]
-        if header == ["timestamp_s"]:
-            with_ids = False
-        elif header == ["timestamp_s", "source_id"]:
-            with_ids = True
-        else:
-            raise TraceFormatError(
-                f"trace {path!r}: header must be 'timestamp_s[,source_id]', "
-                f"got {','.join(header)!r}"
-            )
-        times = []
-        ids = []
-        n_rows = 0
-        n_malformed = 0
-        for row in reader:
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            n_rows += 1
-            if len(row) != len(header):
-                n_malformed += 1
-                continue
-            try:
-                t = float(row[0])
-            except ValueError:
-                n_malformed += 1
-                continue
-            if not math.isfinite(t) or t < 0.0:
-                n_malformed += 1
-                continue
-            if with_ids:
-                try:
-                    sid = int(row[1])
-                except ValueError:
-                    n_malformed += 1
-                    continue
-                ids.append(sid)
-            times.append(t)
-    if not times:
+        parsed = _parse_bulk(fh)
+        if parsed is None:
+            fh.seek(0)
+            parsed = _parse_rows(fh, path)
+    times, ids, n_rows, n_malformed = parsed
+    if not times.size:
         raise TraceFormatError(f"trace {path!r} contains no valid rows")
-    times = np.asarray(times, dtype=float)
     order = np.argsort(times, kind="stable")
     times = times[order]
     n_dup = int(times.size - np.unique(times).size)
-    stream = EventStream(
-        times,
-        np.asarray(ids, dtype=np.int64)[order] if with_ids else None,
-    )
+    stream = EventStream(times, None if ids is None else ids[order])
     report = TraceParseReport(
         n_rows=n_rows,
         n_valid=int(times.size),
@@ -152,6 +125,84 @@ def parse_trace(path):
         n_duplicate_timestamps=n_dup,
     )
     return stream, report
+
+
+def _parse_bulk(fh):
+    """``(times, ids, n_rows, 0)`` of a clean trace, else None.
+
+    A header line with a quote, which the csv module may read across
+    lines, is left to the row loop, and so is any file ``np.loadtxt``
+    cannot read whole: a malformed field, a field-count mismatch, a row
+    of blanks or no data rows.  Its empty-line skipping matches the row
+    loop's, and its number parsers accept a subset of ``float`` and
+    ``int`` with the same values.
+    """
+    line = fh.readline()
+    if '"' in line:
+        return None
+    with_ids = _HEADERS.get(tuple(h.strip() for h in line.split(",")))
+    if with_ids is None:
+        return None
+    dtype = [("t", "f8"), ("id", "i8")] if with_ids else [("t", "f8")]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "input contained no data"
+            rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    times = rows["t"]
+    if not (np.isfinite(times).all() and (times >= 0.0).all()):
+        return None
+    return times, rows["id"] if with_ids else None, rows.size, 0
+
+
+def _parse_rows(fh, path):
+    """``(times, ids, n_rows, n_malformed)`` of any trace, one row at a time."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise TraceFormatError(f"trace {path!r} is empty") from None
+    header = [h.strip() for h in header]
+    with_ids = _HEADERS.get(tuple(header))
+    if with_ids is None:
+        raise TraceFormatError(
+            f"trace {path!r}: header must be 'timestamp_s[,source_id]', "
+            f"got {','.join(header)!r}"
+        )
+    times = []
+    ids = []
+    n_rows = 0
+    n_malformed = 0
+    for row in reader:
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        n_rows += 1
+        if len(row) != len(header):
+            n_malformed += 1
+            continue
+        try:
+            t = float(row[0])
+        except ValueError:
+            n_malformed += 1
+            continue
+        if not math.isfinite(t) or t < 0.0:
+            n_malformed += 1
+            continue
+        if with_ids:
+            try:
+                sid = int(row[1])
+            except ValueError:
+                n_malformed += 1
+                continue
+            if not _ID_MIN <= sid <= _ID_MAX:
+                n_malformed += 1
+                continue
+            ids.append(sid)
+        times.append(t)
+    return (np.asarray(times, dtype=float),
+            np.asarray(ids, dtype=np.int64) if with_ids else None,
+            n_rows, n_malformed)
 
 
 def _fit_window(start, end, ts):
@@ -181,7 +232,8 @@ def window_and_fit(stream, window_length_s):
     so per-window event counts sum to the stream length.  Per window the
     exponential rate is fitted by maximum likelihood on the within-window
     gaps (no cross-window gap) and scored with the KS statistic; windows
-    with fewer than KS_MIN_SAMPLES gaps are flagged.
+    with fewer than KS_MIN_SAMPLES gaps are flagged.  A span of more than
+    MAX_WINDOWS windows raises ConfigurationError before any is built.
     """
     if not window_length_s > 0.0:
         raise ValueError(f"window_length_s must be positive, got {window_length_s!r}")
@@ -189,8 +241,15 @@ def window_and_fit(stream, window_length_s):
     if ts.size == 0:
         return []
     length = float(window_length_s)
-    k0 = int(math.floor(ts[0] / length))
-    k1 = int(math.floor(ts[-1] / length))
+    first = float(ts[0]) / length
+    last = float(ts[-1]) / length
+    if not math.isfinite(last) or math.floor(last) - math.floor(first) >= MAX_WINDOWS:
+        raise ConfigurationError(
+            f"window length {length!r} s splits the trace span "
+            f"[{float(ts[0])!r}, {float(ts[-1])!r}] s into more than {MAX_WINDOWS} windows"
+        )
+    k0 = math.floor(first)
+    k1 = math.floor(last)
     windows = []
     for k in range(k0, k1 + 1):
         start = k * length

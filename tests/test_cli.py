@@ -215,6 +215,33 @@ def test_scale_labels_window_without_arrivals(tmp_path, cfg, capsys):
     assert "[no data]" in printed and "OVER TARGET" not in printed
 
 
+@pytest.mark.parametrize("last_s", ["1e308", "150.0"])
+def test_scale_refuses_a_trace_span_of_too_many_windows(tmp_path, cfg, capsys, last_s):
+    # in 1 ms windows, 1e308 s is an infinite window count and 150 s is
+    # 149,001 windows, past trace.MAX_WINDOWS: exit 2 before any is built,
+    # though the first window has a rate to replay
+    trace = tmp_path / "span.csv"
+    trace.write_text(f"timestamp_s\n1.0\n1.0005\n{last_s}\n")
+    out = tmp_path / "scale"
+    assert run(["scale", "--config", cfg, "--out", str(out), "--trace", str(trace),
+                "--window-length", "1e-3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "windows" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (out / "trace_windows.csv").exists()
+    assert not (out / "decisions.csv").exists()
+
+
+def test_source_id_outside_int64_is_a_malformed_row(tmp_path, cfg, capsys):
+    trace = tmp_path / "ids.csv"
+    trace.write_text("timestamp_s,source_id\n1.0,99999999999999999999\n" + "".join(
+        f"{0.5 * k!r},{k}\n" for k in range(1, 200)))
+    for argv in (["validate-arrivals", "--stream", str(trace)],
+                 ["scale", "--trace", str(trace), "--window-length", "100"]):
+        assert run(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert "valid=199 malformed_rejected=1" in capsys.readouterr().out
+
+
 def test_exit_codes(tmp_path, cfg, capsys):
     # 2: missing or invalid configuration
     assert run(["generate"]) == 2

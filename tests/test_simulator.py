@@ -1,5 +1,6 @@
 """Event-driven PS simulator: exact schedules, invariants, procedure walks."""
 
+import hashlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -408,6 +409,26 @@ def test_single_job_mean_sojourn_matches_ps_formula(profile_mme):
     samples = single_job_mode(stream, profile_mme, 0.0)
     assert samples.delays_s.mean() == pytest.approx(
         D_MME / (1.0 - rho), rel=0.025)
+
+
+# sha256 of single_job_mode on the streams below, recorded before the pass
+# moved from indexing numpy arrays to a deque of the jobs in service
+_SINGLE_JOB_SHA256 = {
+    0.3: "b373656ab4eda30a3897cb5bbb6abde09fb330bf575cf4ce37c47f39e0f0929d",
+    0.57: "326728cfb557761bd14d055e869540237ecc6968c780ec80378ecc4609fcabd6",
+    0.98: "24e522531d5b727d1bd293f373d3ceb5b82b3d4e6b3769475d5db798fe0067e4",
+}
+
+
+@pytest.mark.parametrize("rho", sorted(_SINGLE_JOB_SHA256))
+def test_single_job_mode_matches_its_golden_digest(profile_mme, rho):
+    # 5000 Poisson arrivals from nearly idle to nearly saturated: the pass
+    # must give every completion and sojourn bit for bit
+    stream = poisson_stream(rho / D_MME, 5000, seed=11)
+    samples = single_job_mode(stream, profile_mme, K_CONST)
+    digest = hashlib.sha256(np.ascontiguousarray(samples.completions_s, "<f8").tobytes())
+    digest.update(np.ascontiguousarray(samples.breakdown["MME"], "<f8").tobytes())
+    assert digest.hexdigest() == _SINGLE_JOB_SHA256[rho]
 
 
 def test_single_job_matches_full_simulation_rate_limit(profile_mme):

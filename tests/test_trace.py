@@ -1,10 +1,14 @@
 """Trace ingestion: CSV parsing, windowed exponential fits, rate replay."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from miotcore import trace
 from miotcore.arrivals import KS_MIN_SAMPLES, ks_critical_value
-from miotcore.errors import TraceFormatError
+from miotcore.errors import ConfigurationError, TraceFormatError
 from miotcore.trace import (
     TraceWindow,
     make_diurnal_trace,
@@ -78,6 +82,115 @@ def test_parse_roundtrip_is_lossless(tmp_path):
     assert report.n_malformed == 0
 
 
+def test_parse_trace_rejects_source_ids_outside_int64(tmp_path):
+    ids = [-2**63, 2**63 - 1, 2**63, -2**63 - 1, 99999999999999999999]
+    path = write(tmp_path, "timestamp_s,source_id\n" + "".join(
+        f"{k}.5,{sid}\n" for k, sid in enumerate(ids)))
+    stream, report = parse_trace(path)
+    assert stream.source_ids.tolist() == ids[:2]
+    assert (report.n_rows, report.n_valid, report.n_malformed) == (5, 2, 3)
+
+
+# Field texts by what the bulk read does with them: reads them as the row
+# loop does, reads them but must then refuse the value, or cannot read them.
+_TIMESTAMPS = {
+    "clean": ("0", "0.0", "1.5", "2.25", "1e-3", "7", " 3.5 ", "+4", "-0.0", "1e2"),
+    "refused": ("nan", "inf", "-inf", "-1", "1e400"),
+    "unreadable": ("1_000", "\u0661\u0662", '"2.0"', "#1.0", "", "abc"),
+}
+_IDS = {
+    "clean": ("3", "0", "-5", "+3", " 7 ", "007", str(2**63 - 1), str(-2**63)),
+    "unreadable": ("3.0", "1_000", "\u0663", str(2**63), str(-2**63 - 1), '"4"', "", "x"),
+}
+
+
+@st.composite
+def _trace_text(draw):
+    with_ids = draw(st.booleans())
+    n_fields = 2 if with_ids else 1
+    # clean files are read in bulk; files with refused timestamps are read
+    # in bulk and then re-read; dirty ones hold anything the row loop meets
+    mode = draw(st.sampled_from(["clean", "refused", "dirty"]))
+    stamps = _TIMESTAMPS["clean"]
+    ids = _IDS["clean"]
+    kinds = ["row", "row", "row", "blank"]
+    if mode != "clean":
+        stamps += _TIMESTAMPS["refused"]
+    if mode == "dirty":
+        stamps += _TIMESTAMPS["unreadable"]
+        ids += _IDS["unreadable"]
+        kinds += ["spaces", "comment", "fields"]
+    lines = [draw(st.sampled_from(
+        ["timestamp_s,source_id", " timestamp_s , source_id"] if with_ids
+        else ["timestamp_s", "timestamp_s "]))]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "row":
+            fields = [draw(st.sampled_from(stamps))]
+            if with_ids:
+                fields.append(draw(st.sampled_from(ids)))
+            lines.append(",".join(fields))
+        elif kind == "blank":
+            lines.append("")
+        elif kind == "spaces":
+            lines.append(draw(st.sampled_from([" ", "\t", "  \t "])))
+        elif kind == "comment":
+            lines.append("# " + draw(st.sampled_from(stamps)))
+        else:  # a field too many or too few
+            lines.append(",".join(draw(st.sampled_from(stamps))
+                                  for _ in range(draw(st.sampled_from(
+                                      [n_fields - 1, n_fields + 1])))))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _parse_outcome(path):
+    try:
+        stream, report = parse_trace(path)
+    except TraceFormatError as exc:
+        return str(exc)
+    ids = None if stream.source_ids is None else stream.source_ids.tobytes()
+    return stream.timestamps.tobytes(), ids, report
+
+
+@settings(max_examples=300)
+@given(text=_trace_text())
+def test_bulk_parse_and_row_loop_agree(tmp_path_factory, text):
+    # the bulk read may hand a file to the row loop, but never decide it
+    # differently: timestamps bit for bit, ids and every report count
+    path = tmp_path_factory.mktemp("fuzz") / "trace.csv"
+    path.write_bytes(text.encode())
+    outcome = _parse_outcome(path)
+    with mock.patch.object(trace, "_parse_bulk", return_value=None):
+        assert _parse_outcome(path) == outcome
+
+
+@pytest.mark.parametrize("with_ids", [True, False])
+def test_clean_trace_never_reaches_the_row_loop(tmp_path, with_ids):
+    rng = np.random.default_rng(5)
+    stream = EventStream(np.sort(rng.uniform(0.0, 50.0, size=300)),
+                         rng.integers(0, 40, size=300) if with_ids else None)
+    path = tmp_path / "clean.csv"
+    stream.save_csv(path)
+    with mock.patch.object(trace, "_parse_rows", side_effect=AssertionError("row loop")):
+        again, report = parse_trace(path)
+    assert np.array_equal(again.timestamps, stream.timestamps)
+    if with_ids:
+        assert np.array_equal(again.source_ids, stream.source_ids)
+    else:
+        assert again.source_ids is None
+    assert (report.n_rows, report.n_valid, report.n_malformed) == (300, 300, 0)
+
+
+def test_trace_without_data_rows_is_refused_without_a_warning(tmp_path, recwarn):
+    # np.loadtxt warns on a file with no data rows; that file is the row
+    # loop's to refuse
+    with pytest.raises(TraceFormatError, match="no valid rows"):
+        parse_trace(write(tmp_path, "timestamp_s,source_id\n\n"))
+    assert not recwarn.list
+
+
 def test_trace_window_validation():
     with pytest.raises(ValueError):
         TraceWindow(1.0, 1.0, np.array([]), None, None, True)
@@ -126,6 +239,16 @@ def test_window_and_fit_flags_and_gaps():
     with pytest.raises(ValueError):
         window_and_fit(EventStream(ts), 0.0)
     assert window_and_fit(EventStream(np.array([])), 10.0) == []
+
+
+def test_window_and_fit_refuses_more_than_max_windows(monkeypatch):
+    monkeypatch.setattr(trace, "MAX_WINDOWS", 4)
+    assert len(window_and_fit(EventStream(np.array([0.5, 3.5])), 1.0)) == 4
+    with pytest.raises(ConfigurationError, match="more than 4 windows"):
+        window_and_fit(EventStream(np.array([0.5, 4.5])), 1.0)
+    # 1e308 s in 1 ms windows: the count itself overflows to inf
+    with pytest.raises(ConfigurationError):
+        window_and_fit(EventStream(np.array([1.0, 1e308])), 1e-3)
 
 
 def test_rate_fit_is_exactly_scale_equivariant():
