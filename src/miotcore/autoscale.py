@@ -27,6 +27,10 @@ from .errors import ConfigurationError, OverloadError
 from .simulator import single_job_mode
 from .traffic import EventStream, poisson_arrivals
 
+# the most arrivals a replay window may expect (rate * window length);
+# each one costs a few float64 slots in the draw and the single-job pass
+MAX_WINDOW_ARRIVALS = 10**7
+
 
 @dataclass(frozen=True)
 class ScalingPolicy:
@@ -170,7 +174,9 @@ def run_scaling_loop(rate_series, profiles, policy, window_length_s, seed=0):
     scaled constant offset -- and the empirical delay percentile is
     recorded.  Windows start from an empty queue (capacity changes take
     effect at window boundaries with no switchover cost).  Deterministic
-    for fixed (series, seed).
+    for fixed (series, seed).  A window expecting more than
+    MAX_WINDOW_ARRIVALS arrivals raises ConfigurationError before any
+    window is drawn.
     """
     series = [(float(s), float(r)) for s, r in rate_series]
     if not series:
@@ -179,13 +185,19 @@ def run_scaling_loop(rate_series, profiles, policy, window_length_s, seed=0):
     if any(b <= a for a, b in zip(starts, starts[1:])):
         raise ValueError("window starts must be strictly increasing")
     length = float(window_length_s)
+    for start, rate in series:
+        if not rate > 0.0:
+            raise ValueError(f"window at {start!r} has non-positive rate {rate!r}")
+        if not rate * length <= MAX_WINDOW_ARRIVALS:
+            raise ConfigurationError(
+                f"window at {start!r} expects {rate * length!r} arrivals "
+                f"({rate!r}/s over {length!r} s), more than {MAX_WINDOW_ARRIVALS}"
+            )
 
     child_seeds = np.random.SeedSequence(seed).spawn(len(series))
     records = []
     previous = None
     for (start, rate), child in zip(series, child_seeds):
-        if not rate > 0.0:
-            raise ValueError(f"window at {start!r} has non-positive rate {rate!r}")
         decision = choose_multiplier(rate, profiles, policy, previous=previous)
         profs = scaled_profiles(profiles, decision.multiplier, policy)
         mme = next(p for p in profs if p.entity == ENTITY_MME)

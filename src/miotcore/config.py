@@ -30,6 +30,7 @@ A scenario file is a nested key/value document with four optional blocks
       scope: all                # or "mme"
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -132,6 +133,13 @@ def _reject_unknown(block, path):
         raise ConfigurationError(f"{path}: unknown field(s) {fields}")
 
 
+def _finite(value):
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return out
+
+
 def _int_strict(value):
     out = int(value)
     if isinstance(value, float) and value != out:
@@ -150,15 +158,15 @@ def scenario_from_dict(doc):
         raise ConfigurationError(f"unknown top-level block(s): {', '.join(sorted(unknown))}")
 
     tr = _block(doc, "traffic")
-    period_s = _take(tr, "period_s", "traffic", required=True, convert=float)
+    period_s = _take(tr, "period_s", "traffic", required=True, convert=_finite)
     q_total = _take(tr, "q_total", "traffic", required=True, convert=_int_strict)
     n_groups = _take(tr, "n_groups", "traffic", default=DEFAULT_N_GROUPS, convert=_int_strict)
-    slot_delta_s = _take(tr, "slot_delta_s", "traffic", default=1e-5, convert=float)
-    alarm_rate = _take(tr, "alarm_rate_lambda", "traffic", default=1.0, convert=float)
-    epsilon = _take(tr, "regular_rate_epsilon", "traffic", default=0.0, convert=float)
-    tx_probability = _take(tr, "tx_probability", "traffic", convert=float)
+    slot_delta_s = _take(tr, "slot_delta_s", "traffic", default=1e-5, convert=_finite)
+    alarm_rate = _take(tr, "alarm_rate_lambda", "traffic", default=1.0, convert=_finite)
+    epsilon = _take(tr, "regular_rate_epsilon", "traffic", default=0.0, convert=_finite)
+    tx_probability = _take(tr, "tx_probability", "traffic", convert=_finite)
     offsets = _take(tr, "offsets_s", "traffic")
-    horizon_s = _take(tr, "horizon_s", "traffic", default=100.0 * period_s, convert=float)
+    horizon_s = _take(tr, "horizon_s", "traffic", default=100.0 * period_s, convert=_finite)
     _reject_unknown(tr, "traffic")
 
     try:
@@ -181,7 +189,7 @@ def scenario_from_dict(doc):
         )
     if offsets is not None:
         try:
-            offsets = tuple(float(x) for x in offsets)
+            offsets = tuple(_finite(x) for x in offsets)
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"traffic.offsets_s: {exc}") from exc
         if len(offsets) != n_groups:
@@ -193,7 +201,7 @@ def scenario_from_dict(doc):
         raise ConfigurationError("traffic.horizon_s: must be positive")
 
     en = _block(doc, "entities")
-    capacity_scale = _take(en, "capacity_scale", "entities", default=1.0, convert=float)
+    capacity_scale = _take(en, "capacity_scale", "entities", default=1.0, convert=_finite)
     if not capacity_scale > 0.0:
         raise ConfigurationError("entities.capacity_scale: must be positive")
     raw_profiles = _take(en, "profiles", "entities")
@@ -210,8 +218,8 @@ def scenario_from_dict(doc):
             row = dict(row)
             path = f"entities.profiles[{i}]"
             entity = _take(row, "entity", path, required=True, convert=str)
-            ops = _take(row, "ops_per_bearer", path, required=True, convert=float)
-            cap = _take(row, "capacity", path, required=True, convert=float)
+            ops = _take(row, "ops_per_bearer", path, required=True, convert=_finite)
+            cap = _take(row, "capacity", path, required=True, convert=_finite)
             msgs = _take(row, "messages_per_bearer", path, default=1, convert=_int_strict)
             _reject_unknown(row, path)
             try:
@@ -231,8 +239,8 @@ def scenario_from_dict(doc):
     topo = _block(doc, "topology")
     n_enb = _take(topo, "n_enb", "topology", convert=_int_strict)
     n_sgw = _take(topo, "n_sgw", "topology", default=1, convert=_int_strict)
-    link_latency_s = _take(topo, "link_latency_s", "topology", default=0.0, convert=float)
-    encryption_ops = _take(topo, "encryption_ops", "topology", default=0.0, convert=float)
+    link_latency_s = _take(topo, "link_latency_s", "topology", default=0.0, convert=_finite)
+    encryption_ops = _take(topo, "encryption_ops", "topology", default=0.0, convert=_finite)
     _reject_unknown(topo, "topology")
     if n_enb is not None and n_enb < 1:
         raise ConfigurationError("topology.n_enb: must be >= 1")
@@ -244,10 +252,10 @@ def scenario_from_dict(doc):
         raise ConfigurationError("topology.encryption_ops: must be >= 0")
 
     sc = _block(doc, "scaling")
-    target = _take(sc, "target_delay_s", "scaling", default=0.1, convert=float)
-    percentile = _take(sc, "percentile", "scaling", default=0.99, convert=float)
+    target = _take(sc, "target_delay_s", "scaling", default=0.1, convert=_finite)
+    percentile = _take(sc, "percentile", "scaling", default=0.99, convert=_finite)
     multipliers = _take(sc, "multipliers", "scaling", default=(1.0, 2.0, 2.5))
-    hysteresis = _take(sc, "hysteresis", "scaling", default=0.1, convert=float)
+    hysteresis = _take(sc, "hysteresis", "scaling", default=0.1, convert=_finite)
     scope = _take(sc, "scope", "scaling", default="all", convert=str)
     _reject_unknown(sc, "scaling")
     if scope not in _SCALE_SCOPES:
@@ -255,7 +263,7 @@ def scenario_from_dict(doc):
             f"scaling.scope: must be one of {sorted(_SCALE_SCOPES)}, got {scope!r}"
         )
     try:
-        multipliers = tuple(float(m) for m in multipliers)
+        multipliers = tuple(_finite(m) for m in multipliers)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"scaling.multipliers: {exc}") from exc
     policy = ScalingPolicy(

@@ -377,7 +377,8 @@ def run_bearer_simulation(
 
     # Every request walks every hop, so the server instances are known up
     # front.  Server ``sid`` is ``names[sid]`` = (entity, instance), and
-    # ``route[entity][req]`` is the server a request's hops there use.
+    # ``route[entity][req]`` is the server a request's hops there use; the
+    # routes share one int object per server rather than one per request.
     if stream.source_ids is not None:
         keys = np.asarray(stream.source_ids[:n_req], dtype=np.int64)
     else:
@@ -387,7 +388,8 @@ def run_bearer_simulation(
     for entity in entity_order:
         div = _route_divisor(entity, n_enb, n_sgw)
         instances, inverse = np.unique(keys % div if div else keys, return_inverse=True)
-        route[entity] = (inverse + len(names)).tolist()
+        sids = np.arange(len(names), len(names) + instances.size).astype(object)
+        route[entity] = sids[inverse].tolist()
         names += [(entity, inst) for inst in instances.tolist()]
     hop_route = [route[h.entity] for h in hops]
 

@@ -20,14 +20,22 @@ from .csvio import write_csv
 # P(at least one packet during an alarm visit) for unit per-slot packet rate
 TX_PROBABILITY_DEFAULT = 1.0 - math.exp(-1.0)
 
+# the finest slot grid a parameter set may ask for: its cumulative hazard
+# is one float64 per slot, 80 MB at this size
+MAX_SLOTS = 10**7
+
+# slots per step of the cumulative-hazard build; bounds its scratch memory
+_PREFIX_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class TrafficParams:
     """Slot grid and per-source rates of the two-state source model.
 
-    n_slots = round(period_s / slot_delta_s) defines the hazard grid; the
-    default tx_probability is 1 - exp(-alarm_rate_lambda), the chance of
-    at least one packet from a Poisson packet count during an alarm visit.
+    n_slots = round(period_s / slot_delta_s) defines the hazard grid, at
+    most MAX_SLOTS slots; the default tx_probability is
+    1 - exp(-alarm_rate_lambda), the chance of at least one packet from a
+    Poisson packet count during an alarm visit.
     """
 
     period_s: float = 10.0
@@ -37,10 +45,15 @@ class TrafficParams:
     tx_probability: Optional[float] = None
 
     def __post_init__(self):
-        if self.period_s <= 0:
-            raise ValueError("period_s must be positive")
-        if self.slot_delta_s <= 0:
-            raise ValueError("slot_delta_s must be positive")
+        if not 0.0 < self.period_s < math.inf:
+            raise ValueError("period_s must be positive and finite")
+        if not 0.0 < self.slot_delta_s < math.inf:
+            raise ValueError("slot_delta_s must be positive and finite")
+        ratio = self.period_s / self.slot_delta_s
+        if not math.isfinite(ratio) or round(ratio) > MAX_SLOTS:
+            raise ValueError(
+                f"slot grid too fine: period_s / slot_delta_s = {ratio!r}, "
+                f"need <= {MAX_SLOTS} slots")
         if self.n_slots < 100:
             raise ValueError(
                 f"slot grid too coarse: n_slots={self.n_slots}, need >= 100")
@@ -174,20 +187,24 @@ def beta_pdf(x, period_s):
     return float(out) if np.isscalar(x) else out
 
 
-def hazard_grid(params: TrafficParams) -> np.ndarray:
-    """Per-slot transition probabilities f(1..N) of the Beta shape."""
-    return beta_pmf(np.arange(1, params.n_slots + 1), params)
-
-
 @functools.lru_cache(maxsize=8)
 def _prefix(params: TrafficParams):
     """Cumulative -ln(1-f) over one period: P[0..N], and the period total.
 
     Cached per parameter set, a few at a time: a run uses one.  Every f
     is at most 2.0736/N, so -ln(1-f) is finite and the total is about 1.
+    The sums are built _PREFIX_CHUNK slots at a time, each chunk's first
+    term carrying the sum so far, which adds in the same left-to-right
+    order as one cumsum over the whole grid.
     """
-    h = -np.log1p(-hazard_grid(params))
-    prefix = np.concatenate(([0.0], np.cumsum(h)))
+    n_slots = params.n_slots
+    prefix = np.empty(n_slots + 1)
+    prefix[0] = 0.0
+    for lo in range(1, n_slots + 1, _PREFIX_CHUNK):
+        hi = min(lo + _PREFIX_CHUNK, n_slots + 1)
+        h = -np.log1p(-beta_pmf(np.arange(lo, hi), params))
+        h[0] += prefix[lo - 1]
+        np.cumsum(h, out=prefix[lo:hi])
     return prefix, float(prefix[-1])
 
 
@@ -259,5 +276,9 @@ def generate_requests(population: SourcePopulation, params: TrafficParams,
 
     t_all = np.concatenate(times) if times else np.empty(0)
     id_all = np.concatenate(ids) if ids else np.empty(0, dtype=np.int64)
+    del times, ids
+    # reassigned one at a time, so at most one array is held in both orders
     order = np.lexsort((id_all, t_all))
-    return EventStream(t_all[order], id_all[order])
+    t_all = t_all[order]
+    id_all = id_all[order]
+    return EventStream(t_all, id_all)

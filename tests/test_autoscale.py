@@ -165,6 +165,22 @@ def test_run_scaling_loop_input_validation():
     assert len(single) == 1
 
 
+def test_run_scaling_loop_refuses_a_window_past_max_arrivals(monkeypatch):
+    # the second window expects 100/s * 50 s = 5000 arrivals; it is refused
+    # before the first window draws any
+    monkeypatch.setattr("miotcore.autoscale.MAX_WINDOW_ARRIVALS", 4000)
+
+    def no_draws(*args):
+        raise AssertionError("drew arrivals before refusing the window")
+
+    monkeypatch.setattr("miotcore.autoscale.poisson_arrivals", no_draws)
+    with pytest.raises(ConfigurationError, match="expects 5000.0 arrivals"):
+        run_scaling_loop([(0.0, 40.0), (50.0, 100.0)], PROFILES, POLICY, 50.0)
+    for length in (math.inf, math.nan):
+        with pytest.raises(ConfigurationError, match="more than 4000"):
+            run_scaling_loop([(0.0, 40.0)], PROFILES, POLICY, length)
+
+
 def test_save_decision_log(tmp_path):
     records = [
         LoopRecord(

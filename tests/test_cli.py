@@ -1,6 +1,7 @@
 """Command-line entry point: artifacts, manifests, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -230,6 +231,37 @@ def test_scale_refuses_a_trace_span_of_too_many_windows(tmp_path, cfg, capsys, l
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (out / "trace_windows.csv").exists()
     assert not (out / "decisions.csv").exists()
+
+
+def test_scale_refuses_a_window_of_too_many_arrivals(tmp_path, cfg, capsys, monkeypatch):
+    # about 2 requests/s over 100 s windows: 200 expected arrivals, past a
+    # cap of 100, so exit 2 before any window is replayed or written
+    monkeypatch.setattr("miotcore.autoscale.MAX_WINDOW_ARRIVALS", 100)
+    trace = tmp_path / "trace.csv"
+    EventStream(0.5 * np.arange(1, 200)).save_csv(trace)
+    out = tmp_path / "scale"
+    assert run(["scale", "--config", cfg, "--out", str(out), "--trace", str(trace),
+                "--window-length", "100"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "more than 100" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (out / "trace_windows.csv").exists()
+    assert not (out / "decisions.csv").exists()
+
+
+@pytest.mark.parametrize("field, value", [("period_s", math.inf), ("offsets_s", [1.0, math.nan])],
+                         ids=["period_s", "offsets_s"])
+def test_non_finite_config_float_exits_2(tmp_path, capsys, field, value):
+    # an infinite period used to exit 1 (OverflowError), a NaN offset to run as phase 0
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(
+        {"traffic": {**SMALL_SCENARIO["traffic"], "n_groups": 2, field: value}}))
+    out = tmp_path / "gen"
+    assert run(["generate", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: traffic.{field}: expected a finite number")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_source_id_outside_int64_is_a_malformed_row(tmp_path, cfg, capsys):

@@ -1,5 +1,9 @@
 """Scenario configuration: defaults, field-level validation, round trips."""
 
+import copy
+import math
+import re
+
 import numpy as np
 import pytest
 import yaml
@@ -14,6 +18,41 @@ from miotcore.config import (
 from miotcore.errors import ConfigurationError
 
 MINIMAL = {"traffic": {"period_s": 10.0, "q_total": 1000}}
+
+# every field of a scenario set, each float field to a valid float
+FULL = {
+    "traffic": {"period_s": 10.0, "q_total": 4, "n_groups": 2,
+                "slot_delta_s": 1e-3, "alarm_rate_lambda": 1.0,
+                "regular_rate_epsilon": 0.5, "tx_probability": 0.5,
+                "offsets_s": [1.0, 6.0], "horizon_s": 100.0},
+    "entities": {"capacity_scale": 1.0,
+                 "profiles": [{"entity": "MME", "ops_per_bearer": 9.0,
+                               "capacity": 10000.0, "messages_per_bearer": 9}]},
+    "topology": {"n_enb": 2, "n_sgw": 1, "link_latency_s": 1e-3,
+                 "encryption_ops": 1.0},
+    "scaling": {"target_delay_s": 0.1, "percentile": 0.99,
+                "multipliers": [1.0, 2.0], "hysteresis": 0.1, "scope": "all"},
+}
+
+
+def _float_paths(node, path=()):
+    """Key/index paths of every float in ``node``, list entries included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, float):
+            yield path + (key,)
+        elif isinstance(value, (dict, list)):
+            yield from _float_paths(value, path + (key,))
+
+
+def _dotted(path):
+    """The name an error gives ``path``, as ``a.b[0].c``; a list entry is its list."""
+    if isinstance(path[-1], int):
+        path = path[:-1]
+    out = path[0]
+    for key in path[1:]:
+        out += f"[{key}]" if isinstance(key, int) else f".{key}"
+    return out
 
 
 def test_minimal_document_fills_defaults():
@@ -71,6 +110,31 @@ def test_required_fields_and_unknown_keys():
                                         "horizon_s": -5.0}})
     with pytest.raises(ConfigurationError):
         scenario_from_dict("not a mapping")
+
+
+def test_full_document_is_valid():
+    sc = scenario_from_dict(FULL)
+    assert sc.offsets_s == (1.0, 6.0)
+    assert sc.policy.multipliers == (1.0, 2.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("path", list(_float_paths(FULL)),
+                         ids=lambda p: "/".join(map(str, p)))
+def test_non_finite_float_is_refused(path, value):
+    doc = copy.deepcopy(FULL)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ConfigurationError,
+                       match="^" + re.escape(f"{_dotted(path)}: expected a finite number")):
+        scenario_from_dict(doc)
+
+
+def test_slot_grid_past_max_slots_is_refused():
+    with pytest.raises(ConfigurationError, match="traffic: slot grid too fine"):
+        scenario_from_dict({"traffic": {**MINIMAL["traffic"], "slot_delta_s": 1e-12}})
 
 
 def test_explicit_null_means_default():

@@ -1,11 +1,14 @@
 """Two-state source model: hazard shape, alarm search, stream generation."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from miotcore import traffic
 from miotcore.traffic import (
     EventStream,
     SourcePopulation,
@@ -15,7 +18,6 @@ from miotcore.traffic import (
     beta_pdf,
     beta_pmf,
     generate_requests,
-    hazard_grid,
     poisson_arrivals,
 )
 
@@ -78,10 +80,53 @@ def test_beta_pdf_matches_pmf_scaling():
         beta_pdf(3.7, 10.0), rel=1e-12)
 
 
-def test_hazard_grid_is_the_beta_pmf():
-    params = TrafficParams(period_s=10.0, slot_delta_s=0.1)
-    assert np.array_equal(
-        hazard_grid(params), beta_pmf(np.arange(1, 101), params))
+def test_params_refuse_a_slot_grid_past_max_slots():
+    # checked before anything is allocated: 1e-12 s slots would be 10^13
+    # slots, an 80 TB prefix
+    for period_s, slot_delta_s in ((10.0, 1e-12), (1e300, 1e-300), (10.0, 0.99e-6)):
+        with pytest.raises(ValueError, match="slot grid too fine"):
+            TrafficParams(period_s=period_s, slot_delta_s=slot_delta_s)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            TrafficParams(period_s=bad)
+        with pytest.raises(ValueError, match="positive and finite"):
+            TrafficParams(slot_delta_s=bad)
+    assert TrafficParams(period_s=10.0, slot_delta_s=1e-6).n_slots == traffic.MAX_SLOTS
+
+
+def _one_shot_prefix(params):
+    """The cumulative hazard as one cumsum over the whole grid."""
+    h = -np.log1p(-beta_pmf(np.arange(1, params.n_slots + 1), params))
+    return np.concatenate(([0.0], np.cumsum(h)))
+
+
+@pytest.mark.parametrize("chunks, extra", [(0, 100), (1, -1), (1, 0), (1, 1), (3, 7)])
+def test_chunked_prefix_equals_one_cumsum_bit_for_bit(chunks, extra):
+    n_slots = chunks * traffic._PREFIX_CHUNK + extra
+    params = TrafficParams(period_s=float(n_slots), slot_delta_s=1.0)
+    assert params.n_slots == n_slots
+    prefix, phi = _prefix.__wrapped__(params)
+    assert prefix.tobytes() == _one_shot_prefix(params).tobytes()
+    assert phi == prefix[-1]
+
+
+def test_stock_prefix_matches_its_golden_digest():
+    # sha256 of the stock grid's prefix as one whole-grid cumsum built it
+    prefix, _ = _prefix(TrafficParams())
+    assert hashlib.sha256(prefix.tobytes()).hexdigest() == (
+        "e7e5b54d7a88e3b4dffb2cc7ee40c29d235c47c1ef7fb587e90a0187f182dcc6")
+
+
+def test_prefix_scratch_memory_is_bounded():
+    # the stock grid's prefix is 7.6 MiB; a whole-grid build peaked at
+    # 38.2 MiB, the chunked one at 10.6 MiB
+    tracemalloc.start()
+    try:
+        prefix, _ = _prefix.__wrapped__(TrafficParams())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= prefix.nbytes + 4 * 2**20
 
 
 def test_prefix_cache_is_bounded():
