@@ -6,9 +6,8 @@ for the merged system), its large-population exponential limit, and the
 Erlang-mixture form of the inter-request distribution, plus
 Kolmogorov-Smirnov tooling to compare models against sampled gaps.
 
-The KS tooling is numpy and the standard library only, so importing this
-module (and with it every CLI command) does not load scipy; scipy is
-imported on demand by ``fbeta_mixture`` alone.
+Everything here is numpy and the standard library only; scipy serves
+the tests alone, as the oracle of the Erlang CDF and the KS statistic.
 """
 
 import math
@@ -204,15 +203,20 @@ def fbeta_mixture(tau, mix: ErlangMixture):
 
     sum_{z=1..z_max} ErlangCDF(z, stage_rate)(tau) * p * (1-p)^(z-1);
     the mass ignored beyond z_max is bounded by mix.truncation_bound.
+    With x = stage_rate * tau, the integer-shape Erlang CDF is
+    1 - sum_{j<z} e^-x x^j / j!, each term taken through its logarithm
+    so that no large x overflows.
     """
-    from scipy import special  # the only scipy use; kept off import time
-
     tau_arr = np.asarray(tau, dtype=np.float64)
     if np.any(tau_arr < 0.0):
         raise ValueError("tau must be >= 0")
-    z = np.arange(1, mix.z_max + 1, dtype=np.float64)
-    stage_cdf = special.gammainc(z[:, None],
-                                 mix.stage_rate * tau_arr.reshape(1, -1))
+    x = mix.stage_rate * tau_arr.reshape(1, -1)
+    j = np.arange(mix.z_max, dtype=np.float64)[:, None]
+    log_fact = np.cumsum(np.log(np.maximum(j, 1.0)), axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_terms = j * np.log(x) - x - log_fact
+    log_terms[0] = -x[0]  # j = 0, where 0 * log(0) is nan at x = 0
+    stage_cdf = 1.0 - np.cumsum(np.exp(log_terms), axis=0)
     out = (mix.weights() @ stage_cdf).reshape(tau_arr.shape)
     return float(out) if np.ndim(tau) == 0 else out
 

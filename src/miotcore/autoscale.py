@@ -18,7 +18,6 @@ import numpy as np
 from .csvio import write_csv
 from .delay import (
     ENTITY_MME,
-    G_TABLE_RHO_MAX,
     build_delay_model,
     constant_delay_K,
     delay_percentile,
@@ -30,6 +29,10 @@ from .traffic import EventStream, poisson_arrivals
 # the most arrivals a replay window may expect (rate * window length);
 # each one costs a few float64 slots in the draw and the single-job pass
 MAX_WINDOW_ARRIVALS = 10**7
+
+# the MME load from which the controller calls a multiplier infeasible: past
+# it the mean sojourn exceeds 200 deterministic service times
+MAX_FEASIBLE_LOAD = 0.995
 
 
 @dataclass(frozen=True)
@@ -49,8 +52,8 @@ class ScalingPolicy:
     scale_entities: Optional[frozenset] = None
 
     def __post_init__(self):
-        if not self.target_delay_s > 0.0:
-            raise ConfigurationError("target_delay_s must be positive")
+        if not 0.0 < self.target_delay_s < math.inf:
+            raise ConfigurationError("target_delay_s must be positive and finite")
         if not 0.0 < self.percentile < 1.0:
             raise ConfigurationError(
                 f"percentile must lie in (0, 1), got {self.percentile!r}"
@@ -59,8 +62,8 @@ class ScalingPolicy:
         object.__setattr__(self, "multipliers", mults)
         if not mults or mults[0] != 1.0:
             raise ConfigurationError("multipliers must start at 1.0")
-        if any(b <= a for a, b in zip(mults, mults[1:])):
-            raise ConfigurationError("multipliers must be strictly ascending")
+        if not (all(a < b for a, b in zip(mults, mults[1:])) and mults[-1] < math.inf):
+            raise ConfigurationError("multipliers must be finite and strictly ascending")
         if not 0.0 <= self.hysteresis < 1.0:
             raise ConfigurationError("hysteresis must lie in [0, 1)")
         if self.scale_entities is not None:
@@ -100,16 +103,16 @@ def predict_percentile(lambda_beta, multiplier, profiles, policy):
 
     Returns the analytic percentile in seconds, or ``math.inf`` as the
     infeasibility signal when the MME is overloaded at this multiplier --
-    including loads above 0.995, where the mean sojourn already exceeds
-    200 deterministic service times and the tail model has no useful
-    resolution.
+    including loads of MAX_FEASIBLE_LOAD and above.  That bound is the
+    controller's policy, not a limit of the model, which answers at every
+    load below 1.
     """
     profs = scaled_profiles(profiles, multiplier, policy)
     mme = next((p for p in profs if p.entity == ENTITY_MME), None)
     if mme is None:
         raise ConfigurationError(f"profiles must include {ENTITY_MME!r}")
     rho = lambda_beta * mme.ops_per_bearer / mme.capacity
-    if rho >= G_TABLE_RHO_MAX:  # past the g table: never wait on the march
+    if rho >= MAX_FEASIBLE_LOAD:
         return math.inf
     try:
         model = build_delay_model(lambda_beta, profs)

@@ -7,42 +7,37 @@ K.  As in the M/D/1-PS sojourn tail of Egorova, Zwart and Boxma (PEIS
 2006), gamma = g(rho) / D with g a function of the load alone.  g is the
 criticality of the queue itself: in virtual time the companions of a job
 form a self-exciting cluster whose moment generating function stays finite
-exactly up to the decay exponent, located by a backward march plus
-bisection.  The march takes 0.3-8 s per load, so g is read from a table
-generated from it (scripts/gen_g_table.py); the march stays as the test
-oracle and as the fallback outside the table.
+exactly up to the decay exponent.  A backward march locates that exponent
+in 0.3 s to a minute per load, so the model reads g from a table that
+scripts/gen_g_table.py generates from the march; the march lives in that
+script, which is also the tests' oracle for the table.
 """
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._g_table import H_HIGH, H_LOW
+from ._g_table import H_HIGH, H_LIGHT, H_LOW
 from .csvio import write_csv
 from .errors import ConfigurationError, NumericalError, OverloadError
 
 ENTITY_MME = "MME"
 ENTITY_NAMES = ("UE", "eNB", "MME", "HSS", "SGW", "PGW")
 
-# backward-march discretization: grid points per service time, domain cap
-# for the marched value, and bisection steps on the exponent
-_MARCH_GRID = 500
-_MARCH_CAP = 50.0
-_MARCH_BISECTIONS = 46
-
-# Domain of the g table.  h(rho) = g(rho)/(1-rho) falls smoothly from 3.1
-# at rho 0.1 to 1.007 at 0.99 and is interpolated on two Chebyshev pieces,
-# in log(rho) below _G_RHO_SPLIT and in log(1-rho) above it.  The split
-# sits just below rho_b = 0.5/(e^0.5 - 1) ~ 0.770747, where the march's
-# n_periods first leaves 32: above rho_b the march steps by 1e-8 to 4e-8
-# relative wherever n_periods changes, and a polynomial spanning rho_b
-# would carry those steps to every load.
+# Domain of the g table.  h(rho) = g(rho)/(1-rho) falls smoothly from 15.9
+# at rho 1e-6 through 3.1 at 0.1 to 1.007 at 0.99 and is interpolated on
+# three Chebyshev pieces: in log(rho) on [_G_RHO_FLOOR, _G_RHO_MIN] (light)
+# and on [_G_RHO_MIN, _G_RHO_SPLIT] (low), and in log(1-rho) above the
+# split (high).  The split sits just below rho_b = 0.5/(e^0.5 - 1) ~
+# 0.770747, where the march's n_periods first leaves 32: above rho_b the
+# march steps by 1e-8 to 4e-8 relative wherever n_periods changes, and a
+# polynomial spanning rho_b would carry those steps to every load.
+_G_RHO_FLOOR = 1e-6
 _G_RHO_MIN = 0.01
 _G_RHO_SPLIT = 0.7707
-G_TABLE_RHO_MAX = 0.995
+_G_RHO_MAX = 0.995
 
 
 @dataclass(frozen=True)
@@ -60,10 +55,12 @@ class EntityProfile:
     messages_per_bearer: int = 1
 
     def __post_init__(self):
-        if self.ops_per_bearer <= 0.0:
-            raise ConfigurationError(f"{self.entity}: ops_per_bearer must be > 0")
-        if self.capacity <= 0.0:
-            raise ConfigurationError(f"{self.entity}: capacity must be > 0")
+        if not 0.0 < self.ops_per_bearer < math.inf:
+            raise ConfigurationError(
+                f"{self.entity}: ops_per_bearer must be positive and finite")
+        if not 0.0 < self.capacity < math.inf:
+            raise ConfigurationError(
+                f"{self.entity}: capacity must be positive and finite")
         if self.messages_per_bearer < 1:
             raise ConfigurationError(
                 f"{self.entity}: messages_per_bearer must be >= 1")
@@ -181,96 +178,6 @@ def mme_load(lambda_beta, profile_mme: EntityProfile):
     return d_service, rho
 
 
-def _stable_branch_root(rho) -> float:
-    """Positive root of c = rho * (e^c - 1), the left-tail mode scale."""
-    lo, hi = 1e-12, 700.0
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if mid - rho * math.expm1(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _march_decays(rho, s, per_d, n_periods, cap, thresh) -> bool:
-    """March zeta(u) = s*c(u) + rho*Int_u^{u+1}(e^zeta - 1) right to left.
-
-    Units of the service time: the window hat is c(u) = (1-|u|)+ and
-    zeta = 0 for u >= 1.  Returns True when the marched solution decays
-    toward 0 on the left tail instead of being attracted to the spurious
-    constant branch (or blowing up), i.e. when s is below critical.
-    """
-    expm1 = math.expm1
-    du = 1.0 / per_d
-    n = (n_periods + 1) * per_d + 1
-    kap = rho * du / 2.0
-    rho_du = rho * du
-    g = [0.0] * n
-    suf = [0.0] * n
-    z = 0.0
-    for i in range(1, n):
-        u = 1.0 - i * du
-        c = 1.0 - (u if u >= 0.0 else -u)
-        if c < 0.0:
-            c = 0.0
-        lo_idx = i - per_d
-        if lo_idx >= 1:
-            ssum = suf[i - 1] - suf[lo_idx - 1]
-            far = g[lo_idx]
-        else:
-            ssum = suf[i - 1]
-            far = 0.0
-        a = s * c + rho_du * (ssum - 0.5 * far)
-        if a > cap:
-            return False
-        z = a + kap * expm1(a)
-        if z > cap:
-            return False
-        z = a + kap * expm1(z)
-        if z > cap:
-            return False
-        z = a + kap * expm1(z)
-        if z > cap:
-            return False
-        gi = expm1(z)
-        g[i] = gi
-        suf[i] = suf[i - 1] + gi
-    return z < thresh
-
-
-@functools.lru_cache(maxsize=256)
-def criticality_exponent(rho) -> float:
-    """Dimensionless sojourn-tail decay exponent g(rho) of the M/D/1-PS queue.
-
-    gamma = g(rho) / D.  In virtual time the jobs sharing the server with
-    a tagged job form a self-exciting cluster with box kernel rho*1[0,1];
-    the tagged sojourn is 1 + sum of window overlaps c(p) = (1-|p|)+ over
-    cluster points p, and its exponential moment generating function is
-    finite exactly for s below the blow-up point of the fixed point
-    zeta(u) = s*c(u) + rho*Int_u^{u+1}(e^zeta(w) - 1) dw.  That critical
-    s is located by bisection on a backward march of the fixed point.
-    """
-    if not 0.0 < rho < 1.0:
-        raise OverloadError(f"rho={rho:.6g} outside (0, 1)",
-                            min_capacity_multiplier=rho if rho >= 1 else None)
-    branch = _stable_branch_root(rho)
-    thresh = 0.5 * min(branch, _MARCH_CAP)
-    n_periods = max(32, int(math.ceil(16.0 / branch)))
-    lo, hi = 1e-6, max(8.0, 2.0 * -math.log(rho))
-    if not _march_decays(rho, lo, _MARCH_GRID, n_periods, _MARCH_CAP, thresh):
-        raise NumericalError(f"march diverges at s={lo} for rho={rho}")
-    if _march_decays(rho, hi, _MARCH_GRID, n_periods, _MARCH_CAP, thresh):
-        raise NumericalError(f"march decays at s={hi} for rho={rho}")
-    for _ in range(_MARCH_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        if _march_decays(rho, mid, _MARCH_GRID, n_periods, _MARCH_CAP, thresh):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _lobatto(lo, hi, n):
     """The n Chebyshev-Lobatto points of [lo, hi], from hi down to lo."""
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -278,13 +185,15 @@ def _lobatto(lo, hi, n):
 
 
 # each piece's interpolation variable at its two ends
+_LIGHT_ENDS = (math.log(_G_RHO_FLOOR), math.log(_G_RHO_MIN))
 _LOW_ENDS = (math.log(_G_RHO_MIN), math.log(_G_RHO_SPLIT))
-_HIGH_ENDS = (math.log1p(-_G_RHO_SPLIT), math.log1p(-G_TABLE_RHO_MAX))
+_HIGH_ENDS = (math.log1p(-_G_RHO_SPLIT), math.log1p(-_G_RHO_MAX))
 
 
-def g_table_node_rhos(n_low, n_high):
-    """Loads at the nodes of the low and high pieces of the g table."""
-    return ([math.exp(t) for t in _lobatto(*_LOW_ENDS, n_low)],
+def g_table_node_rhos(n_light, n_low, n_high):
+    """Loads at the nodes of the light, low and high pieces of the g table."""
+    return ([math.exp(t) for t in _lobatto(*_LIGHT_ENDS, n_light)],
+            [math.exp(t) for t in _lobatto(*_LOW_ENDS, n_low)],
             [-math.expm1(t) for t in _lobatto(*_HIGH_ENDS, n_high)])
 
 
@@ -295,8 +204,13 @@ def _barycentric_piece(ends, values):
     return tuple(zip(_lobatto(*ends, n), weights, values))
 
 
+_LIGHT_PIECE = _barycentric_piece(_LIGHT_ENDS, H_LIGHT)
 _LOW_PIECE = _barycentric_piece(_LOW_ENDS, H_LOW)
 _HIGH_PIECE = _barycentric_piece(_HIGH_ENDS, H_HIGH)
+
+# above the table q(u) = (h - 1)/u, u = 1 - rho, is held at its value at
+# the last node: q falls only from 0.7206 at rho 0.995 to 0.7186 at 0.999
+_Q_HOLD = (H_HIGH[0] - 1.0) / (1.0 - _G_RHO_MAX)
 
 
 def _interpolate(piece, t) -> float:
@@ -314,15 +228,27 @@ def _interpolate(piece, t) -> float:
 def tail_exponent(rho) -> float:
     """g(rho) of the M/D/1-PS sojourn tail, gamma = g(rho) / D.
 
-    Barycentric interpolation of the g table on [0.01, G_TABLE_RHO_MAX],
-    within 1e-12 relative of criticality_exponent below rho 0.7707 and
-    within 5e-8 above it; the march itself outside the table.
+    Barycentric interpolation of the g table, against the march of
+    scripts/gen_g_table.py: within 1e-12 relative on [1e-6, 0.7707] and
+    within 5e-8 on (0.7707, 0.995], the size of the march's own steps
+    there.  Above 0.995, g = u*(1 + u*q) with u = 1 - rho and q held at
+    its last node: within 3e-6 of the march at rho 0.996 to 0.999, an
+    error of order u that vanishes as rho -> 1.  Below 1e-6, g is held
+    at its value at 1e-6; g falls as rho rises, so the held value
+    over-predicts delay.
     """
-    if _G_RHO_MIN <= rho <= _G_RHO_SPLIT:
-        return _interpolate(_LOW_PIECE, math.log(rho)) * (1.0 - rho)
-    if _G_RHO_SPLIT < rho <= G_TABLE_RHO_MAX:
+    if not 0.0 < rho < 1.0:
+        raise OverloadError(f"rho={rho:.6g} outside (0, 1)",
+                            min_capacity_multiplier=rho if rho >= 1 else None)
+    if rho > _G_RHO_MAX:
+        u = 1.0 - rho
+        return u * (1.0 + u * _Q_HOLD)
+    if rho > _G_RHO_SPLIT:
         return _interpolate(_HIGH_PIECE, math.log1p(-rho)) * (1.0 - rho)
-    return criticality_exponent(rho)
+    if rho >= _G_RHO_MIN:
+        return _interpolate(_LOW_PIECE, math.log(rho)) * (1.0 - rho)
+    rho = max(rho, _G_RHO_FLOOR)
+    return _interpolate(_LIGHT_PIECE, math.log(rho)) * (1.0 - rho)
 
 
 def psi_coefficient(lambda_beta, rho, gamma) -> float:

@@ -31,6 +31,7 @@ counterpart of the analytic delay model in :mod:`miotcore.delay`.
 """
 
 import itertools
+import math
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -333,10 +334,10 @@ def run_bearer_simulation(
     profile_map = template.validate_against(profiles)
     if n_enb < 1 or n_sgw < 1:
         raise ConfigurationError("n_enb and n_sgw must be at least 1")
-    if link_latency_s < 0.0:
-        raise ConfigurationError("link_latency_s must be non-negative")
-    if encryption_ops < 0.0:
-        raise ConfigurationError("encryption_ops must be non-negative")
+    if not 0.0 <= link_latency_s < math.inf:
+        raise ConfigurationError("link_latency_s must be non-negative and finite")
+    if not 0.0 <= encryption_ops < math.inf:
+        raise ConfigurationError("encryption_ops must be non-negative and finite")
 
     arrivals = np.asarray(stream.timestamps, dtype=float)
     if horizon_s is None:

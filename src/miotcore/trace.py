@@ -235,8 +235,9 @@ def window_and_fit(stream, window_length_s):
     with fewer than KS_MIN_SAMPLES gaps are flagged.  A span of more than
     MAX_WINDOWS windows raises ConfigurationError before any is built.
     """
-    if not window_length_s > 0.0:
-        raise ValueError(f"window_length_s must be positive, got {window_length_s!r}")
+    if not 0.0 < window_length_s < math.inf:
+        raise ValueError(
+            f"window_length_s must be positive and finite, got {window_length_s!r}")
     ts = np.asarray(stream.timestamps, dtype=float)
     if ts.size == 0:
         return []

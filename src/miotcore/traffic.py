@@ -57,8 +57,8 @@ class TrafficParams:
         if self.n_slots < 100:
             raise ValueError(
                 f"slot grid too coarse: n_slots={self.n_slots}, need >= 100")
-        if self.regular_rate_epsilon < 0:
-            raise ValueError("regular_rate_epsilon must be >= 0")
+        if not 0.0 <= self.regular_rate_epsilon < math.inf:
+            raise ValueError("regular_rate_epsilon must be non-negative and finite")
         if self.tx_probability is None:
             object.__setattr__(
                 self, "tx_probability", 1.0 - math.exp(-self.alarm_rate_lambda))
@@ -84,8 +84,8 @@ class SourcePopulation:
         if self.offsets_s is not None:
             if len(self.offsets_s) != self.n_groups:
                 raise ValueError("need one offset per group")
-            if min(self.offsets_s) < 0.0:
-                raise ValueError("offsets must be >= 0")
+            if not all(0.0 <= w < math.inf for w in self.offsets_s):
+                raise ValueError("offsets must be non-negative and finite")
 
     @property
     def q_total(self) -> int:

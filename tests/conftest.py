@@ -1,4 +1,11 @@
-"""Shared fixtures: the stock entity profiles and seeded arrival helpers."""
+"""Shared fixtures: the stock entity profiles and seeded arrival helpers.
+
+scripts/ goes on the import path, so that tests can take the criticality
+march, the oracle of the g table, from scripts/gen_g_table.py.
+"""
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +13,8 @@ from hypothesis import settings
 
 from miotcore.config import DEFAULT_ENTITY_PROFILES
 from miotcore.traffic import EventStream
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 
 # Property tests replay the same examples on every run and carry no time
 # limit per example, so a slow or busy host cannot make them flake.

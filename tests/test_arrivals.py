@@ -182,6 +182,21 @@ def test_erlang_mixture_weights_and_truncation():
         ErlangMixture(stage_rate=1.0, z_max=0)
 
 
+@pytest.mark.parametrize("p, z_max", [(0.05, 300), (1.0 - math.exp(-1.0), 100), (0.5, 1)])
+def test_fbeta_mixture_erlang_cdf_matches_gammainc(p, z_max):
+    # with p = 0.05 stage 300 still weighs 1e-8, so every stage's numpy
+    # Erlang CDF is seen; x runs from 0 to 2e300 without overflow
+    mix = ErlangMixture(stage_rate=2.0, success_probability=p, z_max=z_max)
+    tau = np.concatenate(([0.0], np.logspace(-9, 8, 400), [1e300]))
+    z = np.arange(1, z_max + 1, dtype=np.float64)
+    want = mix.weights() @ special.gammainc(z[:, None], mix.stage_rate * tau[None, :])
+    got = fbeta_mixture(tau, mix)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - want)) < 1e-13
+    assert got[0] == 0.0
+    assert fbeta_mixture(0.0, mix) == 0.0
+
+
 def test_fbeta_mixture_equals_closed_form():
     # geometric thinning of Poisson alarm epochs: the Erlang mixture
     # collapses to Exp(p * lambda_alpha) exactly

@@ -264,6 +264,26 @@ def test_non_finite_config_float_exits_2(tmp_path, capsys, field, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option, message", [
+    ("--percentile", "p must be in (0, 1)"),
+    ("--window-length", "window_length_s must be positive and finite"),
+], ids=["percentile", "window-length"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_float_option_exits_2(tmp_path, cfg, capsys, option, message, value):
+    # an infinite window length used to fail only through TraceWindow,
+    # whose start and end were both 0 * inf = nan
+    trace = tmp_path / "trace.csv"
+    EventStream(0.5 * np.arange(1, 200)).save_csv(trace)
+    command = ["predict"] if option == "--percentile" else ["scale", "--trace", str(trace)]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(command + ["--config", cfg, "--out", str(out), option, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid parameter: {message}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not list(out.iterdir())
+
+
 def test_source_id_outside_int64_is_a_malformed_row(tmp_path, cfg, capsys):
     trace = tmp_path / "ids.csv"
     trace.write_text("timestamp_s,source_id\n1.0,99999999999999999999\n" + "".join(

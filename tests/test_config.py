@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
+from miotcore.autoscale import ScalingPolicy
 from miotcore.config import (
     DEFAULT_ENTITY_PROFILES,
     DEFAULT_N_GROUPS,
@@ -15,7 +16,10 @@ from miotcore.config import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from miotcore.delay import EntityProfile
 from miotcore.errors import ConfigurationError
+from miotcore.simulator import default_bearer_template, run_bearer_simulation
+from miotcore.traffic import EventStream, SourcePopulation, TrafficParams
 
 MINIMAL = {"traffic": {"period_s": 10.0, "q_total": 1000}}
 
@@ -130,6 +134,40 @@ def test_non_finite_float_is_refused(path, value):
     with pytest.raises(ConfigurationError,
                        match="^" + re.escape(f"{_dotted(path)}: expected a finite number")):
         scenario_from_dict(doc)
+
+
+def _walk(**kwargs):
+    stream = EventStream(np.array([1.0]), np.array([0]))
+    template = default_bearer_template(DEFAULT_ENTITY_PROFILES)
+    return run_bearer_simulation(stream, template, DEFAULT_ENTITY_PROFILES,
+                                 horizon_s=2.0, **kwargs)
+
+
+# library callers that skip scenario_from_dict reach these checks directly;
+# each used to let NaN through, as every comparison with NaN is false
+@pytest.mark.parametrize("build, error", [
+    (lambda: EntityProfile("MME", math.nan, 1e4), ConfigurationError),
+    (lambda: EntityProfile("MME", math.inf, 1e4), ConfigurationError),
+    (lambda: EntityProfile("MME", 9.0, math.nan), ConfigurationError),
+    (lambda: EntityProfile("MME", 9.0, math.inf), ConfigurationError),
+    (lambda: ScalingPolicy(multipliers=(1.0, math.nan)), ConfigurationError),
+    (lambda: ScalingPolicy(multipliers=(1.0, math.inf)), ConfigurationError),
+    (lambda: ScalingPolicy(target_delay_s=math.inf), ConfigurationError),
+    (lambda: _walk(link_latency_s=math.nan), ConfigurationError),
+    (lambda: _walk(link_latency_s=math.inf), ConfigurationError),
+    (lambda: _walk(encryption_ops=math.nan), ConfigurationError),
+    (lambda: _walk(encryption_ops=math.inf), ConfigurationError),
+    (lambda: TrafficParams(regular_rate_epsilon=math.nan), ValueError),
+    (lambda: TrafficParams(regular_rate_epsilon=math.inf), ValueError),
+    (lambda: SourcePopulation(1, 2, offsets_s=(1.0, math.nan)), ValueError),
+    (lambda: SourcePopulation(1, 2, offsets_s=(1.0, math.inf)), ValueError),
+], ids=["ops-nan", "ops-inf", "capacity-nan", "capacity-inf", "multiplier-nan",
+        "multiplier-inf", "target-inf", "latency-nan", "latency-inf",
+        "encryption-nan", "encryption-inf", "epsilon-nan", "epsilon-inf",
+        "offset-nan", "offset-inf"])
+def test_library_constructor_refuses_non_finite(build, error):
+    with pytest.raises(error, match="finite"):
+        build()
 
 
 def test_slot_grid_past_max_slots_is_refused():

@@ -2,12 +2,13 @@
 
 The g(rho) reference values below were computed independently with a
 five-times-finer backward march (2500 grid points per service time) and
-are frozen here as regression oracles; the packaged solver runs at 500
-points per service time and must stay within 5e-5 relative.  The g table
-that the model reads is checked against the packaged march itself.
+are frozen here as regression oracles; the march of scripts/gen_g_table.py
+runs at 500 points per service time and must stay within 5e-5 relative.
+The g table that the model reads is checked against that march itself.
 """
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -16,13 +17,11 @@ import pytest
 from miotcore.delay import (
     ENTITY_MME,
     ENTITY_NAMES,
-    G_TABLE_RHO_MAX,
     DelayModelParams,
     EntityProfile,
     build_delay_model,
     check_mme_dominance,
     constant_delay_K,
-    criticality_exponent,
     delay_percentile,
     delay_survival,
     g_table_node_rhos,
@@ -31,8 +30,10 @@ from miotcore.delay import (
     save_survival_csv,
     tail_exponent,
 )
-from miotcore._g_table import H_HIGH, H_LOW
+from miotcore._g_table import H_HIGH, H_LIGHT, H_LOW
 from miotcore.errors import ConfigurationError, NumericalError, OverloadError
+
+from gen_g_table import criticality_exponent
 
 # independently marched blow-up points g(rho) of the virtual-time cluster
 # fixed point; gamma = g(rho) / D
@@ -55,6 +56,14 @@ G_TABLE = {
     0.85: 0.1679383,
     0.90: 0.1076883,
     0.95: 0.0518565,
+}
+
+# g(rho) above the g table from the march of scripts/gen_g_table.py,
+# frozen because the march there takes 20 s to over a minute per load
+G_ABOVE_TABLE = {
+    0.996: 0.00401152210405439,
+    0.998: 0.00200287665045781,
+    0.999: 0.0010007186374786903,
 }
 
 # stock scenario: Q = 10^4 sources, T = 10 s, MME at 10^4 ops/s
@@ -137,8 +146,9 @@ def test_closed_form_gamma_consistency(profiles):
     assert gamma == pytest.approx(GAMMA, rel=1e-9)
     # gamma solves the characteristic gamma * D - g(rho) = 0 of the march
     assert abs(gamma * D_MME - criticality_exponent(RHO)) < 1e-8
-    with pytest.raises(OverloadError):
-        tail_exponent(2000.0 * D_MME)
+    for rho in (0.0, 1.0, 2000.0 * D_MME, math.nan):
+        with pytest.raises(OverloadError):
+            tail_exponent(rho)
     with pytest.raises(OverloadError):
         build_delay_model(2000.0, profiles)
     with pytest.raises(ValueError):
@@ -159,12 +169,55 @@ def test_g_table_matches_march_off_nodes():
 
 def test_g_table_nodes_equal_march():
     # drift guard: the committed table was generated from this march
-    low, high = g_table_node_rhos(len(H_LOW), len(H_HIGH))
-    assert high[0] == pytest.approx(G_TABLE_RHO_MAX, rel=1e-15)
-    for rho, h in ((low[20], H_LOW[20]), (low[40], H_LOW[40]),
+    light, low, high = g_table_node_rhos(len(H_LIGHT), len(H_LOW), len(H_HIGH))
+    assert light[-1] == pytest.approx(1e-6, rel=1e-13)
+    assert high[0] == pytest.approx(0.995, rel=1e-15)
+    for rho, h in ((light[0], H_LIGHT[0]), (light[10], H_LIGHT[10]),
+                   (low[20], H_LOW[20]), (low[40], H_LOW[40]),
                    (high[-2], H_HIGH[-2])):
         assert rho <= 0.95
         assert criticality_exponent(rho) / (1.0 - rho) == h, rho
+
+
+def test_light_piece_matches_march_off_nodes():
+    for rho in (2e-6, 3e-5, 4e-4, 5e-3):
+        assert tail_exponent(rho) == pytest.approx(
+            criticality_exponent(rho), rel=1e-12), rho
+
+
+def test_g_above_the_table_holds_q():
+    # g = u * (1 + u * q) with u = 1 - rho and q held at its last node
+    for rho, g in G_ABOVE_TABLE.items():
+        assert tail_exponent(rho) == pytest.approx(g, rel=1e-5), rho
+    u = 1.0 - math.nextafter(1.0, 0.0)
+    assert tail_exponent(1.0 - u) == pytest.approx(u, rel=1e-15)
+
+
+def test_g_below_the_floor_is_held():
+    # g falls as rho rises, so the held value over-predicts delay
+    floor = tail_exponent(1e-6)
+    for rho in (1e-7, 1e-8, 1e-300, 5e-324):
+        assert tail_exponent(rho) == floor, rho
+    for rho in (1e-7, 1e-8):
+        assert floor <= criticality_exponent(rho), rho
+
+
+def test_g_continuous_at_piece_joints():
+    for joint in (1e-6, 0.01, 0.7707, 0.995):
+        below = tail_exponent(joint * (1.0 - 1e-13))
+        above = tail_exponent(joint * (1.0 + 1e-13))
+        assert above == pytest.approx(below, rel=1e-11), joint
+
+
+def test_build_delay_model_at_extreme_loads_reads_the_table(profiles):
+    # a march costs 0.3 s per load below rho 0.01 and minutes near 1;
+    # the table answers in microseconds at every load
+    for rho in (1e-5, 0.9999):
+        start = time.perf_counter()
+        model = build_delay_model(rho / D_MME, profiles)
+        assert time.perf_counter() - start < 0.05, rho
+        assert model.gamma == pytest.approx(tail_exponent(model.rho) / D_MME, rel=1e-15)
+        assert model.psi > 0.0 and math.isfinite(delay_percentile(0.99, model))
 
 
 def test_gamma_monotone_decreasing_in_load(profiles):
