@@ -1,10 +1,12 @@
 """Inter-arrival analysis for merged bearer-request streams.
 
-Starting from the per-source alarm hazard, this module evaluates the
-exact conditional CDF of the time to the next request (per source and
-for the merged system), its large-population exponential limit, and the
-Erlang-mixture form of the inter-request distribution, plus
-Kolmogorov-Smirnov tooling to compare models against sampled gaps.
+Starting from the generator's own slot hazard (traffic.slot_phases and
+traffic.cumulative_hazard), this module evaluates the exact conditional
+CDF of the lag to the next alarm, per source and for the merged system,
+and the Erlang-mixture inter-request law with its exponential closed
+form, plus Kolmogorov-Smirnov tooling to compare models against sampled
+gaps.  tests/test_arrivals.py checks the exact system law against
+generate_requests streams at finite Q.
 
 Everything here is numpy and the standard library only; scipy serves
 the tests alone, as the oracle of the Erlang CDF and the KS statistic.
@@ -15,8 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .traffic import TX_PROBABILITY_DEFAULT, TrafficParams, beta_pdf
-from .traffic import _prefix as _cumulative_hazard
+from .traffic import (
+    TX_PROBABILITY_DEFAULT,
+    TrafficParams,
+    cumulative_hazard,
+    slot_phases,
+)
 
 # asymptotic two-sided KS critical values need a healthy sample
 KS_MIN_SAMPLES = 50
@@ -26,26 +32,6 @@ KS_SIGNIFICANCE = 0.01
 
 # the Kolmogorov quantile at KS_SIGNIFICANCE: scipy.special.kolmogi(0.01)
 KS_CRITICAL_C = 1.6276236115189504
-
-
-@dataclass(frozen=True)
-class ArrivalRates:
-    """Alarm and request rates of a population of Q sources.
-
-    lambda_alpha is the offset-averaged alarm rate Q/T; given the clock
-    position t it sharpens to lambda_alpha_given_t = sum_q f(s_q(t, w_q));
-    thinning by the transmission probability gives lambda_beta.
-    """
-
-    lambda_alpha: float
-    lambda_alpha_given_t: float
-    lambda_beta: float
-
-    def __post_init__(self):
-        if min(self.lambda_alpha, self.lambda_beta) <= 0.0:
-            raise ValueError("rates must be positive")
-        if self.lambda_alpha_given_t < 0.0:
-            raise ValueError("conditional rate must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -91,11 +77,6 @@ def bearer_request_rate(q_total, period_s,
     return q_total * tx_probability / period_s
 
 
-def _offsets_in_slots(offsets_s, params: TrafficParams) -> np.ndarray:
-    off = np.asarray(offsets_s, dtype=np.float64)
-    return (off / params.slot_delta_s).astype(np.int64) % params.n_slots
-
-
 def _as_lags(m) -> np.ndarray:
     m_arr = np.asarray(m)
     if not np.issubdtype(m_arr.dtype, np.integer):
@@ -106,13 +87,13 @@ def _as_lags(m) -> np.ndarray:
 
 
 def _survival_exponent(m, start_slot, params: TrafficParams):
-    """Cumulative hazard over slots start+1 .. start+m (wrapping)."""
-    prefix, phi = _cumulative_hazard(params)
-    n = params.n_slots
-    y = np.asarray(m, dtype=np.int64) + int(start_slot)
-    a_end = (y // n) * phi + prefix[y % n]
-    a_start = (start_slot // n) * phi + prefix[start_slot % n]
-    return a_end - a_start
+    """Cumulative hazard over slots start+1 .. start+m (wrapping).
+
+    m is an int64 array and start_slot an int, as _as_lags and the callers
+    make them.
+    """
+    return (cumulative_hazard(m + start_slot, params)
+            - cumulative_hazard(start_slot, params))
 
 
 def falpha_q_discrete(m, k, offset, params: TrafficParams,
@@ -152,7 +133,7 @@ def falpha_system_discrete(m, k, population, params: TrafficParams,
     m_arr = _as_lags(m)
     if not 0 <= k < params.n_slots:
         raise ValueError(f"slot k out of [0, {params.n_slots})")
-    offs = _offsets_in_slots(population.offsets_s, params)
+    offs = slot_phases(population.offsets_s, params)
     total = np.zeros(m_arr.shape, dtype=np.float64)
     for g, off in enumerate(offs):
         s = (int(k) + int(off)) % params.n_slots
@@ -165,37 +146,6 @@ def falpha_system_discrete(m, k, population, params: TrafficParams,
             total = total + count * expo
     out = -np.expm1(-total)
     return float(out) if np.ndim(m) == 0 else out
-
-
-def arrival_rates(t, offsets_s, q_total, period_s,
-                  tx_probability=TX_PROBABILITY_DEFAULT) -> ArrivalRates:
-    """Alarm rates of the population at clock time t.
-
-    lambda_alpha = Q/T; lambda_alpha_given_t = sum_q f(mod(t + w_q, T));
-    lambda_beta = tx_probability * lambda_alpha.
-    """
-    offs = np.asarray(offsets_s, dtype=np.float64)
-    if q_total % len(offs) != 0:
-        raise ValueError("offsets must divide the population evenly")
-    per_offset = q_total // len(offs)
-    positions = np.mod(t + offs, period_s)
-    lam_t = per_offset * float(np.sum(beta_pdf(positions, period_s)))
-    lam_alpha = q_total / period_s
-    return ArrivalRates(lam_alpha, lam_t, tx_probability * lam_alpha)
-
-
-def falpha_exponential(tau, t, offsets_s, q_total, period_s):
-    """Exponential-limit CDF 1 - exp(-lambda_{alpha|t} * tau).
-
-    The rate is the instantaneous population alarm rate at clock time t,
-    sum_q f(mod(t + w_q, T)).
-    """
-    tau_arr = np.asarray(tau, dtype=np.float64)
-    if np.any(tau_arr < 0.0):
-        raise ValueError("tau must be >= 0")
-    rates = arrival_rates(t, offsets_s, q_total, period_s)
-    out = -np.expm1(-rates.lambda_alpha_given_t * tau_arr)
-    return float(out) if np.ndim(tau) == 0 else out
 
 
 def fbeta_mixture(tau, mix: ErlangMixture):
@@ -221,18 +171,13 @@ def fbeta_mixture(tau, mix: ErlangMixture):
     return float(out) if np.ndim(tau) == 0 else out
 
 
-def fbeta_closed_form(tau, q_total, period_s):
-    """Closed-form inter-request CDF 1 - exp(-lambda_beta * tau).
+def exponential_cdf(rate, tau):
+    """Exponential CDF 1 - exp(-rate * tau) at tau >= 0.
 
-    lambda_beta = Q * (1 - e^-1) / T, the thinned offset-averaged alarm
-    rate; exact in the independent-offset large-Q limit.
+    At rate lambda_beta = Q * tx_probability / T it is the closed-form
+    inter-request law, the large-Q limit of the merged stream.
     """
-    tau_arr = np.asarray(tau, dtype=np.float64)
-    if np.any(tau_arr < 0.0):
-        raise ValueError("tau must be >= 0")
-    lam = bearer_request_rate(q_total, period_s)
-    out = -np.expm1(-lam * tau_arr)
-    return float(out) if np.ndim(tau) == 0 else out
+    return -np.expm1(-rate * np.asarray(tau, dtype=np.float64))
 
 
 def ks_distance(samples, model_cdf) -> float:

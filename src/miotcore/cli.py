@@ -15,6 +15,7 @@ resolved configuration, the seed, and the produced files.  Exit codes:
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -23,7 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .arrivals import ks_distance, ks_report
+from .arrivals import exponential_cdf, ks_distance, ks_report
 from .autoscale import run_scaling_loop, save_decision_log
 from .config import load_scenario, scenario_to_dict
 from .csvio import write_csv
@@ -119,26 +120,26 @@ def _empirical_cdf(sorted_values, grid):
 
 def cmd_validate_arrivals(args):
     scenario = _require_config(args)
-    out = _out_dir(args)
     if args.stream:
         stream, report = parse_trace(args.stream)
         print(f"parsed {args.stream}: {report.text()}")
     else:
         stream = next(iter(_replication_streams(scenario, args.seed, 1)))
     gaps = np.sort(stream.gaps())
+    if gaps.size < 2:
+        error = TraceFormatError if args.stream else ConfigurationError
+        raise error(f"the stream has {len(stream)} requests; "
+                    "a KS test needs at least 3 (2 gaps)")
+    out = _out_dir(args)
     lam = scenario.lambda_beta()
-
-    def model_cdf(x):
-        return -np.expm1(-lam * np.asarray(x, dtype=float))
-
+    model_cdf = functools.partial(exponential_cdf, lam)
     grid = np.linspace(0.0, 10.0 / lam, 512)
     curve_path = os.path.join(out, "arrival_cdf.csv")
     write_csv(curve_path, ["tau_s", "empirical_cdf", "model_cdf"],
               grid, _empirical_cdf(gaps, grid), model_cdf(grid))
 
     lines = [f"n_gaps: {gaps.size}", f"model_rate_per_s: {lam!r}"]
-    d = ks_distance(gaps, model_cdf) if gaps.size >= 2 else float("nan")
-    lines += ks_report(d, gaps.size)
+    lines += ks_report(ks_distance(gaps, model_cdf), gaps.size)
     report_path = os.path.join(out, "ks_report.txt")
     with open(report_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .arrivals import KS_MIN_SAMPLES, ks_critical_value, ks_distance
+from .arrivals import KS_MIN_SAMPLES, exponential_cdf, ks_critical_value, ks_distance
 from .csvio import write_csv
 from .errors import ConfigurationError, TraceFormatError
 from .traffic import EventStream, poisson_arrivals
@@ -214,7 +214,7 @@ def _fit_window(start, end, ts):
         if total > 0.0:
             rate = (ts.size - 1) / total
             if gaps.size >= 2:
-                ks = ks_distance(gaps, lambda x, r=rate: -np.expm1(-r * np.asarray(x)))
+                ks = ks_distance(gaps, lambda x: exponential_cdf(rate, x))
     return TraceWindow(
         start_s=float(start),
         end_s=float(end),

@@ -177,16 +177,6 @@ def beta_pmf(n, params):
     return float(out) if np.isscalar(n) else out
 
 
-def beta_pdf(x, period_s):
-    """Continuous alarm density 60*(x/T)^2 * (1-x/T)^3 / T on [0, T]."""
-    x_arr = np.asarray(x)
-    if np.any(x_arr < 0) or np.any(x_arr > period_s):
-        raise ValueError(f"x out of [0, {period_s}]")
-    u = x_arr / period_s
-    out = 60.0 * u**2 * (1.0 - u) ** 3 / period_s
-    return float(out) if np.isscalar(x) else out
-
-
 @functools.lru_cache(maxsize=8)
 def _prefix(params: TrafficParams):
     """Cumulative -ln(1-f) over one period: P[0..N], and the period total.
@@ -206,6 +196,29 @@ def _prefix(params: TrafficParams):
         h[0] += prefix[lo - 1]
         np.cumsum(h, out=prefix[lo:hi])
     return prefix, float(prefix[-1])
+
+
+def slot_phases(offsets_s, params: TrafficParams) -> np.ndarray:
+    """Slot phase of each group offset: offset / slot_delta_s, truncated, mod N.
+
+    Offsets must lie in [0, period_s); any other value, NaN included,
+    raises ValueError rather than wrapping round the period.
+    """
+    offs = np.asarray(offsets_s, dtype=np.float64)
+    if not np.all((offs >= 0.0) & (offs < params.period_s)):
+        raise ValueError("offsets must lie in [0, period_s)")
+    return (offs / params.slot_delta_s).astype(np.int64) % params.n_slots
+
+
+def cumulative_hazard(y, params: TrafficParams):
+    """Cumulative -ln(1-f) over absolute slots 1..y, across period wraps.
+
+    H(y) = (y // N) * phi + prefix[y % N] for integer y >= 0, with phi the
+    hazard of one whole period; H(b) - H(a) is the hazard of slots a+1..b.
+    """
+    prefix, phi = _prefix(params)
+    n_slots = params.n_slots
+    return (y // n_slots) * phi + prefix[y % n_slots]
 
 
 def _slots_from_targets(prefix, phi, n_slots, targets):
@@ -234,18 +247,14 @@ def generate_requests(population: SourcePopulation, params: TrafficParams,
     n_slots = params.n_slots
     delta = params.slot_delta_s
 
-    if population.offsets_s is None:
+    offsets_s = population.offsets_s
+    if offsets_s is None:
         offsets_s = rng.uniform(0.0, params.period_s, size=population.n_groups)
-    else:
-        offsets_s = np.asarray(population.offsets_s, dtype=np.float64)
-        if np.any(offsets_s >= params.period_s):
-            raise ValueError("offsets must lie in [0, period_s)")
-    group_phase = (offsets_s / delta).astype(np.int64) % n_slots
-    phase = np.repeat(group_phase, population.group_size)
+    phase = np.repeat(slot_phases(offsets_s, params), population.group_size)
 
     q_total = population.q_total
     # cumulative hazard consumed so far, in shifted (per-source) coordinates
-    base = prefix[phase % n_slots].copy()
+    base = cumulative_hazard(phase, params)
     alive = np.ones(q_total, dtype=bool)
 
     times, ids = [], []
@@ -264,9 +273,7 @@ def generate_requests(population: SourcePopulation, params: TrafficParams,
         times.append(t_alarm[live][emit])
         ids.append(idx[live][emit])
         # forced Regular at the slot after the alarm: hazard resumes at +2
-        y_resume = y_live + 1
-        base[idx[live]] = ((y_resume // n_slots) * phi
-                           + prefix[y_resume % n_slots])
+        base[idx[live]] = cumulative_hazard(y_live + 1, params)
 
     if params.regular_rate_epsilon > 0.0:
         counts = rng.poisson(params.regular_rate_epsilon * horizon_s, size=q_total)

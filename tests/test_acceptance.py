@@ -28,8 +28,8 @@ from conftest import poisson_stream
 from miotcore.arrivals import (
     ErlangMixture,
     bearer_request_rate,
+    exponential_cdf,
     falpha_q_discrete,
-    fbeta_closed_form,
     fbeta_mixture,
     ks_critical_value,
     ks_distance,
@@ -70,7 +70,7 @@ def test_criterion_1_merged_gaps_are_exponential():
         gaps = stream.gaps()
         assert gaps.size >= 100_000
         lam = bearer_request_rate(pop.q_total, PERIOD_S)
-        ks = ks_distance(gaps, lambda x: -np.expm1(-lam * np.asarray(x)))
+        ks = ks_distance(gaps, lambda x: exponential_cdf(lam, x))
         assert ks <= bound, (n_groups, ks)
         print(f"CRITERION 1 PASS: {n_groups} groups x 50 sources, "
               f"{gaps.size} gaps, KS vs Exp({lam:.2f}/s) = {ks:.4f} "
@@ -84,8 +84,7 @@ def test_criterion_2_erlang_mixture_matches_closed_form():
     lam_beta = bearer_request_rate(q_total, PERIOD_S)
     mix = ErlangMixture(stage_rate=lam_alpha, z_max=100)
     tau = np.linspace(0.0, 10.0 / lam_beta, 1000)
-    gap = np.max(np.abs(fbeta_mixture(tau, mix)
-                        - fbeta_closed_form(tau, q_total, PERIOD_S)))
+    gap = np.max(np.abs(fbeta_mixture(tau, mix) - exponential_cdf(lam_beta, tau)))
     assert gap <= 1e-9
     assert mix.truncation_bound <= 1e-9
     print(f"CRITERION 2 PASS: 100-stage Erlang mixture vs "

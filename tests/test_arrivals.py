@@ -11,20 +11,17 @@ from miotcore.arrivals import (
     KS_CRITICAL_C,
     KS_MIN_SAMPLES,
     KS_SIGNIFICANCE,
-    ArrivalRates,
     ErlangMixture,
-    arrival_rates,
     bearer_request_rate,
-    falpha_exponential,
+    exponential_cdf,
     falpha_q_discrete,
     falpha_system_discrete,
-    fbeta_closed_form,
     fbeta_mixture,
     ks_critical_value,
     ks_distance,
     ks_report,
 )
-from miotcore.traffic import SourcePopulation, TrafficParams, beta_pmf
+from miotcore.traffic import SourcePopulation, TrafficParams, beta_pmf, generate_requests
 
 SMALL = TrafficParams(period_s=10.0, slot_delta_s=0.05)  # 200 slots
 
@@ -135,33 +132,89 @@ def test_falpha_system_transmitter_group_is_forced():
         falpha_system_discrete(m, 0, no_offsets, SMALL)
 
 
-def test_arrival_rates_hand_values():
-    from miotcore.traffic import beta_pdf
-
-    rates = arrival_rates(0.0, (2.5, 5.0), 10, 10.0)
-    assert rates.lambda_alpha == 1.0
-    assert rates.lambda_beta == pytest.approx(
-        (1.0 - math.exp(-1.0)) * 1.0, rel=1e-13)
-    expect = 5 * (beta_pdf(2.5, 10.0) + beta_pdf(5.0, 10.0))
-    assert rates.lambda_alpha_given_t == pytest.approx(expect, rel=1e-12)
-    # clock positions wrap modulo the period
-    wrapped = arrival_rates(10.0, (2.5, 5.0), 10, 10.0)
-    assert wrapped.lambda_alpha_given_t == pytest.approx(expect, rel=1e-12)
-    with pytest.raises(ValueError):
-        arrival_rates(0.0, (2.5, 5.0, 7.5), 10, 10.0)  # 10 % 3 != 0
-    with pytest.raises(ValueError):
-        ArrivalRates(0.0, 1.0, 1.0)
+def test_offsets_outside_the_period_are_refused():
+    # an offset of 12 s on a 10 s period is an error, not 2 s, for the
+    # exact law and the generator alike
+    m = np.arange(1, 50)
+    for offsets in ((12.0,), (10.0,), (2.0, 10.5)):
+        pop = SourcePopulation(group_size=2, n_groups=len(offsets), offsets_s=offsets)
+        with pytest.raises(ValueError, match=r"offsets must lie in \[0, period_s\)"):
+            falpha_system_discrete(m, 0, pop, SMALL)
+        with pytest.raises(ValueError, match=r"offsets must lie in \[0, period_s\)"):
+            generate_requests(pop, SMALL, 20.0, seed=0)
+    inside = SourcePopulation(group_size=2, n_groups=2, offsets_s=(0.0, 9.99))
+    assert falpha_system_discrete(m, 0, inside, SMALL).shape == m.shape
 
 
-def test_falpha_exponential_form():
-    tau = np.linspace(0.0, 0.05, 7)
-    offs = (0.0, 1.0, 4.0, 9.0)
-    got = falpha_exponential(tau, 3.0, offs, 400, 10.0)
-    lam = arrival_rates(3.0, offs, 400, 10.0).lambda_alpha_given_t
-    assert np.allclose(got, 1.0 - np.exp(-lam * tau), rtol=0.0, atol=1e-14)
-    assert falpha_exponential(0.0, 3.0, offs, 400, 10.0) == 0.0
-    with pytest.raises(ValueError):
-        falpha_exponential(-0.1, 3.0, offs, 400, 10.0)
+# the finite-Q population of the differential tests: Q = 10 sources, each
+# alarm a request, so the exact laws describe the generated stream itself
+DIFF_POP = SourcePopulation(group_size=5, n_groups=2, offsets_s=(2.5, 6.0))
+
+
+def _discrete_ks(lags, cdf):
+    """sup_m |ECDF(m) - F(m)| for integer lags, with cdf[i] = F(i + 1).
+
+    Both CDFs are steps at the integers, so their largest gap is at an
+    integer; ks_distance would also compare F(m) with the ECDF just below
+    m, which on a coarse grid reads a whole slot's jump of F as a gap.
+    """
+    assert lags.min() >= 1 and lags.max() <= cdf.size
+    ecdf = np.cumsum(np.bincount(lags, minlength=cdf.size + 1)[1:]) / lags.size
+    return float(np.max(np.abs(ecdf - cdf)))
+
+
+def _request_slots(stream, params):
+    return np.rint(stream.timestamps / params.slot_delta_s).astype(np.int64)
+
+
+def test_generator_matches_the_exact_system_law_at_finite_q():
+    # the lag from clock slot k to the next request, once per period, is
+    # distributed as falpha_system_discrete(., k); the same sample must
+    # reject the law of a clock half a period away and of mirrored offsets
+    params = TrafficParams(period_s=10.0, slot_delta_s=1e-3, tx_probability=1.0)
+    n_periods, n = 4000, params.n_slots
+    stream = generate_requests(DIFF_POP, params, n_periods * params.period_s, seed=123)
+    slots = _request_slots(stream, params)
+    mirrored = SourcePopulation(group_size=5, n_groups=2, offsets_s=(7.5, 4.0))
+    m = np.arange(1, 3 * n)
+    crit = ks_critical_value(n_periods - 1)
+    for k in (0, 3000, 7000):
+        anchors = np.arange(n_periods - 1) * n + k
+        lags = slots[np.searchsorted(slots, anchors, side="right")] - anchors
+        d = _discrete_ks(lags, falpha_system_discrete(m, k, DIFF_POP, params))
+        assert d < crit, (k, d, crit)  # 0.0091, 0.0119, 0.0118 < 0.0257
+        if k == 3000:
+            late = falpha_system_discrete(m, k + 500, DIFF_POP, params)
+            assert _discrete_ks(lags, late) > crit  # 0.072
+            wrong = falpha_system_discrete(m, k, mirrored, params)
+            assert _discrete_ks(lags, wrong) > crit  # 0.120
+
+
+def test_generator_matches_the_exact_law_after_a_transmission():
+    # pooled over the requests of group g, the lag to the next request in a
+    # later slot follows the phase-weighted mixture of the law with one
+    # source of g forced Regular; the plain law and the other group's
+    # forced law must both fail on the same sample
+    params = TrafficParams(period_s=10.0, slot_delta_s=0.1, tx_probability=1.0)
+    n_periods, n = 20_000, params.n_slots
+    stream = generate_requests(DIFF_POP, params, n_periods * params.period_s, seed=123)
+    slots = _request_slots(stream, params)
+    group = stream.source_ids // DIFF_POP.group_size
+    m = np.arange(1, 3 * n)
+    laws = {tg: np.array([falpha_system_discrete(m, k, DIFF_POP, params,
+                                                 transmitter_group=tg)
+                          for k in range(n)])
+            for tg in (0, 1, None)}
+    for g in (0, 1):
+        at = slots[group == g]
+        nxt = np.searchsorted(slots, at, side="right")
+        keep = nxt < slots.size  # the last requests have no successor
+        at, lags = at[keep], slots[nxt[keep]] - at[keep]
+        weights = np.bincount(at % n, minlength=n) / at.size
+        crit = ks_critical_value(lags.size)
+        d = {tg: _discrete_ks(lags, weights @ law) for tg, law in laws.items()}
+        assert d[g] < crit, (g, d, crit)  # 0.0018-0.0022 < 0.0052
+        assert d[None] > crit and d[1 - g] > crit, (g, d, crit)  # 0.0148, 0.009
 
 
 def test_erlang_mixture_weights_and_truncation():
@@ -206,10 +259,11 @@ def test_fbeta_mixture_equals_closed_form():
     lam_beta = bearer_request_rate(q_total, period)
     tau = np.linspace(0.0, 10.0 / lam_beta, 101)
     got = fbeta_mixture(tau, mix)
-    want = fbeta_closed_form(tau, q_total, period)
+    want = exponential_cdf(lam_beta, tau)
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
     assert got[0] == 0.0
     assert np.all(np.diff(got) > 0.0)
+    assert exponential_cdf(2.0, 0.5) == pytest.approx(-math.expm1(-1.0), rel=1e-15)
     with pytest.raises(ValueError):
         fbeta_mixture(np.array([-1.0]), mix)
 

@@ -284,6 +284,37 @@ def test_non_finite_float_option_exits_2(tmp_path, cfg, capsys, option, message,
     assert not list(out.iterdir())
 
 
+@pytest.mark.parametrize("n_rows", [1, 2])
+def test_validate_arrivals_refuses_a_stream_of_fewer_than_2_gaps(
+        tmp_path, cfg, capsys, n_rows):
+    # a KS test of one gap or none used to exit 0 with nan in every
+    # empirical_cdf row, or ks_distance: nan
+    trace = tmp_path / "short.csv"
+    EventStream(0.5 * np.arange(1, n_rows + 1)).save_csv(trace)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(["validate-arrivals", "--config", cfg, "--out", str(out),
+                "--stream", str(trace)]) == 3
+    err = capsys.readouterr().err
+    assert err == (f"input error: the stream has {n_rows} requests; "
+                   "a KS test needs at least 3 (2 gaps)\n")
+    assert not out.exists()
+
+
+def test_validate_arrivals_refuses_a_generated_stream_of_fewer_than_2_gaps(
+        tmp_path, capsys):
+    path = tmp_path / "one_source.yaml"
+    path.write_text(yaml.safe_dump(
+        {"traffic": {"period_s": 10.0, "q_total": 1, "n_groups": 1, "horizon_s": 10.0}}))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(["validate-arrivals", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: the stream has ")
+    assert err.count("\n") == 1 and "Warning" not in err
+    assert not out.exists()
+
+
 def test_source_id_outside_int64_is_a_malformed_row(tmp_path, cfg, capsys):
     trace = tmp_path / "ids.csv"
     trace.write_text("timestamp_s,source_id\n1.0,99999999999999999999\n" + "".join(

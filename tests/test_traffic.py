@@ -15,10 +15,11 @@ from miotcore.traffic import (
     TrafficParams,
     _prefix,
     _slots_from_targets,
-    beta_pdf,
     beta_pmf,
+    cumulative_hazard,
     generate_requests,
     poisson_arrivals,
+    slot_phases,
 )
 
 
@@ -70,14 +71,36 @@ def test_beta_pmf_values_and_normalization():
         beta_pmf(n_slots + 1, n_slots)
 
 
-def test_beta_pdf_matches_pmf_scaling():
+def test_beta_pmf_is_the_beta_3_4_density_times_the_slot_fraction():
     params = TrafficParams(period_s=10.0, slot_delta_s=1e-3)
-    n = 4000
-    x = n * params.slot_delta_s
-    assert beta_pmf(n, params) == pytest.approx(
-        beta_pdf(x, params.period_s) * params.slot_delta_s, rel=1e-12)
-    assert stats.beta(3, 4).pdf(0.37) / 10.0 == pytest.approx(
-        beta_pdf(3.7, 10.0), rel=1e-12)
+    n = np.array([1, 370, 4000, 9999])
+    want = stats.beta(3, 4).pdf(n / params.n_slots) / params.n_slots
+    assert np.allclose(beta_pmf(n, params), want, rtol=1e-12, atol=0.0)
+    assert beta_pmf(370, 1000) == pytest.approx(stats.beta(3, 4).pdf(0.37) / 1000, rel=1e-12)
+
+
+def test_slot_phases_truncate_and_refuse_offsets_outside_the_period():
+    params = TrafficParams(period_s=10.0, slot_delta_s=1e-3)
+    got = slot_phases((0.0, 2.5, 6.0, 9.9995), params)
+    assert got.dtype == np.int64
+    assert got.tolist() == [0, 2500, 6000, 9999]
+    for bad in (10.0, 12.0, -0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="offsets must lie in"):
+            slot_phases((1.0, bad), params)
+
+
+def test_cumulative_hazard_wraps_the_period_and_is_the_prefix_within_it():
+    params = TrafficParams(period_s=10.0, slot_delta_s=0.05)  # 200 slots
+    prefix, phi = _prefix(params)
+    y = np.arange(params.n_slots)
+    # within one period H is the prefix itself, bit for bit
+    assert cumulative_hazard(y, params).tobytes() == prefix[:-1].tobytes()
+    h = -np.log1p(-beta_pmf(np.arange(1, params.n_slots + 1), params))
+    direct = np.cumsum(np.tile(h, 3))  # hazard of slots 1..y over 3 periods
+    for a, b in ((0, 7), (150, 260), (199, 401), (37, 600)):
+        assert cumulative_hazard(b, params) - cumulative_hazard(a, params) == \
+            pytest.approx(direct[b - 1] - (direct[a - 1] if a else 0.0), abs=1e-12)
+    assert cumulative_hazard(np.int64(2 * params.n_slots), params) == 2 * phi
 
 
 def test_params_refuse_a_slot_grid_past_max_slots():
