@@ -1,12 +1,12 @@
 """Inter-arrival analysis for merged bearer-request streams.
 
-Starting from the generator's own slot hazard (traffic.slot_phases and
-traffic.cumulative_hazard), this module evaluates the exact conditional
-CDF of the lag to the next alarm, per source and for the merged system,
-and the Erlang-mixture inter-request law with its exponential closed
-form, plus Kolmogorov-Smirnov tooling to compare models against sampled
-gaps.  tests/test_arrivals.py checks the exact system law against
-generate_requests streams at finite Q.
+Starting from the generator's own slot hazard (traffic.slot_phases,
+traffic.hazard_table and traffic.cumulative_hazard), this module
+evaluates the exact conditional CDF of the lag to the next alarm, per
+source and for the merged system, and the Erlang-mixture inter-request
+law with its exponential closed form, plus Kolmogorov-Smirnov tooling to
+compare models against sampled gaps.  tests/test_arrivals.py checks the
+exact system law against generate_requests streams at finite Q.
 
 Everything here is numpy and the standard library only; scipy serves
 the tests alone, as the oracle of the Erlang CDF and the KS statistic.
@@ -21,6 +21,7 @@ from .traffic import (
     TX_PROBABILITY_DEFAULT,
     TrafficParams,
     cumulative_hazard,
+    hazard_table,
     slot_phases,
 )
 
@@ -86,14 +87,14 @@ def _as_lags(m) -> np.ndarray:
     return m_arr.astype(np.int64)
 
 
-def _survival_exponent(m, start_slot, params: TrafficParams):
+def _survival_exponent(m, start_slot, table):
     """Cumulative hazard over slots start+1 .. start+m (wrapping).
 
     m is an int64 array and start_slot an int, as _as_lags and the callers
-    make them.
+    make them; table is the hazard_table of the law's parameters.
     """
-    return (cumulative_hazard(m + start_slot, params)
-            - cumulative_hazard(start_slot, params))
+    return (cumulative_hazard(m + start_slot, table)
+            - cumulative_hazard(start_slot, table))
 
 
 def falpha_q_discrete(m, k, offset, params: TrafficParams,
@@ -102,18 +103,22 @@ def falpha_q_discrete(m, k, offset, params: TrafficParams,
 
     P(alpha_q <= m) = 1 - prod_{j=1..m} (1 - f(mod(s+j, N))) with
     s = mod(k + offset, N); evaluated through the cumulative hazard so
-    grids of m cost one lookup each.  With forced_regular=True the slot
-    right after the transmission cannot alarm and the product starts at
-    j = 2.
+    grids of m cost one lookup each.  The offset is in slots and must lie
+    in [0, N), as slot_phases makes it.  With forced_regular=True the
+    slot right after the transmission cannot alarm and the product
+    starts at j = 2.
     """
     m_arr = _as_lags(m)
     if not 0 <= k < params.n_slots:
         raise ValueError(f"slot k out of [0, {params.n_slots})")
+    if not 0 <= offset < params.n_slots:
+        raise ValueError(f"offset out of [0, {params.n_slots}) slots")
+    table = hazard_table(params)
     s = (int(k) + int(offset)) % params.n_slots
     if forced_regular:
-        expo = _survival_exponent(m_arr - 1, s + 1, params)
+        expo = _survival_exponent(m_arr - 1, s + 1, table)
     else:
-        expo = _survival_exponent(m_arr, s, params)
+        expo = _survival_exponent(m_arr, s, table)
     out = -np.expm1(-expo)
     return float(out) if np.ndim(m) == 0 else out
 
@@ -134,13 +139,14 @@ def falpha_system_discrete(m, k, population, params: TrafficParams,
     if not 0 <= k < params.n_slots:
         raise ValueError(f"slot k out of [0, {params.n_slots})")
     offs = slot_phases(population.offsets_s, params)
+    table = hazard_table(params)
     total = np.zeros(m_arr.shape, dtype=np.float64)
     for g, off in enumerate(offs):
         s = (int(k) + int(off)) % params.n_slots
-        expo = _survival_exponent(m_arr, s, params)
+        expo = _survival_exponent(m_arr, s, table)
         count = population.group_size
         if transmitter_group is not None and g == transmitter_group:
-            forced = _survival_exponent(m_arr - 1, s + 1, params)
+            forced = _survival_exponent(m_arr - 1, s + 1, table)
             total = total + forced + (count - 1) * expo
         else:
             total = total + count * expo

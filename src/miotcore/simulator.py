@@ -534,6 +534,10 @@ def run_bearer_simulation(
             s_entry[sid] = entry
             heappush(events, entry)
 
+    # Only the per-request times and the server accounting outlive the
+    # loop: the routes, job heaps, queue entries and arrival copy go before
+    # the samples are built, and the per-request scratch before the rows.
+    del dispatch, route, hop_route, keys, s_jobs, s_entry, s_t, s_v, events, arr, seq_start
     chain_end = np.frombuffer(chain_end, dtype=float)
     breakdown = np.frombuffer(breakdown, dtype=float).reshape(n_req, n_cols)
     if marked is None:
@@ -557,6 +561,7 @@ def run_bearer_simulation(
         completions_s=completions,
         breakdown=cols,
     )
+    del breakdown, chain_end, marked_start, marked_end
 
     rows = []
     for sid in sorted(range(n_srv), key=names.__getitem__):

@@ -7,7 +7,6 @@ once per period.  On each Alarm visit the source emits a bearer request
 with a fixed probability and is back in Regular one slot later.
 """
 
-import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -25,7 +24,8 @@ TX_PROBABILITY_DEFAULT = 1.0 - math.exp(-1.0)
 MAX_SLOTS = 10**7
 
 # slots per step of the cumulative-hazard build; bounds its scratch memory
-_PREFIX_CHUNK = 1 << 16
+# to about 0.75 MiB traced
+_PREFIX_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -177,15 +177,15 @@ def beta_pmf(n, params):
     return float(out) if np.isscalar(n) else out
 
 
-@functools.lru_cache(maxsize=8)
-def _prefix(params: TrafficParams):
-    """Cumulative -ln(1-f) over one period: P[0..N], and the period total.
+def hazard_table(params: TrafficParams):
+    """Cumulative -ln(1-f) over one period: P[0..N], and the period total phi.
 
-    Cached per parameter set, a few at a time: a run uses one.  Every f
-    is at most 2.0736/N, so -ln(1-f) is finite and the total is about 1.
-    The sums are built _PREFIX_CHUNK slots at a time, each chunk's first
-    term carrying the sum so far, which adds in the same left-to-right
-    order as one cumsum over the whole grid.
+    Built afresh on every call, for its caller alone: one float64 per slot
+    (7.6 MiB at the stock 10^6 slots) that nothing keeps once the caller
+    drops it.  Every f is at most 2.0736/N, so -ln(1-f) is finite and phi
+    is about 1.  The sums are built _PREFIX_CHUNK slots at a time, each
+    chunk's first term carrying the sum so far, which adds in the same
+    left-to-right order as one cumsum over the whole grid.
     """
     n_slots = params.n_slots
     prefix = np.empty(n_slots + 1)
@@ -210,14 +210,15 @@ def slot_phases(offsets_s, params: TrafficParams) -> np.ndarray:
     return (offs / params.slot_delta_s).astype(np.int64) % params.n_slots
 
 
-def cumulative_hazard(y, params: TrafficParams):
+def cumulative_hazard(y, table):
     """Cumulative -ln(1-f) over absolute slots 1..y, across period wraps.
 
-    H(y) = (y // N) * phi + prefix[y % N] for integer y >= 0, with phi the
-    hazard of one whole period; H(b) - H(a) is the hazard of slots a+1..b.
+    ``table`` is the (prefix, phi) pair of hazard_table.  H(y) =
+    (y // N) * phi + prefix[y % N] for integer y >= 0; H(b) - H(a) is the
+    hazard of slots a+1..b.
     """
-    prefix, phi = _prefix(params)
-    n_slots = params.n_slots
+    prefix, phi = table
+    n_slots = prefix.size - 1
     return (y // n_slots) * phi + prefix[y % n_slots]
 
 
@@ -243,7 +244,6 @@ def generate_requests(population: SourcePopulation, params: TrafficParams,
     if horizon_s < params.period_s:
         raise ValueError("horizon must cover at least one period")
     rng = np.random.default_rng(seed)
-    prefix, phi = _prefix(params)
     n_slots = params.n_slots
     delta = params.slot_delta_s
 
@@ -251,10 +251,11 @@ def generate_requests(population: SourcePopulation, params: TrafficParams,
     if offsets_s is None:
         offsets_s = rng.uniform(0.0, params.period_s, size=population.n_groups)
     phase = np.repeat(slot_phases(offsets_s, params), population.group_size)
+    prefix, phi = table = hazard_table(params)
 
     q_total = population.q_total
     # cumulative hazard consumed so far, in shifted (per-source) coordinates
-    base = cumulative_hazard(phase, params)
+    base = cumulative_hazard(phase, table)
     alive = np.ones(q_total, dtype=bool)
 
     times, ids = [], []
@@ -273,7 +274,8 @@ def generate_requests(population: SourcePopulation, params: TrafficParams,
         times.append(t_alarm[live][emit])
         ids.append(idx[live][emit])
         # forced Regular at the slot after the alarm: hazard resumes at +2
-        base[idx[live]] = cumulative_hazard(y_live + 1, params)
+        base[idx[live]] = cumulative_hazard(y_live + 1, table)
+    del table, prefix  # released before the merge: the alarm draws are done
 
     if params.regular_rate_epsilon > 0.0:
         counts = rng.poisson(params.regular_rate_epsilon * horizon_s, size=q_total)

@@ -1,5 +1,6 @@
 """First-alarm and inter-request laws: exact CDFs, limits, KS helpers."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -144,6 +145,27 @@ def test_offsets_outside_the_period_are_refused():
             generate_requests(pop, SMALL, 20.0, seed=0)
     inside = SourcePopulation(group_size=2, n_groups=2, offsets_s=(0.0, 9.99))
     assert falpha_system_discrete(m, 0, inside, SMALL).shape == m.shape
+
+
+def test_single_source_offsets_outside_the_grid_are_refused():
+    # the one-source law takes its offset in slots: N + 5 and -195 are
+    # errors on the 200-slot grid, not slot 5 again
+    m = np.arange(1, 50)
+    for bad in (SMALL.n_slots + 5, -195, SMALL.n_slots, -1):
+        for forced in (False, True):
+            with pytest.raises(ValueError, match=r"offset out of \[0, 200\) slots"):
+                falpha_q_discrete(m, 0, bad, SMALL, forced_regular=forced)
+    # in range the laws are bit for bit those computed before offsets were
+    # checked
+    m = np.arange(1, 3 * SMALL.n_slots)
+    digest = hashlib.sha256()
+    for k in (0, 17, 199):
+        for offset in (0, 5, 120, 199):
+            for forced in (False, True):
+                digest.update(falpha_q_discrete(
+                    m, k, offset, SMALL, forced_regular=forced).tobytes())
+    assert digest.hexdigest() == (
+        "cc56ae1893e1f6b4962e837c33cf6d50887a1170d0491e731b2908561d086f7e")
 
 
 # the finite-Q population of the differential tests: Q = 10 sources, each

@@ -13,11 +13,11 @@ from miotcore.traffic import (
     EventStream,
     SourcePopulation,
     TrafficParams,
-    _prefix,
     _slots_from_targets,
     beta_pmf,
     cumulative_hazard,
     generate_requests,
+    hazard_table,
     poisson_arrivals,
     slot_phases,
 )
@@ -91,16 +91,16 @@ def test_slot_phases_truncate_and_refuse_offsets_outside_the_period():
 
 def test_cumulative_hazard_wraps_the_period_and_is_the_prefix_within_it():
     params = TrafficParams(period_s=10.0, slot_delta_s=0.05)  # 200 slots
-    prefix, phi = _prefix(params)
+    prefix, phi = table = hazard_table(params)
     y = np.arange(params.n_slots)
     # within one period H is the prefix itself, bit for bit
-    assert cumulative_hazard(y, params).tobytes() == prefix[:-1].tobytes()
+    assert cumulative_hazard(y, table).tobytes() == prefix[:-1].tobytes()
     h = -np.log1p(-beta_pmf(np.arange(1, params.n_slots + 1), params))
     direct = np.cumsum(np.tile(h, 3))  # hazard of slots 1..y over 3 periods
     for a, b in ((0, 7), (150, 260), (199, 401), (37, 600)):
-        assert cumulative_hazard(b, params) - cumulative_hazard(a, params) == \
+        assert cumulative_hazard(b, table) - cumulative_hazard(a, table) == \
             pytest.approx(direct[b - 1] - (direct[a - 1] if a else 0.0), abs=1e-12)
-    assert cumulative_hazard(np.int64(2 * params.n_slots), params) == 2 * phi
+    assert cumulative_hazard(np.int64(2 * params.n_slots), table) == 2 * phi
 
 
 def test_params_refuse_a_slot_grid_past_max_slots():
@@ -128,41 +128,46 @@ def test_chunked_prefix_equals_one_cumsum_bit_for_bit(chunks, extra):
     n_slots = chunks * traffic._PREFIX_CHUNK + extra
     params = TrafficParams(period_s=float(n_slots), slot_delta_s=1.0)
     assert params.n_slots == n_slots
-    prefix, phi = _prefix.__wrapped__(params)
+    prefix, phi = hazard_table(params)
     assert prefix.tobytes() == _one_shot_prefix(params).tobytes()
     assert phi == prefix[-1]
 
 
 def test_stock_prefix_matches_its_golden_digest():
     # sha256 of the stock grid's prefix as one whole-grid cumsum built it
-    prefix, _ = _prefix(TrafficParams())
+    prefix, _ = hazard_table(TrafficParams())
     assert hashlib.sha256(prefix.tobytes()).hexdigest() == (
         "e7e5b54d7a88e3b4dffb2cc7ee40c29d235c47c1ef7fb587e90a0187f182dcc6")
 
 
 def test_prefix_scratch_memory_is_bounded():
     # the stock grid's prefix is 7.6 MiB; a whole-grid build peaked at
-    # 38.2 MiB, the chunked one at 10.6 MiB
+    # 38.2 MiB, 65,536-slot chunks at 10.6 MiB, 16,384-slot ones at 8.4 MiB
     tracemalloc.start()
     try:
-        prefix, _ = _prefix.__wrapped__(TrafficParams())
+        prefix, _ = hazard_table(TrafficParams())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= prefix.nbytes + 4 * 2**20
+    assert peak <= prefix.nbytes + 2**20
 
 
-def test_prefix_cache_is_bounded():
-    # every distinct parameter set is a new cache key; the cache keeps a
-    # few and recomputes an evicted grid to the same prefix sums
-    grids = [TrafficParams(period_s=10.0 + i, slot_delta_s=0.1) for i in range(20)]
-    first = [_prefix(p)[0].copy() for p in grids]
-    assert _prefix.cache_info().currsize <= 8
-    for params, prefix in zip(grids, first):
-        again, phi = _prefix(params)
-        assert np.array_equal(again, prefix)
-        assert phi == prefix[-1]
-    assert _prefix.cache_info().currsize <= 8
+def test_generate_requests_keeps_no_hazard_table():
+    # the 900,000-slot table (6.9 MiB) lives for the call alone: once the
+    # stream is returned, traced memory is back within the stream's own
+    # arrays of where it started
+    params = TrafficParams(period_s=9.0, slot_delta_s=1e-5)
+    population = SourcePopulation(10, 10)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        stream = generate_requests(population, params, 20.0, seed=4)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(stream) > 0
+    own = stream.timestamps.nbytes + stream.source_ids.nbytes
+    assert held - start <= own + 2**20
 
 
 def test_slots_from_targets_is_an_exact_inverse_transform():

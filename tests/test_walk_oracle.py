@@ -16,6 +16,7 @@ Three independent views of ``run_bearer_simulation`` on the default
 
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, strategies as st
@@ -211,20 +212,43 @@ def _walk_sha256(samples, report):
     return digest.hexdigest()
 
 
-def test_stock_walk_with_tied_event_times_matches_its_golden_digest():
-    # The stream `simulate --seed 0` makes at Q=10^4 over 40 s, walked for
-    # its first 2 s (1166 requests) with 100 eNBs.  The generator's 1e-5 s
-    # slot grid makes events coincide, and a walk that breaks such ties in
-    # another order moves completions by ulps.  reference_walk cannot pin
-    # this: its scan breaks ties between servers in dict order, and differs
-    # from this walk in 39 of the first 568 completions, by up to 5.6e-15 s.
+def _stock_stream():
+    """The stream `simulate --seed 0` makes at Q=10^4 over 40 s."""
     off_ss, gen_ss = np.random.SeedSequence(0).spawn(1)[0].spawn(2)
     params = TrafficParams()
     offsets = np.random.default_rng(off_ss).uniform(0.0, params.period_s, 100)
     population = SourcePopulation(100, 100, tuple(float(x) for x in offsets))
-    stream = generate_requests(population, params, 40.0, gen_ss)
+    return generate_requests(population, params, 40.0, gen_ss)
+
+
+def test_stock_walk_with_tied_event_times_matches_its_golden_digest():
+    # The stock stream walked for its first 2 s (1166 requests) with 100
+    # eNBs.  The generator's 1e-5 s slot grid makes events coincide, and a
+    # walk that breaks such ties in another order moves completions by
+    # ulps.  reference_walk cannot pin this: its scan breaks ties between
+    # servers in dict order, and differs from this walk in 39 of the first
+    # 568 completions, by up to 5.6e-15 s.
     samples, report = run_bearer_simulation(
-        stream, default_bearer_template(DEFAULT_ENTITY_PROFILES),
+        _stock_stream(), default_bearer_template(DEFAULT_ENTITY_PROFILES),
         DEFAULT_ENTITY_PROFILES, horizon_s=2.0, n_enb=100)
     assert len(samples) == 1166
     assert _walk_sha256(samples, report) == _STOCK_WALK_SHA256
+
+
+def test_stock_walk_traced_peak_is_bounded():
+    # The same 2 s cut: the walk frees its routes, job heaps and queue
+    # entries before it builds its samples, and its per-request scratch
+    # before its report rows.  Its traced peak was 0.86 MiB with all of
+    # them alive at once, and is 0.56 MiB.
+    stream = _stock_stream()
+    template = default_bearer_template(DEFAULT_ENTITY_PROFILES)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        samples, _ = run_bearer_simulation(
+            stream, template, DEFAULT_ENTITY_PROFILES, horizon_s=2.0, n_enb=100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(samples) == 1166
+    assert peak - start <= 0.7 * 2**20
