@@ -172,12 +172,14 @@ def cmd_simulate(args):
     scenario = _require_config(args)
     out = _out_dir(args)
     reps = list(np.random.SeedSequence(args.seed).spawn(args.replications))
-    if args.jobs > 1 and args.replications > 1:
+    # a pool starts all its workers at once: no more than there is work
+    # for, nor than there are CPUs this process may run on
+    workers = min(args.jobs, args.replications, len(os.sched_getaffinity(0)))
+    if workers > 1:
         # imported here: it costs every command's start-up ~15 ms
         from concurrent.futures import ProcessPoolExecutor
 
-        # a pool starts all its workers at once: no more than there is work for
-        with ProcessPoolExecutor(max_workers=min(args.jobs, args.replications)) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(
                 pool.map(_simulate_one, [scenario] * len(reps), reps,
                          [args.single_job] * len(reps))

@@ -40,7 +40,7 @@ from .arrivals import bearer_request_rate
 from .autoscale import ScalingPolicy
 from .delay import ENTITY_MME, EntityProfile
 from .errors import ConfigurationError
-from .traffic import SourcePopulation, TrafficParams
+from .traffic import SourcePopulation, TrafficParams, check_expected_requests
 
 DEFAULT_ENTITY_PROFILES = (
     EntityProfile("UE", 3.0, 1000.0, 3),
@@ -199,6 +199,10 @@ def scenario_from_dict(doc):
             )
     if not horizon_s > 0.0:
         raise ConfigurationError("traffic.horizon_s: must be positive")
+    try:
+        check_expected_requests(q_total, params, horizon_s)
+    except ValueError as exc:
+        raise ConfigurationError(f"traffic: {exc}") from exc
 
     en = _block(doc, "entities")
     capacity_scale = _take(en, "capacity_scale", "entities", default=1.0, convert=_finite)

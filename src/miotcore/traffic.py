@@ -23,6 +23,12 @@ TX_PROBABILITY_DEFAULT = 1.0 - math.exp(-1.0)
 # is one float64 per slot, 80 MB at this size
 MAX_SLOTS = 10**7
 
+# the most requests a generation call may expect, Q * (p * H / T + epsilon * H):
+# the stream is a float64 time and an int64 source id per request, 160 MB at
+# this size (its merge holds about twice that), and a walk of it about 184
+# bytes a request (84 of per-request arrays, 100 of routes), 1.8 GB
+MAX_EXPECTED_REQUESTS = 10**7
+
 # slots per step of the cumulative-hazard build; bounds its scratch memory
 # to about 0.75 MiB traced
 _PREFIX_CHUNK = 1 << 14
@@ -226,9 +232,24 @@ def _slots_from_targets(prefix, phi, n_slots, targets):
     """Smallest absolute slots y with cumulative hazard(y) >= targets."""
     periods = np.floor_divide(targets, phi).astype(np.int64)
     residual = targets - periods * phi
-    j = np.searchsorted(prefix, residual, side="left")
-    j = np.maximum(j, 1)
+    # sorted keys walk the prefix in order, where unsorted ones each miss
+    # the cache: the same indices, scattered back to the targets' order
+    order = np.argsort(residual)
+    j = np.empty_like(order)
+    j[order] = np.searchsorted(prefix, residual[order], side="left")
+    np.maximum(j, 1, out=j)
     return periods * n_slots + j
+
+
+def check_expected_requests(q_total, params: TrafficParams, horizon_s):
+    """Raise ValueError when q_total sources over horizon_s are expected to
+    emit more than MAX_EXPECTED_REQUESTS requests, Q * (p * H / T + epsilon * H)."""
+    expected = q_total * (params.tx_probability * horizon_s / params.period_s
+                          + params.regular_rate_epsilon * horizon_s)
+    if not expected <= MAX_EXPECTED_REQUESTS:
+        raise ValueError(
+            f"{q_total} sources over {horizon_s!r} s expect {expected:.4g} requests, "
+            f"need <= {MAX_EXPECTED_REQUESTS}")
 
 
 def generate_requests(population: SourcePopulation, params: TrafficParams,
@@ -239,10 +260,12 @@ def generate_requests(population: SourcePopulation, params: TrafficParams,
     slot s forces Regular at s+1, so the next alarm is at s+2 or later.
     Each alarm emits one request with probability tx_probability.  The
     merged stream is sorted by (time, source id) and is a pure function of
-    (population, params, horizon, seed).
+    (population, params, horizon, seed).  Raises ValueError, before any
+    draw, when more than MAX_EXPECTED_REQUESTS requests are expected.
     """
     if horizon_s < params.period_s:
         raise ValueError("horizon must cover at least one period")
+    check_expected_requests(population.q_total, params, horizon_s)
     rng = np.random.default_rng(seed)
     n_slots = params.n_slots
     delta = params.slot_delta_s

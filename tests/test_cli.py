@@ -169,6 +169,19 @@ def test_simulate_pool_is_no_larger_than_the_replications(tmp_path, cfg, monkeyp
     for name in serial:
         assert (tmp_path / "serial" / name).read_bytes() == (
             tmp_path / "pooled" / name).read_bytes(), name
+    # nor larger than the CPUs the process may run on: --jobs 5000 over
+    # 5000 replications would otherwise start 5000 processes at once
+    many = ["simulate", "--config", cfg, "--replications", "5", "--seed", "4",
+            "--jobs", "5000"]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert run(many + ["--out", str(tmp_path / "three")]) == 0
+    assert _SerialPool.sizes == [2, 3]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert run(many + ["--out", str(tmp_path / "one")]) == 0
+    assert _SerialPool.sizes == [2, 3]
+    for name in sorted(p.name for p in (tmp_path / "three").iterdir()):
+        assert (tmp_path / "three" / name).read_bytes() == (
+            tmp_path / "one" / name).read_bytes(), name
 
 
 def test_predict_writes_model_and_survival(tmp_path, cfg):
@@ -247,6 +260,22 @@ def test_scale_refuses_a_window_of_too_many_arrivals(tmp_path, cfg, capsys, monk
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (out / "trace_windows.csv").exists()
     assert not (out / "decisions.csv").exists()
+
+
+@pytest.mark.parametrize("field, value", [("horizon_s", 1e9), ("q_total", 10**9),
+                                          ("regular_rate_epsilon", 1e4)])
+def test_generate_refuses_too_many_expected_requests(tmp_path, capsys, field, value):
+    # a 1e9 s horizon used to run until killed, and 10^9 sources to exit 1
+    # with a traceback from allocating their state: each exits 2 before any
+    # draw or allocation
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump({"traffic": {**SMALL_SCENARIO["traffic"], field: value}}))
+    out = tmp_path / "gen"
+    assert run(["generate", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: traffic:") and "requests, need <=" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (out / "stream.csv").exists()
 
 
 @pytest.mark.parametrize("field, value", [("period_s", math.inf), ("offsets_s", [1.0, math.nan])],

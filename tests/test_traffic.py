@@ -10,6 +10,7 @@ from scipy import stats
 
 from miotcore import traffic
 from miotcore.traffic import (
+    MAX_EXPECTED_REQUESTS,
     EventStream,
     SourcePopulation,
     TrafficParams,
@@ -177,6 +178,56 @@ def test_slots_from_targets_is_an_exact_inverse_transform():
     targets = np.array([1e-9, 1.0, 2.0 + 1e-9, 3.9, 5.0])
     slots = _slots_from_targets(prefix, 2.0, 100, targets)
     assert slots.tolist() == [50, 50, 150, 150, 250]
+
+
+def test_slots_from_targets_equals_the_unsorted_search():
+    # the sorted-key search scattered back must give the indices one
+    # unsorted np.searchsorted gives, on ties, exact prefix values, 0 and
+    # whole periods (residual 0) among them
+    params = TrafficParams(period_s=1.0, slot_delta_s=1e-3)
+    prefix, phi = hazard_table(params)
+    rng = np.random.default_rng(8)
+    exact = prefix[rng.integers(0, prefix.size, 200)]
+    targets = np.concatenate([
+        rng.uniform(0.0, 5.0 * phi, 2000),
+        exact, exact + 3.0 * phi,
+        np.repeat(rng.uniform(0.0, phi, 5), 40),
+        [0.0, phi, 2.0 * phi, 7.0 * phi, prefix[1], prefix[-2]],
+    ])
+    rng.shuffle(targets)
+    periods = np.floor_divide(targets, phi).astype(np.int64)
+    residual = targets - periods * phi
+    want = periods * params.n_slots + np.maximum(np.searchsorted(prefix, residual), 1)
+    got = _slots_from_targets(prefix, phi, params.n_slots, targets)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+def test_generate_requests_matches_its_golden_digest():
+    # sha256 of the timestamps then the source ids, frozen from the
+    # generator whose alarm search ran one unsorted np.searchsorted a round
+    params = TrafficParams(period_s=2.0, slot_delta_s=1e-4, regular_rate_epsilon=0.05)
+    population = SourcePopulation(5, 8, offsets_s=tuple(0.25 * i for i in range(8)))
+    stream = generate_requests(population, params, 20.0, seed=11)
+    assert len(stream) == 321
+    digest = hashlib.sha256(stream.timestamps.tobytes() + stream.source_ids.tobytes())
+    assert digest.hexdigest() == (
+        "0959b0c69e4f6860926b058dc9609527c3055f12e8dab92314a7bdd32a86e860")
+
+
+def test_generate_requests_refuses_too_many_expected_requests():
+    # Q * (p * H / T + epsilon * H) past MAX_EXPECTED_REQUESTS: refused
+    # before the population's offsets, the hazard table or any draw
+    params = TrafficParams(period_s=10.0, tx_probability=0.5)
+    q_total = 2 * MAX_EXPECTED_REQUESTS // 10  # p * H / T = 5 at H = 100
+    with pytest.raises(ValueError, match="expect"):
+        generate_requests(SourcePopulation(q_total, 1), params, 100.0 + 1e-9, seed=0)
+    with pytest.raises(ValueError, match="expect"):
+        generate_requests(SourcePopulation(1, 1), TrafficParams(regular_rate_epsilon=1.0),
+                          float(MAX_EXPECTED_REQUESTS), seed=0)
+    with pytest.raises(ValueError, match="expect"):
+        generate_requests(SourcePopulation(1, 1), params, math.nan, seed=0)
+    traffic.check_expected_requests(q_total, params, 100.0)  # exactly at the bound
 
 
 def test_generate_requests_deterministic_and_sorted():
