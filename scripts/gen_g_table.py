@@ -2,17 +2,19 @@
 
 g(rho) is the sojourn-tail decay exponent of the M/D/1-PS queue, located
 here by a backward march plus bisection (criticality_exponent).  The
-table holds h(rho) = g(rho) / (1 - rho) at the Chebyshev-Lobatto nodes of
-the three pieces that miotcore.delay.tail_exponent interpolates.  Each
-value is criticality_exponent at that node divided by (1 - rho), written
-with repr, so the table reproduces the march exactly.  The march is the
+table holds h(rho) = g(rho) / (1 - rho) at the Chebyshev-Lobatto nodes,
+in logit(rho) on [1e-6, 0.995], of the one piece that
+miotcore.delay.tail_exponent interpolates.  Each value is
+criticality_exponent at that node divided by (1 - rho), written with
+repr, so the table reproduces the march exactly.  The march is the
 tests' oracle for the table as well; they import it from this script.
 
     python scripts/gen_g_table.py           # rewrite the table module
     python scripts/gen_g_table.py --check   # recompute; exit 1 if it differs
 
-Either form marches every node, the costliest near rho 0.995, and takes
-a few minutes.
+Either form marches every node, the costliest near rho 0.995 (about 35 s
+there), and takes five to six minutes: --check took 4 min 56 s and
+5 min 47 s in two runs on a 2-vCPU host.
 """
 
 import argparse
@@ -29,13 +31,10 @@ from miotcore.errors import NumericalError, OverloadError  # noqa: E402
 
 TABLE_PATH = os.path.join(ROOT, "src", "miotcore", "_g_table.py")
 
-# nodes per piece: 24 put the light piece and 52 the low piece within
-# 1e-12 of the march (the light piece meets the march's 2e-14 bisection
-# noise from 20 nodes on); the high piece cannot beat the march's own 4e-8
-# steps, which 16 reach
-N_LIGHT = 24
-N_LOW = 52
-N_HIGH = 16
+# nodes of the table: 88 put it within 6e-12 of the march at off-node
+# loads (within 4e-13 up to rho 0.93; above that the march's own bisection
+# step of 8 * 2**-46 dominates, about 1e-11 relative where g is below 0.01)
+N_NODES = 88
 
 # backward-march discretization: grid points per service time, domain cap
 # for the marched value, and bisection steps on the exponent
@@ -46,9 +45,7 @@ _MARCH_BISECTIONS = 46
 HEADER = '''"""h(rho) = g(rho) / (1 - rho) at the nodes of miotcore.delay's g table.
 
 Generated by scripts/gen_g_table.py from its criticality march; do not
-edit.  H_LIGHT runs over the light piece, H_LOW over the low piece and
-H_HIGH over the high piece, each in the node order of
-miotcore.delay.g_table_node_rhos.
+edit.  H runs in the node order of miotcore.delay.g_table_node_rhos.
 """
 '''
 
@@ -128,7 +125,10 @@ def criticality_exponent(rho) -> float:
                             min_capacity_multiplier=rho if rho >= 1 else None)
     branch = _stable_branch_root(rho)
     thresh = 0.5 * min(branch, _MARCH_CAP)
-    n_periods = max(32, int(math.ceil(16.0 / branch)))
+    # long enough that g no longer moves with n_periods: within 7e-13 of a
+    # 40 / branch march at rho 0.75 to 0.95, where 16 / branch was off by
+    # up to 1.1e-7 and stepped wherever n_periods changed
+    n_periods = max(32, int(math.ceil(28.0 / branch)))
     lo, hi = 1e-6, max(8.0, 2.0 * -math.log(rho))
     if not _march_decays(rho, lo, _MARCH_GRID, n_periods, _MARCH_CAP, thresh):
         raise NumericalError(f"march diverges at s={lo} for rho={rho}")
@@ -153,9 +153,7 @@ def _values(name, rhos):
 
 
 def render():
-    light, low, high = g_table_node_rhos(N_LIGHT, N_LOW, N_HIGH)
-    return "\n".join([HEADER, _values("H_LIGHT", light), _values("H_LOW", low),
-                      _values("H_HIGH", high), ""])
+    return "\n".join([HEADER, _values("H", g_table_node_rhos(N_NODES)), ""])
 
 
 def main(argv=None):

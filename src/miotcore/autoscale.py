@@ -16,12 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .csvio import write_csv
-from .delay import (
-    ENTITY_MME,
-    build_delay_model,
-    constant_delay_K,
-    delay_percentile,
-)
+from .delay import build_delay_model, constant_delay_K, delay_percentile, mme_profile
 from .errors import ConfigurationError, OverloadError
 from .simulator import single_job_mode
 from .traffic import EventStream, poisson_arrivals
@@ -108,9 +103,7 @@ def predict_percentile(lambda_beta, multiplier, profiles, policy):
     load below 1.
     """
     profs = scaled_profiles(profiles, multiplier, policy)
-    mme = next((p for p in profs if p.entity == ENTITY_MME), None)
-    if mme is None:
-        raise ConfigurationError(f"profiles must include {ENTITY_MME!r}")
+    mme = mme_profile(profs)
     rho = lambda_beta * mme.ops_per_bearer / mme.capacity
     if rho >= MAX_FEASIBLE_LOAD:
         return math.inf
@@ -203,7 +196,7 @@ def run_scaling_loop(rate_series, profiles, policy, window_length_s, seed=0):
     for (start, rate), child in zip(series, child_seeds):
         decision = choose_multiplier(rate, profiles, policy, previous=previous)
         profs = scaled_profiles(profiles, decision.multiplier, policy)
-        mme = next(p for p in profs if p.entity == ENTITY_MME)
+        mme = mme_profile(profs)
         offset = constant_delay_K(profs)
         rng = np.random.default_rng(child)
         arrivals = poisson_arrivals(rate, 0.0, length, rng)

@@ -54,6 +54,10 @@ DEFAULT_N_GROUPS = 100
 
 _SCALE_SCOPES = {"all": None, "mme": frozenset({ENTITY_MME})}
 
+# libyaml's parser where PyYAML was built with it, about 8x faster on a
+# scenario file; both build the same document
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -141,10 +145,9 @@ def _finite(value):
 
 
 def _int_strict(value):
-    out = int(value)
-    if isinstance(value, float) and value != out:
+    if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
-    return out
+    return int(value)
 
 
 def scenario_from_dict(doc):
@@ -296,8 +299,8 @@ def scenario_from_dict(doc):
 def load_scenario(path):
     """Parse and validate a YAML scenario file."""
     try:
-        with open(path, "r") as fh:
-            doc = yaml.safe_load(fh)
+        with open(path, "rb") as fh:
+            doc = yaml.load(fh, Loader=_YAML_LOADER)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path!r}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._g_table import H_HIGH, H_LIGHT, H_LOW
+from ._g_table import H
 from .csvio import write_csv
 from .errors import ConfigurationError, NumericalError, OverloadError
 
@@ -28,15 +28,8 @@ ENTITY_NAMES = ("UE", "eNB", "MME", "HSS", "SGW", "PGW")
 
 # Domain of the g table.  h(rho) = g(rho)/(1-rho) falls smoothly from 15.9
 # at rho 1e-6 through 3.1 at 0.1 to 1.007 at 0.99 and is interpolated on
-# three Chebyshev pieces: in log(rho) on [_G_RHO_FLOOR, _G_RHO_MIN] (light)
-# and on [_G_RHO_MIN, _G_RHO_SPLIT] (low), and in log(1-rho) above the
-# split (high).  The split sits just below rho_b = 0.5/(e^0.5 - 1) ~
-# 0.770747, where the march's n_periods first leaves 32: above rho_b the
-# march steps by 1e-8 to 4e-8 relative wherever n_periods changes, and a
-# polynomial spanning rho_b would carry those steps to every load.
+# one Chebyshev piece in t = logit(rho) = log(rho) - log1p(-rho).
 _G_RHO_FLOOR = 1e-6
-_G_RHO_MIN = 0.01
-_G_RHO_SPLIT = 0.7707
 _G_RHO_MAX = 0.995
 
 
@@ -129,9 +122,7 @@ _SHARED_CORE = ("HSS", "SGW", "PGW")
 def check_mme_dominance(profiles) -> bool:
     """Warn unless the MME has the largest O_X/C_X among shared entities."""
     by_name = _profiles_by_name(profiles)
-    if ENTITY_MME not in by_name:
-        raise ConfigurationError("profiles must include the MME")
-    d_mme = by_name[ENTITY_MME].per_bearer_delay
+    d_mme = mme_profile(profiles).per_bearer_delay
     slower = [n for n in _SHARED_CORE
               if n in by_name and by_name[n].per_bearer_delay > d_mme]
     if slower:
@@ -140,6 +131,14 @@ def check_mme_dominance(profiles) -> bool:
             f"larger per-bearer delay; the single-queue tail model degrades",
             stacklevel=2)
     return not slower
+
+
+def mme_profile(profiles) -> EntityProfile:
+    """The MME profile; ConfigurationError if it is missing or any entity repeats."""
+    by_name = _profiles_by_name(profiles)
+    if ENTITY_MME not in by_name:
+        raise ConfigurationError("profiles must include the MME")
+    return by_name[ENTITY_MME]
 
 
 def _profiles_by_name(profiles) -> dict:
@@ -184,58 +183,40 @@ def _lobatto(lo, hi, n):
     return [mid + half * math.cos(math.pi * j / (n - 1)) for j in range(n)]
 
 
-# each piece's interpolation variable at its two ends
-_LIGHT_ENDS = (math.log(_G_RHO_FLOOR), math.log(_G_RHO_MIN))
-_LOW_ENDS = (math.log(_G_RHO_MIN), math.log(_G_RHO_SPLIT))
-_HIGH_ENDS = (math.log1p(-_G_RHO_SPLIT), math.log1p(-_G_RHO_MAX))
+def _logit(rho) -> float:
+    return math.log(rho) - math.log1p(-rho)
 
 
-def g_table_node_rhos(n_light, n_low, n_high):
-    """Loads at the nodes of the light, low and high pieces of the g table."""
-    return ([math.exp(t) for t in _lobatto(*_LIGHT_ENDS, n_light)],
-            [math.exp(t) for t in _lobatto(*_LOW_ENDS, n_low)],
-            [-math.expm1(t) for t in _lobatto(*_HIGH_ENDS, n_high)])
+# the interpolation variable t = logit(rho) at the two ends of the table
+_T_ENDS = (_logit(_G_RHO_FLOOR), _logit(_G_RHO_MAX))
 
 
-def _barycentric_piece(ends, values):
-    """Nodes, barycentric weights and values of one Chebyshev piece."""
-    n = len(values)
-    weights = [(-1.0) ** j * (0.5 if j in (0, n - 1) else 1.0) for j in range(n)]
-    return tuple(zip(_lobatto(*ends, n), weights, values))
+def g_table_node_rhos(n):
+    """Loads at the n nodes of the g table, from 0.995 down to 1e-6."""
+    return [1.0 / (1.0 + math.exp(-t)) for t in _lobatto(*_T_ENDS, n)]
 
 
-_LIGHT_PIECE = _barycentric_piece(_LIGHT_ENDS, H_LIGHT)
-_LOW_PIECE = _barycentric_piece(_LOW_ENDS, H_LOW)
-_HIGH_PIECE = _barycentric_piece(_HIGH_ENDS, H_HIGH)
+# the table's nodes in t, each with its Chebyshev-Lobatto barycentric
+# weight and its value of h
+_G_TABLE = tuple(zip(
+    _lobatto(*_T_ENDS, len(H)),
+    [(-1.0) ** j * (0.5 if j in (0, len(H) - 1) else 1.0) for j in range(len(H))],
+    H))
 
 # above the table q(u) = (h - 1)/u, u = 1 - rho, is held at its value at
 # the last node: q falls only from 0.7206 at rho 0.995 to 0.7186 at 0.999
-_Q_HOLD = (H_HIGH[0] - 1.0) / (1.0 - _G_RHO_MAX)
-
-
-def _interpolate(piece, t) -> float:
-    """Second-kind barycentric formula: O(n), stable on Chebyshev nodes."""
-    num = den = 0.0
-    for node, weight, value in piece:
-        if t == node:
-            return value
-        w = weight / (t - node)
-        num += w * value
-        den += w
-    return num / den
+_Q_HOLD = (H[0] - 1.0) / (1.0 - _G_RHO_MAX)
 
 
 def tail_exponent(rho) -> float:
     """g(rho) of the M/D/1-PS sojourn tail, gamma = g(rho) / D.
 
-    Barycentric interpolation of the g table, against the march of
-    scripts/gen_g_table.py: within 1e-12 relative on [1e-6, 0.7707] and
-    within 5e-8 on (0.7707, 0.995], the size of the march's own steps
-    there.  Above 0.995, g = u*(1 + u*q) with u = 1 - rho and q held at
-    its last node: within 3e-6 of the march at rho 0.996 to 0.999, an
-    error of order u that vanishes as rho -> 1.  Below 1e-6, g is held
-    at its value at 1e-6; g falls as rho rises, so the held value
-    over-predicts delay.
+    Barycentric interpolation of the g table on [1e-6, 0.995], within
+    1e-11 relative of the march of scripts/gen_g_table.py.  Above 0.995,
+    g = u*(1 + u*q) with u = 1 - rho and q held at its last node: within
+    3e-6 of the march at rho 0.996 to 0.999, an error of order u that
+    vanishes as rho -> 1.  Below 1e-6, g is held at its value at 1e-6;
+    g falls as rho rises, so the held value over-predicts delay.
     """
     if not 0.0 < rho < 1.0:
         raise OverloadError(f"rho={rho:.6g} outside (0, 1)",
@@ -243,12 +224,17 @@ def tail_exponent(rho) -> float:
     if rho > _G_RHO_MAX:
         u = 1.0 - rho
         return u * (1.0 + u * _Q_HOLD)
-    if rho > _G_RHO_SPLIT:
-        return _interpolate(_HIGH_PIECE, math.log1p(-rho)) * (1.0 - rho)
-    if rho >= _G_RHO_MIN:
-        return _interpolate(_LOW_PIECE, math.log(rho)) * (1.0 - rho)
     rho = max(rho, _G_RHO_FLOOR)
-    return _interpolate(_LIGHT_PIECE, math.log(rho)) * (1.0 - rho)
+    t = _logit(rho)
+    # second-kind barycentric formula: O(n), stable on Chebyshev nodes
+    num = den = 0.0
+    for node, weight, value in _G_TABLE:
+        if t == node:
+            return value * (1.0 - rho)
+        w = weight / (t - node)
+        num += w * value
+        den += w
+    return num / den * (1.0 - rho)
 
 
 def psi_coefficient(lambda_beta, rho, gamma) -> float:
@@ -273,11 +259,8 @@ def build_delay_model(lambda_beta, profiles) -> DelayModelParams:
     numerator and denominator vanish together; at that removable point
     psi is evaluated by averaging the two sides.
     """
-    by_name = _profiles_by_name(profiles)
-    if ENTITY_MME not in by_name:
-        raise ConfigurationError("profiles must include the MME")
     check_mme_dominance(profiles)
-    d_service, rho = mme_load(lambda_beta, by_name[ENTITY_MME])
+    d_service, rho = mme_load(lambda_beta, mme_profile(profiles))
     k_const = constant_delay_K(profiles)
     gamma = tail_exponent(rho) / d_service
     # near the gamma = lambda_beta crossing the psi numerator and

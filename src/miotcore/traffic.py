@@ -29,6 +29,12 @@ MAX_SLOTS = 10**7
 # bytes a request (84 of per-request arrays, 100 of routes), 1.8 GB
 MAX_EXPECTED_REQUESTS = 10**7
 
+# the most alarm draws a generation call may make, Q * H / T, whatever p:
+# the generator holds about 100 bytes per live source (92-100 traced at 10^5
+# and 4 * 10^5 sources), and Q <= Q * H / T, so 2 GB at this size
+# (at p = 0.5 it admits what MAX_EXPECTED_REQUESTS admits)
+MAX_ALARM_DRAWS = 2 * 10**7
+
 # slots per step of the cumulative-hazard build; bounds its scratch memory
 # to about 0.75 MiB traced
 _PREFIX_CHUNK = 1 << 14
@@ -243,13 +249,16 @@ def _slots_from_targets(prefix, phi, n_slots, targets):
 
 def check_expected_requests(q_total, params: TrafficParams, horizon_s):
     """Raise ValueError when q_total sources over horizon_s are expected to
-    emit more than MAX_EXPECTED_REQUESTS requests, Q * (p * H / T + epsilon * H)."""
-    expected = q_total * (params.tx_probability * horizon_s / params.period_s
-                          + params.regular_rate_epsilon * horizon_s)
-    if not expected <= MAX_EXPECTED_REQUESTS:
-        raise ValueError(
-            f"{q_total} sources over {horizon_s!r} s expect {expected:.4g} requests, "
-            f"need <= {MAX_EXPECTED_REQUESTS}")
+    emit more than MAX_EXPECTED_REQUESTS requests, Q * (p * H / T + epsilon * H),
+    or to draw more than MAX_ALARM_DRAWS alarms, Q * H / T."""
+    draws = q_total * horizon_s / params.period_s
+    expected = (draws * params.tx_probability
+                + q_total * params.regular_rate_epsilon * horizon_s)
+    for count, bound, what in ((expected, MAX_EXPECTED_REQUESTS, "requests"),
+                               (draws, MAX_ALARM_DRAWS, "alarm draws")):
+        if not count <= bound:
+            raise ValueError(f"{q_total} sources over {horizon_s!r} s expect "
+                             f"{count:.4g} {what}, need <= {bound}")
 
 
 def generate_requests(population: SourcePopulation, params: TrafficParams,
@@ -261,7 +270,8 @@ def generate_requests(population: SourcePopulation, params: TrafficParams,
     Each alarm emits one request with probability tx_probability.  The
     merged stream is sorted by (time, source id) and is a pure function of
     (population, params, horizon, seed).  Raises ValueError, before any
-    draw, when more than MAX_EXPECTED_REQUESTS requests are expected.
+    draw, when more than MAX_EXPECTED_REQUESTS requests or MAX_ALARM_DRAWS
+    alarm draws are expected.
     """
     if horizon_s < params.period_s:
         raise ValueError("horizon must cover at least one period")

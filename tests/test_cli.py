@@ -1,18 +1,23 @@
 """Command-line entry point: artifacts, manifests, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, strategies as st
 
 from miotcore.cli import OUT_DIR_ENV, main
+from miotcore.config import DEFAULT_ENTITY_PROFILES
 from miotcore.trace import make_diurnal_trace
 from miotcore.traffic import EventStream
 
@@ -278,6 +283,24 @@ def test_generate_refuses_too_many_expected_requests(tmp_path, capsys, field, va
     assert not (out / "stream.csv").exists()
 
 
+def test_generate_refuses_too_many_alarm_draws(tmp_path, capsys, monkeypatch):
+    # one request expected per period, but 10^9 sources to hold and draw
+    # for; should the bound let it through, fail before generating
+    def no_generation(*args):
+        raise AssertionError("generation started")
+
+    monkeypatch.setattr("miotcore.cli.generate_requests", no_generation)
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(
+        {"traffic": {"period_s": 10.0, "q_total": 10**9, "tx_probability": 1e-9}}))
+    out = tmp_path / "gen"
+    assert run(["generate", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: traffic:") and "alarm draws, need <=" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field, value", [("period_s", math.inf), ("offsets_s", [1.0, math.nan])],
                          ids=["period_s", "offsets_s"])
 def test_non_finite_config_float_exits_2(tmp_path, capsys, field, value):
@@ -419,3 +442,95 @@ def test_argparse_surface():
     with pytest.raises(SystemExit) as exc_info:
         run([])  # a subcommand is required
     assert exc_info.value.code == 2
+
+
+# Scenario documents near the valid ones: each field is mostly a small
+# valid value or absent, now and then out of range, non-finite or of the
+# wrong type, and the document is sized so that one example runs every
+# command in milliseconds.
+_ODD = st.sampled_from([0, -1.0, math.nan, math.inf, 2.5, "x", [1.0], True])
+
+
+def _mostly(valid):
+    return st.integers(0, 23).flatmap(
+        lambda k: _ODD if k == 0 else st.none() if k == 1 else valid)
+
+
+def _fields(draw, **fields):
+    """A block holding some of ``fields``, each drawn from its strategy."""
+    return {name: draw(_mostly(strategy)) for name, strategy in fields.items()
+            if draw(st.booleans())}
+
+
+@st.composite
+def _scenario(draw):
+    n_groups = draw(st.integers(1, 6))
+    period_s = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    traffic = {"period_s": draw(_mostly(st.just(period_s))),
+               "q_total": draw(_mostly(st.integers(1, 6).map(lambda k: k * n_groups))),
+               "n_groups": draw(_mostly(st.just(n_groups)))}
+    traffic.update(_fields(
+        draw, slot_delta_s=st.sampled_from([1e-3, 2e-3, 5e-3]),
+        alarm_rate_lambda=st.floats(0.1, 3.0), regular_rate_epsilon=st.floats(0.0, 0.5),
+        tx_probability=st.floats(0.05, 1.0),
+        offsets_s=st.lists(st.floats(0.0, period_s, exclude_max=True),
+                           min_size=n_groups, max_size=n_groups),
+        horizon_s=st.floats(period_s, 3.0 * period_s)))
+    doc = {"traffic": traffic}
+    # the stock profiles, each value perturbed; a capacity scale of 1e-4
+    # overloads the MME
+    profiles = [
+        {"entity": p.entity, "ops_per_bearer": draw(_mostly(st.floats(0.1, 10.0))),
+         "capacity": draw(_mostly(st.floats(10.0, 2e4))),
+         "messages_per_bearer": p.messages_per_bearer}
+        for p in DEFAULT_ENTITY_PROFILES if draw(st.integers(0, 23))]
+    blocks = {
+        "entities": dict(capacity_scale=st.sampled_from([1e-4, 1e-2, 0.5, 1.0, 3.0]),
+                         profiles=st.just(profiles)),
+        "topology": dict(n_enb=st.integers(1, 4), n_sgw=st.integers(1, 3),
+                         link_latency_s=st.floats(0.0, 1e-2),
+                         encryption_ops=st.floats(0.0, 3.0)),
+        "scaling": dict(target_delay_s=st.floats(1e-3, 0.5),
+                        percentile=st.floats(0.5, 0.999),
+                        multipliers=st.lists(st.floats(1.0, 4.0, exclude_min=True), max_size=2,
+                                             unique=True).map(lambda m: [1.0] + sorted(m)),
+                        hysteresis=st.floats(0.0, 0.5),
+                        scope=st.sampled_from(["all", "mme"]))}
+    for name, fields in blocks.items():
+        if draw(st.booleans()):
+            doc[name] = _fields(draw, **fields)
+    return doc
+
+
+@given(doc=st.one_of(_scenario(), st.sampled_from(
+           [None, [], "x", {"other": {}}, {"traffic": {"period_s": 1.0, "q_total": 1, "x": 1}}])),
+       percentile=st.sampled_from(["0.5", "0.99", "1.5"]),
+       window=st.sampled_from(["1", "5", "0"]), replications=st.sampled_from(["1", "2"]))
+# each of these once exited 1: an OverflowError in the config loader, and
+# a StopIteration from simulate --single-job looking for the MME
+@example(doc={"traffic": {"period_s": 0.5, "q_total": 1, "n_groups": math.inf}},
+         percentile="0.5", window="1", replications="1")
+@example(doc={"traffic": {"period_s": 0.5, "q_total": 1, "n_groups": 1},
+              "entities": {"profiles": [{"entity": "eNB", "ops_per_bearer": 1.0,
+                                         "capacity": 10.0, "messages_per_bearer": 2}]}},
+         percentile="0.5", window="1", replications="1")
+def test_every_command_exits_with_a_documented_code(doc, percentile, window, replications):
+    # 0 success, 2 configuration, 3 input, 4 overload: never 1, never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        config = tmp / "scenario.yaml"
+        config.write_text(yaml.safe_dump(doc))
+        trace = tmp / "trace.csv"
+        EventStream(0.25 * np.arange(1, 40)).save_csv(trace)
+        common = ["--config", str(config), "--out", str(tmp / "out"),
+                  "--replications", replications]
+        for argv in (["generate"], ["validate-arrivals"],
+                     ["validate-arrivals", "--stream", str(trace)],
+                     ["simulate"], ["simulate", "--single-job"],
+                     ["predict", "--percentile", percentile],
+                     ["scale", "--trace", str(trace), "--window-length", window]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run(argv + common)
+            assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+            assert "Traceback" not in err.getvalue(), argv

@@ -10,6 +10,7 @@ from scipy import stats
 
 from miotcore import traffic
 from miotcore.traffic import (
+    MAX_ALARM_DRAWS,
     MAX_EXPECTED_REQUESTS,
     EventStream,
     SourcePopulation,
@@ -215,9 +216,14 @@ def test_generate_requests_matches_its_golden_digest():
         "0959b0c69e4f6860926b058dc9609527c3055f12e8dab92314a7bdd32a86e860")
 
 
-def test_generate_requests_refuses_too_many_expected_requests():
+def test_generate_requests_refuses_too_many_expected_requests(monkeypatch):
     # Q * (p * H / T + epsilon * H) past MAX_EXPECTED_REQUESTS: refused
     # before the population's offsets, the hazard table or any draw
+    # fail before the Q-long phase array, should a bound ever let a run through
+    def no_phases(offsets_s, params):
+        raise AssertionError("per-source state was built")
+
+    monkeypatch.setattr(traffic, "slot_phases", no_phases)
     params = TrafficParams(period_s=10.0, tx_probability=0.5)
     q_total = 2 * MAX_EXPECTED_REQUESTS // 10  # p * H / T = 5 at H = 100
     with pytest.raises(ValueError, match="expect"):
@@ -228,6 +234,13 @@ def test_generate_requests_refuses_too_many_expected_requests():
     with pytest.raises(ValueError, match="expect"):
         generate_requests(SourcePopulation(1, 1), params, math.nan, seed=0)
     traffic.check_expected_requests(q_total, params, 100.0)  # exactly at the bound
+    # a tiny tx_probability expects few requests, but the generator still
+    # draws Q * H / T alarms and holds state for all Q sources
+    rare = TrafficParams(period_s=10.0, tx_probability=1e-9)
+    for q_total, horizon_s in ((10**9, 10.0), (MAX_ALARM_DRAWS // 10, 100.0 + 1e-9)):
+        with pytest.raises(ValueError, match="alarm draws, need <="):
+            generate_requests(SourcePopulation(q_total, 1), rare, horizon_s, seed=0)
+    traffic.check_expected_requests(MAX_ALARM_DRAWS // 10, rare, 100.0)  # at the bound
 
 
 def test_generate_requests_deterministic_and_sorted():
