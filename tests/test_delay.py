@@ -156,9 +156,9 @@ def test_closed_form_gamma_consistency(profiles):
 
 
 def test_g_table_matches_march_off_nodes():
-    # off-node loads from the floor to rho 0.95; above 0.95 one march takes
-    # from 5 s to over 30 s
-    for rho in (2e-6, 3e-5, 4e-4, 5e-3, 0.1, 0.3, 0.5, RHO, 0.7, 0.8, 0.9, 0.95):
+    # off-node loads up to rho 0.95; above 0.95 one march takes from 5 s
+    # to over 30 s
+    for rho in (0.1, 0.3, 0.5, RHO, 0.7, 0.8, 0.9, 0.95):
         assert tail_exponent(rho) == pytest.approx(
             criticality_exponent(rho), rel=1e-11), rho
 
@@ -171,6 +171,13 @@ def test_g_table_nodes_equal_march():
     for j in (87, 60, 44, 32, 24):
         assert nodes[j] <= 0.95
         assert criticality_exponent(nodes[j]) / (1.0 - nodes[j]) == H[j], nodes[j]
+
+
+def test_light_piece_matches_march_off_nodes():
+    # light loads, near the table's floor at rho = 1e-6
+    for rho in (2e-6, 3e-5, 4e-4, 5e-3):
+        assert tail_exponent(rho) == pytest.approx(
+            criticality_exponent(rho), rel=1e-12), rho
 
 
 def test_g_above_the_table_holds_q():
