@@ -31,9 +31,12 @@ from miotcore.errors import NumericalError, OverloadError  # noqa: E402
 
 TABLE_PATH = os.path.join(ROOT, "src", "miotcore", "_g_table.py")
 
-# nodes of the table: 88 put it within 6e-12 of the march at off-node
-# loads (within 4e-13 up to rho 0.93; above that the march's own bisection
-# step of 8 * 2**-46 dominates, about 1e-11 relative where g is below 0.01)
+# nodes of the table.  64 already meet the tests' 1e-11 bound, but only
+# just: 8.0e-12 off the march at rho 0.75, 6.0e-12 at 0.57, where the
+# interpolation error still dominates.  88 bring that below the march's
+# own resolution, within 8e-13 at off-node loads from 2e-6 to 0.99 (above
+# 0.99 the bisection step of 8 * 2**-46 is about 1e-11 relative, as g
+# falls below 0.01), at 1.6 us more per tail_exponent call than 64.
 N_NODES = 88
 
 # backward-march discretization: grid points per service time, domain cap

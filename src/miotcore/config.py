@@ -54,11 +54,6 @@ DEFAULT_N_GROUPS = 100
 
 _SCALE_SCOPES = {"all": None, "mme": frozenset({ENTITY_MME})}
 
-# libyaml's parser where PyYAML was built with it, about 8x faster on a
-# scenario file; both build the same document
-_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Fully resolved scenario: traffic, entity profiles, topology, scaling."""
@@ -300,7 +295,7 @@ def load_scenario(path):
     """Parse and validate a YAML scenario file."""
     try:
         with open(path, "rb") as fh:
-            doc = yaml.load(fh, Loader=_YAML_LOADER)
+            doc = yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path!r}: {exc}") from exc
     except yaml.YAMLError as exc:

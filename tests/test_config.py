@@ -257,18 +257,6 @@ def test_load_scenario_yaml(tmp_path):
     assert sc.q_total == 1000
     with pytest.raises(ConfigurationError, match="cannot read"):
         load_scenario(tmp_path / "absent.yaml")
-
-
-@pytest.mark.parametrize("loader", [
-    yaml.SafeLoader,
-    pytest.param(getattr(yaml, "CSafeLoader", None), marks=pytest.mark.skipif(
-        not yaml.__with_libyaml__, reason="PyYAML built without libyaml")),
-], ids=["python", "libyaml"])
-def test_load_scenario_under_either_yaml_loader(tmp_path, monkeypatch, loader):
-    monkeypatch.setattr("miotcore.config._YAML_LOADER", loader)
-    path = tmp_path / "scenario.yaml"
-    path.write_text(yaml.safe_dump(FULL))
-    assert load_scenario(path) == scenario_from_dict(FULL)
     bad = tmp_path / "bad.yaml"
     # unbalanced, not UTF-8, a control character
     for text in (b"traffic: [unbalanced", b"traffic: {period_s: 10.0}\n\xff\xfe", b"\x00"):
