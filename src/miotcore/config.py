@@ -15,7 +15,9 @@ A scenario file is a nested key/value document with four optional blocks
       horizon_s: 1000.0         # default 100 * period_s
     entities:
       capacity_scale: 1.0
-      profiles:                 # default: the six-entity EPC profile below
+      profiles:                 # default: the six-entity EPC profile below; a
+                                # list holds one row for each of UE, eNB, MME,
+                                # HSS, SGW and PGW, and no other entity
         - {entity: MME, ops_per_bearer: 9.0, capacity: 10000.0, messages_per_bearer: 9}
     topology:
       n_enb: null               # default: one eNB per source group
@@ -38,7 +40,7 @@ import yaml
 
 from .arrivals import bearer_request_rate
 from .autoscale import ScalingPolicy
-from .delay import ENTITY_MME, EntityProfile
+from .delay import ENTITY_MME, ENTITY_NAMES, EntityProfile
 from .errors import ConfigurationError
 from .traffic import SourcePopulation, TrafficParams, check_expected_requests
 
@@ -229,6 +231,13 @@ def scenario_from_dict(doc):
             except ConfigurationError as exc:
                 raise ConfigurationError(f"{path}: {exc}") from exc
         profiles = tuple(profiles)
+        # every command reads the same six: the walk, the model's K and the
+        # MME lookup each need all of them, and none reads another
+        names = [p.entity for p in profiles]
+        if sorted(names) != sorted(ENTITY_NAMES):
+            raise ConfigurationError(
+                f"entities.profiles: need one profile for each of "
+                f"{', '.join(ENTITY_NAMES)}, got {', '.join(names)}")
     if capacity_scale != 1.0:
         profiles = tuple(
             EntityProfile(

@@ -30,8 +30,9 @@ def _check_cells(cells, n_cols, what):
 def write_csv(path, header, *columns):
     """Write a header row, then row i of the columns for every index i.
 
-    A column is a numpy array of a float or int dtype, or a sequence of
-    floats, ints and strs (numpy float64 and integer scalars included).
+    A column is a numpy array of a float or int dtype, a range, or a
+    sequence of floats, ints and strs (numpy float64 and integer scalars
+    included).
     Raises ValueError, before the file is opened, when the columns differ
     in length or when a header or str cell would need quoting (see the
     module docstring).
@@ -41,6 +42,8 @@ def write_csv(path, header, *columns):
         raise ValueError(f"columns differ in length: {[len(col) for col in columns]}")
     _check_cells(header, len(header), "header")
     for col in columns:
+        if isinstance(col, range):
+            continue  # ints only
         if not isinstance(col, np.ndarray) or col.dtype.kind not in "biuf":
             _check_cells(col, len(columns), "column")
     line = ",".join(["%s"] * len(columns)) + "\r\n"

@@ -188,6 +188,32 @@ def default_bearer_template(profiles):
     return ProcedureTemplate(tuple(hops), marked_index=len(hops) - 1)
 
 
+def _quantile_linear(values, p):
+    """``np.quantile(values, p)`` of a non-empty 1-d float64 array, bit for bit.
+
+    numpy's default 'linear' method, without the ``np.unique`` call that
+    imports ``numpy.ma`` (0.6 MiB resident): the virtual index v = (n-1)*p
+    with neighbours floor(v) and floor(v)+1 (both the last index when
+    v >= n-1), a partition at the same indices, and numpy's lerp, which
+    switches to b - (b-a)*(1-t) at t >= 0.5.  A NaN anywhere gives NaN.
+    ``values`` is partitioned in place, where np.quantile partitions a copy.
+    """
+    n = values.size
+    v = (n - 1) * p
+    lo = math.floor(v)
+    hi = lo + 1
+    if v >= n - 1:
+        lo = hi = -1
+    values.partition(sorted({0, -1, lo, hi}))
+    if math.isnan(values[-1]):
+        return float(values[-1])
+    a = float(values[lo])
+    b = float(values[hi])
+    t = v - lo
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
 class DelaySampleSet:
     """Arrival and completion times of the completed bearer requests.
 
@@ -227,14 +253,14 @@ class DelaySampleSet:
             raise ValueError(f"p must lie in (0, 1), got {p!r}")
         if not len(self):
             raise ValueError("no samples")
-        return float(np.quantile(self.delays_s, p))
+        return _quantile_linear(self.delays_s, p)
 
     def save_csv(self, path):
         write_csv(path, ["request_id", "arrival_s", "completion_s", "delay_s"],
-                  np.arange(len(self)), self.arrivals_s, self.completions_s, self.delays_s)
+                  range(len(self)), self.arrivals_s, self.completions_s, self.delays_s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServerStats:
     """Per server-instance accounting over one simulation run."""
 
@@ -247,35 +273,54 @@ class ServerStats:
     utilization: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UtilizationReport:
-    """Busy-time accounting per entity, with per-instance rows available."""
+    """Busy-time accounting per entity, with per-instance rows available.
+
+    ``servers`` holds one ``(entity, capacity, instances, busy_s,
+    served_work, job_seconds)`` group per entity with servers, in name
+    order: the instance numbers ascending, and one float64 entry per
+    instance in each array.  ``rows`` builds one ServerStats per instance
+    from them on every access, so a report holds no object per server.
+    Two reports are equal when their horizons and rows are.
+    """
 
     horizon_s: float
-    rows: tuple
+    servers: tuple
+
+    def __eq__(self, other):
+        if not isinstance(other, UtilizationReport):
+            return NotImplemented
+        return self.horizon_s == other.horizon_s and self.rows == other.rows
+
+    @property
+    def rows(self):
+        """One ServerStats per server instance, by entity name, then instance."""
+        h = self.horizon_s
+        return tuple(
+            ServerStats(entity, instance, capacity, busy, served, jobsec,
+                        busy / h if h > 0 else 0.0)
+            for entity, capacity, *columns in self.servers
+            for instance, busy, served, jobsec in zip(*(c.tolist() for c in columns))
+        )
 
     def per_entity(self):
         """Mean utilization per entity name (busy time over horizon, averaged
         across that entity's server instances)."""
-        busy = {}
-        count = {}
-        for row in self.rows:
-            busy[row.entity] = busy.get(row.entity, 0.0) + row.busy_s
-            count[row.entity] = count.get(row.entity, 0) + 1
-        return {
-            name: busy[name] / (count[name] * self.horizon_s) if self.horizon_s > 0 else 0.0
-            for name in busy
-        }
+        out = {}
+        for entity, _, instances, busy_s, _, _ in self.servers:
+            busy = 0.0
+            for b in busy_s.tolist():  # in row order, as the rows add
+                busy += b
+            out[entity] = busy / (instances.size * self.horizon_s) if self.horizon_s > 0 else 0.0
+        return out
 
     def text(self):
         lines = [f"horizon_s={self.horizon_s!r}"]
         per = self.per_entity()
-        counts = {}
-        for row in self.rows:
-            counts[row.entity] = counts.get(row.entity, 0) + 1
-        for name in sorted(per):
+        for entity, _, instances, *_ in self.servers:
             lines.append(
-                f"entity={name} instances={counts[name]} utilization={per[name]:.6f}"
+                f"entity={entity} instances={instances.size} utilization={per[entity]:.6f}"
             )
         return "\n".join(lines) + "\n"
 
@@ -368,7 +413,6 @@ def run_bearer_simulation(
     entity_order = template.entities()
     col_of = {name: j for j, name in enumerate(entity_order)}
     n_cols = len(entity_order)
-    hop_col = [col_of[h.entity] for h in hops]
 
     chain = [i for i in range(n_hops) if i != marked]
     next_hop = [-1] * n_hops
@@ -377,45 +421,58 @@ def run_bearer_simulation(
     marked_trigger = None if marked is None else marked - 1
 
     # Every request walks every hop, so the server instances are known up
-    # front.  Server ``sid`` is ``names[sid]`` = (entity, instance), and
-    # ``route[entity][req]`` is the server a request's hops there use; the
-    # routes share one int object per server rather than one per request.
+    # front.  Each entity's servers take consecutive ids from ``first``, in
+    # the order of its sorted ``instances``, and ``route[entity][req]`` is
+    # the server a request's hops there use: an int32 array, read through
+    # a memoryview, and for a single-instance entity one int32 repeated
+    # with stride 0, which takes no memory per request.
     if stream.source_ids is not None:
         keys = np.asarray(stream.source_ids[:n_req], dtype=np.int64)
     else:
         keys = np.arange(n_req)
-    names = []
+    servers = []  # (entity, first, instances)
     route = {}
+    s_cap = []
     for entity in entity_order:
         div = _route_divisor(entity, n_enb, n_sgw)
         instances, inverse = np.unique(keys % div if div else keys, return_inverse=True)
-        sids = np.arange(len(names), len(names) + instances.size).astype(object)
-        route[entity] = sids[inverse].tolist()
-        names += [(entity, inst) for inst in instances.tolist()]
+        first = len(s_cap)
+        if instances.size == 1:
+            sids = np.broadcast_to(np.int32(first), (n_req,))
+        else:
+            sids = inverse.astype(np.int32)
+            sids += first
+        route[entity] = memoryview(sids)
+        servers.append((entity, first, instances))
+        s_cap += [float(profile_map[entity].capacity)] * instances.size
+    del keys, inverse, sids
     hop_route = [route[h.entity] for h in hops]
 
     # Per-server PS state, one list slot per server: clock, virtual clock,
     # accounting, and a heap of (virtual finish, ticket, request, hop, work)
-    # for the jobs in service.  A job of work w admitted at virtual time V
-    # finishes at virtual time V + w; the virtual clock advances at
-    # capacity / k with k jobs in service, and snaps to a job's virtual
-    # finish when it completes, so rounding does not accumulate.
-    n_srv = len(names)
-    s_cap = [float(profile_map[entity].capacity) for entity, _ in names]
+    # for the jobs in service, None while the server is idle.  A job of
+    # work w admitted at virtual time V finishes at virtual time V + w; the
+    # virtual clock advances at capacity / k with k jobs in service, and
+    # snaps to a job's virtual finish when it completes, so rounding does
+    # not accumulate.
+    n_srv = len(s_cap)
     s_t = [0.0] * n_srv
     s_v = [0.0] * n_srv
     s_busy = [0.0] * n_srv
     s_served = [0.0] * n_srv
     s_jobsec = [0.0] * n_srv
-    s_jobs = [[] for _ in range(n_srv)]
+    s_jobs = [None] * n_srv
     s_entry = [None] * n_srv  # the server's queue entry while it is busy
 
-    # per-request scratch state, flat; the breakdown is row-major
+    # per-request scratch state, flat: the current chain hop's dispatch,
+    # the later of the chain's end and the marked hop's dispatch (all the
+    # results need of either), and the marked hop's end.  The breakdown is
+    # column-major, one n_req-long run per entity, so each column is a view.
     seq_start = array("d", [0.0]) * n_req
-    chain_end = array("d", [0.0]) * n_req
-    marked_start = array("d", [0.0]) * n_req
+    late = array("d", [0.0]) * n_req
     marked_end = array("d", [0.0]) * n_req
-    breakdown = array("d", [0.0]) * (n_req * n_cols)
+    breakdown = array("d", [0.0]) * (n_cols * n_req)
+    hop_at = [col_of[h.entity] * n_req for h in hops]  # a hop's column start
 
     # The event queue holds at most one entry per server, [time, ticket,
     # sid], kept current as the server's next completion moves, plus one
@@ -435,9 +492,9 @@ def run_bearer_simulation(
         s_t[sid] = t
         n = ticket()
         jobs = s_jobs[sid]
-        k = len(jobs)
         virtual = s_v[sid]
-        if k:
+        if jobs:
+            k = len(jobs)
             virtual += dt * s_cap[sid] / k
             s_v[sid] = virtual
             s_busy[sid] += dt
@@ -448,12 +505,12 @@ def run_bearer_simulation(
         else:
             # idle: the job runs alone, with no service to accrue
             vf = virtual + work
-            jobs.append((vf, n, req, hop, work))
+            s_jobs[sid] = [(vf, n, req, hop, work)]
             t_next = t + (vf - virtual) / s_cap[sid]
         if hop != marked:
             seq_start[req] = t
-        else:
-            marked_start[req] = t
+        elif t > late[req]:
+            late[req] = t
         entry = s_entry[sid]
         if entry is None:
             s_entry[sid] = entry = [t_next, n, sid]
@@ -499,7 +556,8 @@ def run_bearer_simulation(
         s_busy[sid] += dt
         s_jobsec[sid] += k * dt
         if k == 1:
-            done = (jobs.pop(),)
+            done = jobs
+            jobs = None
         else:
             cap = s_cap[sid]
             done = [heappop(jobs)]
@@ -510,21 +568,24 @@ def run_bearer_simulation(
                     break
                 done.append(heappop(jobs))
                 k -= 1
+            if not k:
+                jobs = None
+        s_jobs[sid] = jobs  # None once the server is idle
         s_v[sid] = done[-1][0]
         for _vf, _n, req, hop, work in done:
             s_served[sid] += work
             if hop == marked:
                 marked_end[req] = t
                 continue
-            breakdown[req * n_cols + hop_col[hop]] += t - seq_start[req]
+            breakdown[hop_at[hop] + req] += t - seq_start[req]
             for nxt in successors[hop]:
                 if link_latency_s > 0.0:
                     # across a link the hop starts later, after the events between
                     heappush(events, [t + link_latency_s, ticket(), None, req, nxt])
                 else:
                     dispatch(t, req, nxt)
-            if next_hop[hop] < 0:
-                chain_end[req] = t
+            if next_hop[hop] < 0 and t > late[req]:
+                late[req] = t
         if jobs and s_entry[sid] is None:
             # jobs are left and no successor re-entered the server: queue
             # it again, after its successors, as their tickets come first
@@ -535,50 +596,39 @@ def run_bearer_simulation(
             heappush(events, entry)
 
     # Only the per-request times and the server accounting outlive the
-    # loop: the routes, job heaps, queue entries and arrival copy go before
-    # the samples are built, and the per-request scratch before the rows.
-    del dispatch, route, hop_route, keys, s_jobs, s_entry, s_t, s_v, events, arr, seq_start
-    chain_end = np.frombuffer(chain_end, dtype=float)
-    breakdown = np.frombuffer(breakdown, dtype=float).reshape(n_req, n_cols)
-    if marked is None:
-        completions = chain_end
-    else:
+    # loop: the routes, job heaps, queue entries, arrival copy and chain
+    # hop starts go before the samples are built.
+    del dispatch, route, hop_route, s_jobs, s_entry, s_t, s_v, events, arr, seq_start
+    completions = np.frombuffer(late, dtype=float)
+    breakdown = np.frombuffer(breakdown, dtype=float).reshape(n_cols, n_req)
+    if marked is not None:
         marked_end = np.frombuffer(marked_end, dtype=float)
-        completions = np.maximum(chain_end, marked_end)
         # the marked entity gets only its span beyond both the chain and its
         # own dispatch; a link crossing into it stays in the link residual
-        marked_start = np.frombuffer(marked_start, dtype=float)
-        extra = np.maximum(0.0, marked_end - np.maximum(chain_end, marked_start))
-        breakdown[:, col_of[hops[marked].entity]] += extra
+        breakdown[col_of[hops[marked].entity]] += np.maximum(0.0, marked_end - completions)
+        # a hop ends after its dispatch, so this is max(chain end, marked end)
+        np.maximum(completions, marked_end, out=completions)
 
-    cols = {name: breakdown[:, j].copy() for name, j in col_of.items()}
+    cols = {name: breakdown[j] for name, j in col_of.items()}
     if link_latency_s > 0.0:
-        residual = (completions - arrivals) - breakdown.sum(axis=1)
-        cols[_LINK_ENTITY] = np.maximum(0.0, residual)
+        # summed over the row-major layout, in the order its rows add
+        spent = np.ascontiguousarray(breakdown.T).sum(axis=1)
+        cols[_LINK_ENTITY] = np.maximum(0.0, (completions - arrivals) - spent)
 
     samples = DelaySampleSet(
         arrivals_s=arrivals,
         completions_s=completions,
         breakdown=cols,
     )
-    del breakdown, chain_end, marked_start, marked_end
+    del breakdown, late, marked_end
 
-    rows = []
-    for sid in sorted(range(n_srv), key=names.__getitem__):
-        entity, instance = names[sid]
-        util = s_busy[sid] / horizon_s if horizon_s > 0 else 0.0
-        rows.append(
-            ServerStats(
-                entity=entity,
-                instance=instance,
-                capacity=s_cap[sid],
-                busy_s=s_busy[sid],
-                served_work=s_served[sid],
-                job_seconds=s_jobsec[sid],
-                utilization=util,
-            )
-        )
-    report = UtilizationReport(horizon_s=float(horizon_s), rows=tuple(rows))
+    groups = []
+    for entity, first, instances in sorted(servers, key=lambda srv: srv[0]):
+        if instances.size:
+            span = slice(first, first + instances.size)
+            groups.append((entity, s_cap[first], instances, np.array(s_busy[span]),
+                           np.array(s_served[span]), np.array(s_jobsec[span])))
+    report = UtilizationReport(horizon_s=float(horizon_s), servers=tuple(groups))
     return samples, report
 
 

@@ -116,7 +116,7 @@ def parse_trace(path):
         raise TraceFormatError(f"trace {path!r} contains no valid rows")
     order = np.argsort(times, kind="stable")
     times = times[order]
-    n_dup = int(times.size - np.unique(times).size)
+    n_dup = _duplicate_count(times)
     stream = EventStream(times, None if ids is None else ids[order])
     report = TraceParseReport(
         n_rows=n_rows,
@@ -125,6 +125,13 @@ def parse_trace(path):
         n_duplicate_timestamps=n_dup,
     )
     return stream, report
+
+
+def _duplicate_count(sorted_times):
+    """Values equal to their predecessor in a sorted array, the count
+    ``size - np.unique(...).size`` gives for finite values (-0.0 == 0.0)
+    without the ``numpy.ma`` import ``np.unique`` makes."""
+    return int(np.count_nonzero(sorted_times[1:] == sorted_times[:-1]))
 
 
 def _parse_bulk(fh):

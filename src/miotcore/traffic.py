@@ -10,7 +10,7 @@ with a fixed probability and is back in Regular one slot later.
 import math
 import struct
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -20,13 +20,14 @@ from .csvio import write_csv
 TX_PROBABILITY_DEFAULT = 1.0 - math.exp(-1.0)
 
 # the finest slot grid a parameter set may ask for: its cumulative hazard
-# is one float64 per slot, 80 MB at this size
+# table is one float64 per even slot, 40 MB at this size
 MAX_SLOTS = 10**7
 
 # the most requests a generation call may expect, Q * (p * H / T + epsilon * H):
 # the stream is a float64 time and an int64 source id per request, 160 MB at
-# this size (its merge holds about twice that), and a walk of it about 184
-# bytes a request (84 of per-request arrays, 100 of routes), 1.8 GB
+# this size (its merge holds about twice that), and a walk of it about 88
+# bytes a request beside its per-server state (80 of per-request arrays,
+# 8 of int32 routes to the UE and eNB servers), 0.9 GB
 MAX_EXPECTED_REQUESTS = 10**7
 
 # the most alarm draws a generation call may make, Q * H / T, whatever p:
@@ -36,7 +37,7 @@ MAX_EXPECTED_REQUESTS = 10**7
 MAX_ALARM_DRAWS = 2 * 10**7
 
 # slots per step of the cumulative-hazard build; bounds its scratch memory
-# to about 0.75 MiB traced
+# to about 0.9 MiB traced
 _PREFIX_CHUNK = 1 << 14
 
 
@@ -189,25 +190,60 @@ def beta_pmf(n, params):
     return float(out) if np.isscalar(n) else out
 
 
-def hazard_table(params: TrafficParams):
-    """Cumulative -ln(1-f) over one period: P[0..N], and the period total phi.
+class HazardTable(NamedTuple):
+    """The cumulative slot hazard of one period, kept at its even slots.
 
-    Built afresh on every call, for its caller alone: one float64 per slot
-    (7.6 MiB at the stock 10^6 slots) that nothing keeps once the caller
-    drops it.  Every f is at most 2.0736/N, so -ln(1-f) is finite and phi
-    is about 1.  The sums are built _PREFIX_CHUNK slots at a time, each
-    chunk's first term carrying the sum so far, which adds in the same
-    left-to-right order as one cumsum over the whole grid.
+    ``even[m]`` is P[2m], the hazard -ln(1-f) summed over slots 1..2m, for
+    2m <= N; ``phi`` is the period total P[N].  An odd slot's P[2m+1] is
+    rebuilt on demand as ``even[m] + h(2m+1)``, the one float add the
+    running sum made there, so every rebuilt value equals the full
+    prefix's bit for bit.
+    """
+
+    even: np.ndarray
+    phi: float
+    n_slots: int
+
+
+def _slot_hazard(slots, n_slots):
+    """-ln(1-f) of each slot in a 1-d int64 array: the summand of P."""
+    return -np.log1p(-beta_pmf(slots, n_slots))
+
+
+def hazard_table(params: TrafficParams) -> HazardTable:
+    """The cumulative hazard -ln(1-f) over one period, as a HazardTable.
+
+    Built afresh on every call, for its caller alone: one float64 per
+    even slot (3.8 MiB at the stock 10^6 slots) that nothing keeps once
+    the caller drops it.  Every f is at most 2.0736/N, so -ln(1-f) is
+    finite and phi is about 1.  The sum runs _PREFIX_CHUNK slots at a
+    time, each chunk's first term carrying the sum so far, which adds in
+    the same left-to-right order as one cumsum over the whole grid.
     """
     n_slots = params.n_slots
-    prefix = np.empty(n_slots + 1)
-    prefix[0] = 0.0
+    even = np.empty(n_slots // 2 + 1)
+    even[0] = 0.0
+    run = np.empty(_PREFIX_CHUNK)
+    total = 0.0
+    # every chunk starts at an odd slot, so its even slots sit at odd offsets
     for lo in range(1, n_slots + 1, _PREFIX_CHUNK):
         hi = min(lo + _PREFIX_CHUNK, n_slots + 1)
-        h = -np.log1p(-beta_pmf(np.arange(lo, hi), params))
-        h[0] += prefix[lo - 1]
-        np.cumsum(h, out=prefix[lo:hi])
-    return prefix, float(prefix[-1])
+        h = _slot_hazard(np.arange(lo, hi), n_slots)
+        h[0] += total
+        part = np.cumsum(h, out=run[:hi - lo])
+        even[(lo + 1) // 2:(hi + 1) // 2] = part[1::2]
+        total = float(part[-1])
+    return HazardTable(even, total, n_slots)
+
+
+def _prefix_at(table: HazardTable, slots):
+    """P[slots] for int64 slots in [0, N], any shape, odd ones rebuilt."""
+    slots = np.asarray(slots)
+    flat = slots.reshape(-1)
+    out = table.even[flat >> 1]
+    odd = np.flatnonzero(flat & 1)
+    out[odd] += _slot_hazard(flat[odd], table.n_slots)
+    return out.reshape(slots.shape)[()]
 
 
 def slot_phases(offsets_s, params: TrafficParams) -> np.ndarray:
@@ -222,29 +258,41 @@ def slot_phases(offsets_s, params: TrafficParams) -> np.ndarray:
     return (offs / params.slot_delta_s).astype(np.int64) % params.n_slots
 
 
-def cumulative_hazard(y, table):
+def cumulative_hazard(y, table: HazardTable):
     """Cumulative -ln(1-f) over absolute slots 1..y, across period wraps.
 
-    ``table`` is the (prefix, phi) pair of hazard_table.  H(y) =
-    (y // N) * phi + prefix[y % N] for integer y >= 0; H(b) - H(a) is the
-    hazard of slots a+1..b.
+    H(y) = (y // N) * phi + P[y % N] for integer y >= 0, with P the
+    table's prefix; H(b) - H(a) is the hazard of slots a+1..b.  Over
+    y = 0..N it is the full prefix P[0..N] itself, bit for bit.
     """
-    prefix, phi = table
-    n_slots = prefix.size - 1
-    return (y // n_slots) * phi + prefix[y % n_slots]
+    n_slots = table.n_slots
+    return (y // n_slots) * table.phi + _prefix_at(table, y % n_slots)
 
 
-def _slots_from_targets(prefix, phi, n_slots, targets):
+def _slots_from_targets(table: HazardTable, targets):
     """Smallest absolute slots y with cumulative hazard(y) >= targets."""
+    even, phi, n_slots = table
     periods = np.floor_divide(targets, phi).astype(np.int64)
     residual = targets - periods * phi
-    # sorted keys walk the prefix in order, where unsorted ones each miss
-    # the cache: the same indices, scattered back to the targets' order
+    # sorted keys walk the table in order, where unsorted ones each miss
+    # the cache: the slots are found in that order, then scattered back
     order = np.argsort(residual)
-    j = np.empty_like(order)
-    j[order] = np.searchsorted(prefix, residual[order], side="left")
-    np.maximum(j, 1, out=j)
-    return periods * n_slots + j
+    r = residual[order]
+    j = np.searchsorted(even, r, side="left")
+    # P[2j-2] < r <= P[2j]: the first slot is the odd 2j-1 when
+    # P[2j-1] = P[2j-2] + h(2j-1) reaches r, else 2j; past the table's end
+    # (r > phi at even N) it is N+1, as the search over the full prefix gives
+    y = 2 * j
+    odd = y - 1
+    past = odd > n_slots
+    y[past] = odd[past]
+    k = np.flatnonzero((j > 0) & ~past)
+    k = k[even[j[k] - 1] + _slot_hazard(odd[k], n_slots) >= r[k]]
+    y[k] = odd[k]
+    np.maximum(y, 1, out=y)
+    slots = np.empty_like(y)
+    slots[order] = y
+    return periods * n_slots + slots
 
 
 def check_expected_requests(q_total, params: TrafficParams, horizon_s):
@@ -277,14 +325,13 @@ def generate_requests(population: SourcePopulation, params: TrafficParams,
         raise ValueError("horizon must cover at least one period")
     check_expected_requests(population.q_total, params, horizon_s)
     rng = np.random.default_rng(seed)
-    n_slots = params.n_slots
     delta = params.slot_delta_s
 
     offsets_s = population.offsets_s
     if offsets_s is None:
         offsets_s = rng.uniform(0.0, params.period_s, size=population.n_groups)
     phase = np.repeat(slot_phases(offsets_s, params), population.group_size)
-    prefix, phi = table = hazard_table(params)
+    table = hazard_table(params)
 
     q_total = population.q_total
     # cumulative hazard consumed so far, in shifted (per-source) coordinates
@@ -295,7 +342,7 @@ def generate_requests(population: SourcePopulation, params: TrafficParams,
     while alive.any():
         idx = np.flatnonzero(alive)
         wait = rng.exponential(size=idx.size)
-        y_alarm = _slots_from_targets(prefix, phi, n_slots, base[idx] + wait)
+        y_alarm = _slots_from_targets(table, base[idx] + wait)
         t_alarm = (y_alarm - phase[idx]) * delta
         expired = t_alarm > horizon_s
         alive[idx[expired]] = False
@@ -308,7 +355,7 @@ def generate_requests(population: SourcePopulation, params: TrafficParams,
         ids.append(idx[live][emit])
         # forced Regular at the slot after the alarm: hazard resumes at +2
         base[idx[live]] = cumulative_hazard(y_live + 1, table)
-    del table, prefix  # released before the merge: the alarm draws are done
+    del table  # released before the merge: the alarm draws are done
 
     if params.regular_rate_epsilon > 0.0:
         counts = rng.poisson(params.regular_rate_epsilon * horizon_s, size=q_total)

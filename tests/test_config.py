@@ -30,8 +30,10 @@ FULL = {
                 "regular_rate_epsilon": 0.5, "tx_probability": 0.5,
                 "offsets_s": [1.0, 6.0], "horizon_s": 100.0},
     "entities": {"capacity_scale": 1.0,
-                 "profiles": [{"entity": "MME", "ops_per_bearer": 9.0,
-                               "capacity": 10000.0, "messages_per_bearer": 9}]},
+                 "profiles": [{"entity": p.entity, "ops_per_bearer": p.ops_per_bearer,
+                               "capacity": p.capacity,
+                               "messages_per_bearer": p.messages_per_bearer}
+                              for p in DEFAULT_ENTITY_PROFILES]},
     "topology": {"n_enb": 2, "n_sgw": 1, "link_latency_s": 1e-3,
                  "encryption_ops": 1.0},
     "scaling": {"target_delay_s": 0.1, "percentile": 0.99,
@@ -192,11 +194,12 @@ def test_capacity_scale_and_custom_profiles():
                 {"entity": "MME", "ops_per_bearer": 9.0, "capacity": 5000.0,
                  "messages_per_bearer": 9},
                 {"entity": "UE", "ops_per_bearer": 3.0, "capacity": 1000.0},
-            ],
+            ] + [{"entity": name, "ops_per_bearer": 1.0, "capacity": 1e4}
+                 for name in ("eNB", "HSS", "SGW", "PGW")],
         },
     }
     sc = scenario_from_dict(doc)
-    assert len(sc.profiles) == 2
+    assert len(sc.profiles) == 6
     mme = next(p for p in sc.profiles if p.entity == "MME")
     assert mme.capacity == 10_000.0  # 5000 * 2
     ue = next(p for p in sc.profiles if p.entity == "UE")

@@ -11,6 +11,7 @@ from miotcore.arrivals import KS_MIN_SAMPLES, ks_critical_value
 from miotcore.errors import ConfigurationError, TraceFormatError
 from miotcore.trace import (
     TraceWindow,
+    _duplicate_count,
     make_diurnal_trace,
     parse_trace,
     replay_rate_series,
@@ -152,6 +153,23 @@ def _parse_outcome(path):
         return str(exc)
     ids = None if stream.source_ids is None else stream.source_ids.tobytes()
     return stream.timestamps.tobytes(), ids, report
+
+
+@settings(max_examples=300)
+@given(values=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1.0, 2.5, 1e300]),
+                                 st.floats(0.0, 1e6)), max_size=60))
+def test_duplicate_count_is_the_np_unique_count(values):
+    # parse_trace counts duplicates on the sorted times by comparing
+    # neighbours, where np.unique would import numpy.ma; -0.0 == 0.0 in both
+    times = np.sort(np.array(values, dtype=float), kind="stable")
+    assert _duplicate_count(times) == times.size - np.unique(times).size
+
+
+def test_parse_trace_counts_signed_zeros_as_one_timestamp(tmp_path):
+    path = tmp_path / "zeros.csv"
+    path.write_text("timestamp_s\n0.0\n-0.0\n1.5\n0.0\n1.5\n")
+    _, report = parse_trace(path)
+    assert (report.n_valid, report.n_duplicate_timestamps) == (5, 3)
 
 
 @settings(max_examples=300)

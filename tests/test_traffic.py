@@ -91,9 +91,21 @@ def test_slot_phases_truncate_and_refuse_offsets_outside_the_period():
             slot_phases((1.0, bad), params)
 
 
+def _one_shot_prefix(params):
+    """The cumulative hazard P[0..N] as one cumsum over the whole grid."""
+    h = -np.log1p(-beta_pmf(np.arange(1, params.n_slots + 1), params))
+    return np.concatenate(([0.0], np.cumsum(h)))
+
+
+def _full_prefix(table):
+    """P[0..N] rebuilt from a table: H(y) for y = 0..N is the prefix."""
+    return cumulative_hazard(np.arange(table.n_slots + 1), table)
+
+
 def test_cumulative_hazard_wraps_the_period_and_is_the_prefix_within_it():
     params = TrafficParams(period_s=10.0, slot_delta_s=0.05)  # 200 slots
-    prefix, phi = table = hazard_table(params)
+    table = hazard_table(params)
+    prefix = _one_shot_prefix(params)
     y = np.arange(params.n_slots)
     # within one period H is the prefix itself, bit for bit
     assert cumulative_hazard(y, table).tobytes() == prefix[:-1].tobytes()
@@ -102,7 +114,25 @@ def test_cumulative_hazard_wraps_the_period_and_is_the_prefix_within_it():
     for a, b in ((0, 7), (150, 260), (199, 401), (37, 600)):
         assert cumulative_hazard(b, table) - cumulative_hazard(a, table) == \
             pytest.approx(direct[b - 1] - (direct[a - 1] if a else 0.0), abs=1e-12)
-    assert cumulative_hazard(np.int64(2 * params.n_slots), table) == 2 * phi
+    assert cumulative_hazard(np.int64(2 * params.n_slots), table) == 2 * table.phi
+
+
+@pytest.mark.parametrize("n_slots", [199, 200])
+def test_cumulative_hazard_of_scalar_slots_on_odd_and_even_grids(n_slots):
+    # a scalar slot, odd or even, reads the prefix as an array slot does:
+    # Python int, numpy int and 0-d array each give one float64
+    params = TrafficParams(period_s=float(n_slots), slot_delta_s=1.0)
+    prefix = _one_shot_prefix(params)
+    table = hazard_table(params)
+    for y in (0, 1, 2, n_slots - 2, n_slots - 1, n_slots, n_slots + 1, 3 * n_slots + 5):
+        want = (y // n_slots) * prefix[-1] + prefix[y % n_slots]
+        for slot in (y, np.int64(y), np.array(y)):
+            got = cumulative_hazard(slot, table)
+            assert type(got) is np.float64
+            assert got == want
+    grid = np.arange(2 * n_slots).reshape(2, n_slots)  # any shape
+    assert cumulative_hazard(grid, table).shape == (2, n_slots)
+    assert cumulative_hazard(grid[0], table).tobytes() == prefix[:-1].tobytes()
 
 
 def test_params_refuse_a_slot_grid_past_max_slots():
@@ -119,43 +149,41 @@ def test_params_refuse_a_slot_grid_past_max_slots():
     assert TrafficParams(period_s=10.0, slot_delta_s=1e-6).n_slots == traffic.MAX_SLOTS
 
 
-def _one_shot_prefix(params):
-    """The cumulative hazard as one cumsum over the whole grid."""
-    h = -np.log1p(-beta_pmf(np.arange(1, params.n_slots + 1), params))
-    return np.concatenate(([0.0], np.cumsum(h)))
-
-
 @pytest.mark.parametrize("chunks, extra", [(0, 100), (1, -1), (1, 0), (1, 1), (3, 7)])
 def test_chunked_prefix_equals_one_cumsum_bit_for_bit(chunks, extra):
     n_slots = chunks * traffic._PREFIX_CHUNK + extra
     params = TrafficParams(period_s=float(n_slots), slot_delta_s=1.0)
     assert params.n_slots == n_slots
-    prefix, phi = hazard_table(params)
+    table = hazard_table(params)
+    assert table.even.size == n_slots // 2 + 1  # odd and even grids both
+    prefix = _full_prefix(table)
     assert prefix.tobytes() == _one_shot_prefix(params).tobytes()
-    assert phi == prefix[-1]
+    assert table.phi == prefix[-1]
 
 
 def test_stock_prefix_matches_its_golden_digest():
-    # sha256 of the stock grid's prefix as one whole-grid cumsum built it
-    prefix, _ = hazard_table(TrafficParams())
+    # sha256 of the stock grid's prefix as one whole-grid cumsum built it,
+    # here rebuilt whole from the even-slot table
+    prefix = _full_prefix(hazard_table(TrafficParams()))
     assert hashlib.sha256(prefix.tobytes()).hexdigest() == (
         "e7e5b54d7a88e3b4dffb2cc7ee40c29d235c47c1ef7fb587e90a0187f182dcc6")
 
 
 def test_prefix_scratch_memory_is_bounded():
-    # the stock grid's prefix is 7.6 MiB; a whole-grid build peaked at
-    # 38.2 MiB, 65,536-slot chunks at 10.6 MiB, 16,384-slot ones at 8.4 MiB
+    # the stock grid's full prefix is 7.6 MiB; a whole-grid build peaked
+    # at 38.2 MiB, 65,536-slot chunks at 10.6 MiB, 16,384-slot ones at
+    # 8.4 MiB, and the even-slot table (3.8 MiB) at 4.7 MiB
     tracemalloc.start()
     try:
-        prefix, _ = hazard_table(TrafficParams())
+        table = hazard_table(TrafficParams())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= prefix.nbytes + 2**20
+    assert peak <= table.even.nbytes + 2**20
 
 
 def test_generate_requests_keeps_no_hazard_table():
-    # the 900,000-slot table (6.9 MiB) lives for the call alone: once the
+    # the 900,000-slot table (3.4 MiB) lives for the call alone: once the
     # stream is returned, traced memory is back within the stream's own
     # arrays of where it started
     params = TrafficParams(period_s=9.0, slot_delta_s=1e-5)
@@ -173,35 +201,55 @@ def test_generate_requests_keeps_no_hazard_table():
 
 
 def test_slots_from_targets_is_an_exact_inverse_transform():
-    # cumulative hazard 2 at slot 50 of 100 and none elsewhere: a target
-    # in (2k, 2k + 2] is first reached at slot 50 of period k
-    prefix = np.concatenate(([0.0], np.cumsum(np.where(np.arange(1, 101) == 50, 2.0, 0.0))))
-    targets = np.array([1e-9, 1.0, 2.0 + 1e-9, 3.9, 5.0])
-    slots = _slots_from_targets(prefix, 2.0, 100, targets)
-    assert slots.tolist() == [50, 50, 150, 150, 250]
+    # a target in (P[k-1], P[k]] of period m is first reached at slot k of
+    # that period, m * N + k: at P[k] itself, just past P[k-1], and between,
+    # on an even and an odd grid
+    for n_slots in (100, 101):
+        params = TrafficParams(period_s=float(n_slots), slot_delta_s=1.0)
+        prefix = _one_shot_prefix(params)
+        table = hazard_table(params)
+        # slot N, at x = 1, has no hazard, so P[N-1] is already phi, which
+        # a target reads as the start of the next period
+        k = np.arange(1, n_slots - 1)
+        assert np.all(prefix[k] > prefix[k - 1])
+        assert _slots_from_targets(table, prefix[k]).tolist() == k.tolist()
+        above = np.nextafter(prefix[k - 1], np.inf)
+        assert _slots_from_targets(table, above).tolist() == k.tolist()
+        middle = 0.5 * (prefix[k - 1] + prefix[k])
+        for m in (1, 3):
+            got = _slots_from_targets(table, middle + m * table.phi)
+            assert got.tolist() == (m * n_slots + k).tolist()
 
 
 def test_slots_from_targets_equals_the_unsorted_search():
-    # the sorted-key search scattered back must give the indices one
-    # unsorted np.searchsorted gives, on ties, exact prefix values, 0 and
-    # whole periods (residual 0) among them
-    params = TrafficParams(period_s=1.0, slot_delta_s=1e-3)
-    prefix, phi = hazard_table(params)
-    rng = np.random.default_rng(8)
-    exact = prefix[rng.integers(0, prefix.size, 200)]
-    targets = np.concatenate([
-        rng.uniform(0.0, 5.0 * phi, 2000),
-        exact, exact + 3.0 * phi,
-        np.repeat(rng.uniform(0.0, phi, 5), 40),
-        [0.0, phi, 2.0 * phi, 7.0 * phi, prefix[1], prefix[-2]],
-    ])
-    rng.shuffle(targets)
-    periods = np.floor_divide(targets, phi).astype(np.int64)
-    residual = targets - periods * phi
-    want = periods * params.n_slots + np.maximum(np.searchsorted(prefix, residual), 1)
-    got = _slots_from_targets(prefix, phi, params.n_slots, targets)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, want)
+    # the even-slot search, sorted and scattered back, must give the
+    # indices one unsorted np.searchsorted over the whole prefix gives, on
+    # ties, exact prefix values and their neighbours, 0 and whole periods
+    # among them, on an even and an odd grid; some whole periods m * phi
+    # leave a residual just above phi (m = 517 on the even grid), which
+    # the whole prefix's search puts at slot N + 1
+    for period_s in (1.0, 0.999):
+        params = TrafficParams(period_s=period_s, slot_delta_s=1e-3)
+        assert params.n_slots == round(1000 * period_s)
+        prefix = _one_shot_prefix(params)
+        phi = prefix[-1]
+        rng = np.random.default_rng(8)
+        exact = prefix[rng.integers(0, prefix.size, 200)]
+        targets = np.concatenate([
+            rng.uniform(0.0, 5.0 * phi, 2000),
+            exact, exact + 3.0 * phi, np.nextafter(exact, np.inf), np.nextafter(exact, -np.inf),
+            np.repeat(rng.uniform(0.0, phi, 5), 40),
+            [0.0, phi, 2.0 * phi, 7.0 * phi, prefix[1], prefix[-2], np.nextafter(phi, np.inf)],
+            np.arange(1, 600) * phi,
+        ])
+        targets = targets[targets >= 0.0]
+        rng.shuffle(targets)
+        periods = np.floor_divide(targets, phi).astype(np.int64)
+        residual = targets - periods * phi
+        want = periods * params.n_slots + np.maximum(np.searchsorted(prefix, residual), 1)
+        got = _slots_from_targets(hazard_table(params), targets)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
 
 
 def test_generate_requests_matches_its_golden_digest():
