@@ -215,18 +215,23 @@ def ks_critical_value(n) -> float:
     return KS_CRITICAL_C / math.sqrt(n)
 
 
+def ks_verdict(distance, n):
+    """KS verdict over n samples at 1% significance: True (pass), False
+    (fail), or None below KS_MIN_SAMPLES, where c/sqrt(n) is not trusted."""
+    return None if n < KS_MIN_SAMPLES else bool(distance <= ks_critical_value(n))
+
+
 def ks_report(distance, n) -> list:
     """Report lines of a KS distance over n samples at 1% significance.
 
-    ks_distance, ks_critical_01pct and ks_verdict_01pct (pass/fail); with
-    fewer than KS_MIN_SAMPLES samples the asymptotic critical value is
-    not trusted, and a low_confidence line replaces the last two.
+    ks_distance, ks_critical_01pct and ks_verdict_01pct (pass/fail); where
+    ks_verdict gives none, a low_confidence line replaces the last two.
     """
     lines = [f"ks_distance: {distance:.6f}"]
-    if n < KS_MIN_SAMPLES:
+    verdict = ks_verdict(distance, n)
+    if verdict is None:
         return lines + [f"low_confidence: fewer than {KS_MIN_SAMPLES} gaps, "
                         "significance not assessed"]
-    crit = ks_critical_value(n)
-    verdict = "pass" if distance <= crit else "fail"
-    return lines + [f"ks_critical_01pct: {crit:.6f}", f"ks_verdict_01pct: {verdict}"]
+    return lines + [f"ks_critical_01pct: {ks_critical_value(n):.6f}",
+                    f"ks_verdict_01pct: {'pass' if verdict else 'fail'}"]
 

@@ -11,13 +11,12 @@ the model, then simulate the window and record the empirical percentile.
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
 from .csvio import write_csv
-from .delay import build_delay_model, constant_delay_K, delay_percentile, mme_profile
-from .errors import ConfigurationError, OverloadError
+from .delay import ENTITY_MME, build_delay_model, constant_delay_K, delay_percentile
+from .errors import ConfigurationError
 from .simulator import single_job_mode
 from .traffic import EventStream, poisson_arrivals
 
@@ -34,17 +33,17 @@ MAX_FEASIBLE_LOAD = 0.995
 class ScalingPolicy:
     """Scaling targets and the capacity steps available to the controller.
 
-    ``scale_entities`` restricts which entities get their capacity
-    multiplied (None scales every entity together); ``hysteresis`` is the
-    fraction of the target by which a smaller multiplier must beat the
-    target before the controller scales down.
+    ``scope`` names the entities whose capacity a multiplier scales:
+    "all" scales every entity together, "mme" the MME alone.
+    ``hysteresis`` is the fraction of the target by which a smaller
+    multiplier must beat the target before the controller scales down.
     """
 
     target_delay_s: float = 0.1
     percentile: float = 0.99
     multipliers: tuple = (1.0, 2.0, 2.5)
     hysteresis: float = 0.1
-    scale_entities: Optional[frozenset] = None
+    scope: str = "all"
 
     def __post_init__(self):
         if not 0.0 < self.target_delay_s < math.inf:
@@ -61,8 +60,8 @@ class ScalingPolicy:
             raise ConfigurationError("multipliers must be finite and strictly ascending")
         if not 0.0 <= self.hysteresis < 1.0:
             raise ConfigurationError("hysteresis must lie in [0, 1)")
-        if self.scale_entities is not None:
-            object.__setattr__(self, "scale_entities", frozenset(self.scale_entities))
+        if self.scope not in ("all", "mme"):
+            raise ConfigurationError(f"scope must be 'all' or 'mme', got {self.scope!r}")
 
 
 @dataclass(frozen=True)
@@ -80,17 +79,14 @@ class ScalingDecision:
 
 
 def scaled_profiles(profiles, multiplier, policy=None):
-    """Profiles with capacities multiplied for the policy's scaled entities."""
+    """Profiles, same keys in the same order, with capacities multiplied
+    within the policy's scope (every entity's without a policy)."""
     if not multiplier > 0.0:
         raise ConfigurationError("multiplier must be positive")
-    scope = None if policy is None else policy.scale_entities
-    out = []
-    for prof in profiles:
-        if scope is None or prof.entity in scope:
-            out.append(replace(prof, capacity=prof.capacity * multiplier))
-        else:
-            out.append(prof)
-    return tuple(out)
+    mme_only = policy is not None and policy.scope == "mme"
+    return {name: prof if mme_only and name != ENTITY_MME
+            else replace(prof, capacity=prof.capacity * multiplier)
+            for name, prof in profiles.items()}
 
 
 def predict_percentile(lambda_beta, multiplier, profiles, policy):
@@ -103,15 +99,10 @@ def predict_percentile(lambda_beta, multiplier, profiles, policy):
     load below 1.
     """
     profs = scaled_profiles(profiles, multiplier, policy)
-    mme = mme_profile(profs)
-    rho = lambda_beta * mme.ops_per_bearer / mme.capacity
-    if rho >= MAX_FEASIBLE_LOAD:
+    mme = profs[ENTITY_MME]
+    if lambda_beta * mme.ops_per_bearer / mme.capacity >= MAX_FEASIBLE_LOAD:
         return math.inf
-    try:
-        model = build_delay_model(lambda_beta, profs)
-    except OverloadError:
-        return math.inf
-    return delay_percentile(policy.percentile, model)
+    return delay_percentile(policy.percentile, build_delay_model(lambda_beta, profs))
 
 
 def choose_multiplier(lambda_beta, profiles, policy, previous=None):
@@ -196,7 +187,7 @@ def run_scaling_loop(rate_series, profiles, policy, window_length_s, seed=0):
     for (start, rate), child in zip(series, child_seeds):
         decision = choose_multiplier(rate, profiles, policy, previous=previous)
         profs = scaled_profiles(profiles, decision.multiplier, policy)
-        mme = mme_profile(profs)
+        mme = profs[ENTITY_MME]
         offset = constant_delay_K(profs)
         rng = np.random.default_rng(child)
         arrivals = poisson_arrivals(rate, 0.0, length, rng)

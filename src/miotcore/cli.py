@@ -29,10 +29,10 @@ from .autoscale import run_scaling_loop, save_decision_log
 from .config import load_scenario, scenario_to_dict
 from .csvio import write_csv
 from .delay import (
+    ENTITY_MME,
     build_delay_model,
     constant_delay_K,
     delay_percentile,
-    mme_profile,
     save_survival_csv,
 )
 from .errors import ConfigurationError, OverloadError, TraceFormatError
@@ -152,7 +152,7 @@ def cmd_validate_arrivals(args):
 def _simulate_one(scenario, rep_ss, single_job):
     stream = _replication_stream(scenario, rep_ss)
     if single_job:
-        samples = single_job_mode(stream, mme_profile(scenario.profiles),
+        samples = single_job_mode(stream, scenario.profiles[ENTITY_MME],
                                   constant_delay_K(scenario.profiles))
         return samples, None
     template = default_bearer_template(scenario.profiles)

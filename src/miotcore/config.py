@@ -14,7 +14,7 @@ A scenario file is a nested key/value document with four optional blocks
       offsets_s: null           # fixed per-group offsets; default Uniform[0, T)
       horizon_s: 1000.0         # default 100 * period_s
     entities:
-      capacity_scale: 1.0
+      capacity_scale: 1.0       # multiplies every capacity below
       profiles:                 # default: the six-entity EPC profile below; a
                                 # list holds one row for each of UE, eNB, MME,
                                 # HSS, SGW and PGW, and no other entity
@@ -30,31 +30,33 @@ A scenario file is a nested key/value document with four optional blocks
       multipliers: [1.0, 2.0, 2.5]
       hysteresis: 0.1
       scope: all                # or "mme"
+
+A resolved Scenario keeps its profiles as one dict from entity name to
+EntityProfile, in the file's order and with capacity_scale applied; every
+library function that takes ``profiles`` reads such a mapping by name.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import yaml
 
 from .arrivals import bearer_request_rate
-from .autoscale import ScalingPolicy
-from .delay import ENTITY_MME, ENTITY_NAMES, EntityProfile
+from .autoscale import ScalingPolicy, scaled_profiles
+from .delay import ENTITY_NAMES, EntityProfile
 from .errors import ConfigurationError
 from .traffic import SourcePopulation, TrafficParams, check_expected_requests
 
-DEFAULT_ENTITY_PROFILES = (
+DEFAULT_ENTITY_PROFILES = {p.entity: p for p in (
     EntityProfile("UE", 3.0, 1000.0, 3),
     EntityProfile("eNB", 2.0, 1000.0, 2),
     EntityProfile("MME", 9.0, 10000.0, 9),
     EntityProfile("HSS", 1.0, 10000.0, 1),
     EntityProfile("SGW", 3.0, 10000.0, 3),
     EntityProfile("PGW", 1.0, 10000.0, 1),
-)
+)}
 DEFAULT_N_GROUPS = 100
-
-_SCALE_SCOPES = {"all": None, "mme": frozenset({ENTITY_MME})}
 
 @dataclass(frozen=True)
 class Scenario:
@@ -65,7 +67,7 @@ class Scenario:
     n_groups: int
     offsets_s: Optional[tuple]
     horizon_s: float
-    profiles: tuple
+    profiles: dict
     n_enb: Optional[int]
     n_sgw: int
     link_latency_s: float
@@ -206,8 +208,6 @@ def scenario_from_dict(doc):
 
     en = _block(doc, "entities")
     capacity_scale = _take(en, "capacity_scale", "entities", default=1.0, convert=_finite)
-    if not capacity_scale > 0.0:
-        raise ConfigurationError("entities.capacity_scale: must be positive")
     raw_profiles = _take(en, "profiles", "entities")
     _reject_unknown(en, "entities")
     if raw_profiles is None:
@@ -230,7 +230,6 @@ def scenario_from_dict(doc):
                 profiles.append(EntityProfile(entity, ops, cap, msgs))
             except ConfigurationError as exc:
                 raise ConfigurationError(f"{path}: {exc}") from exc
-        profiles = tuple(profiles)
         # every command reads the same six: the walk, the model's K and the
         # MME lookup each need all of them, and none reads another
         names = [p.entity for p in profiles]
@@ -238,14 +237,11 @@ def scenario_from_dict(doc):
             raise ConfigurationError(
                 f"entities.profiles: need one profile for each of "
                 f"{', '.join(ENTITY_NAMES)}, got {', '.join(names)}")
-    if capacity_scale != 1.0:
-        profiles = tuple(
-            EntityProfile(
-                p.entity, p.ops_per_bearer, p.capacity * capacity_scale,
-                p.messages_per_bearer,
-            )
-            for p in profiles
-        )
+        profiles = {p.entity: p for p in profiles}
+    try:
+        profiles = scaled_profiles(profiles, capacity_scale)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"entities.capacity_scale: {exc}") from exc
 
     topo = _block(doc, "topology")
     n_enb = _take(topo, "n_enb", "topology", convert=_int_strict)
@@ -269,21 +265,16 @@ def scenario_from_dict(doc):
     hysteresis = _take(sc, "hysteresis", "scaling", default=0.1, convert=_finite)
     scope = _take(sc, "scope", "scaling", default="all", convert=str)
     _reject_unknown(sc, "scaling")
-    if scope not in _SCALE_SCOPES:
-        raise ConfigurationError(
-            f"scaling.scope: must be one of {sorted(_SCALE_SCOPES)}, got {scope!r}"
-        )
     try:
         multipliers = tuple(_finite(m) for m in multipliers)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"scaling.multipliers: {exc}") from exc
-    policy = ScalingPolicy(
-        target_delay_s=target,
-        percentile=percentile,
-        multipliers=multipliers,
-        hysteresis=hysteresis,
-        scale_entities=_SCALE_SCOPES[scope],
-    )
+    try:
+        policy = ScalingPolicy(target_delay_s=target, percentile=percentile,
+                               multipliers=multipliers, hysteresis=hysteresis, scope=scope)
+    except ConfigurationError as exc:
+        # each of the policy's messages opens with the field it refuses
+        raise ConfigurationError(f"scaling.{exc}") from exc
 
     return Scenario(
         params=params,
@@ -327,15 +318,7 @@ def scenario_to_dict(scenario):
             "horizon_s": scenario.horizon_s,
         },
         "entities": {
-            "profiles": [
-                {
-                    "entity": p.entity,
-                    "ops_per_bearer": p.ops_per_bearer,
-                    "capacity": p.capacity,
-                    "messages_per_bearer": p.messages_per_bearer,
-                }
-                for p in scenario.profiles
-            ],
+            "profiles": [asdict(p) for p in scenario.profiles.values()],
         },
         "topology": {
             "n_enb": scenario.n_enb,
@@ -348,6 +331,6 @@ def scenario_to_dict(scenario):
             "percentile": scenario.policy.percentile,
             "multipliers": list(scenario.policy.multipliers),
             "hysteresis": scenario.policy.hysteresis,
-            "scope": "all" if scenario.policy.scale_entities is None else "mme",
+            "scope": scenario.policy.scope,
         },
     }

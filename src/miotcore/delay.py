@@ -121,10 +121,8 @@ _SHARED_CORE = ("HSS", "SGW", "PGW")
 
 def check_mme_dominance(profiles) -> bool:
     """Warn unless the MME has the largest O_X/C_X among shared entities."""
-    by_name = _profiles_by_name(profiles)
-    d_mme = mme_profile(profiles).per_bearer_delay
-    slower = [n for n in _SHARED_CORE
-              if n in by_name and by_name[n].per_bearer_delay > d_mme]
+    d_mme = profiles[ENTITY_MME].per_bearer_delay
+    slower = [n for n in _SHARED_CORE if profiles[n].per_bearer_delay > d_mme]
     if slower:
         warnings.warn(
             f"MME is not the bottleneck: {', '.join(sorted(slower))} have a "
@@ -133,32 +131,16 @@ def check_mme_dominance(profiles) -> bool:
     return not slower
 
 
-def mme_profile(profiles) -> EntityProfile:
-    """The MME profile; ConfigurationError if it is missing or any entity repeats."""
-    by_name = _profiles_by_name(profiles)
-    if ENTITY_MME not in by_name:
-        raise ConfigurationError("profiles must include the MME")
-    return by_name[ENTITY_MME]
-
-
-def _profiles_by_name(profiles) -> dict:
-    by_name = {}
-    for p in profiles:
-        if p.entity in by_name:
-            raise ConfigurationError(f"duplicate profile for {p.entity}")
-        by_name[p.entity] = p
-    return by_name
-
-
 def constant_delay_K(profiles) -> float:
-    """Constant non-MME delay K = sum over X != MME of O_X / C_X."""
-    by_name = _profiles_by_name(profiles)
-    missing = [n for n in ENTITY_NAMES
-               if n != ENTITY_MME and n not in by_name]
+    """Constant non-MME delay K = sum over X != MME of O_X / C_X.
+
+    Summed in the mapping's order; a mapping that lacks any of those
+    entities raises ConfigurationError naming it.
+    """
+    missing = [n for n in ENTITY_NAMES if n != ENTITY_MME and n not in profiles]
     if missing:
         raise ConfigurationError(f"missing entity profiles: {', '.join(missing)}")
-    return sum(p.per_bearer_delay for n, p in by_name.items()
-               if n != ENTITY_MME)
+    return sum(p.per_bearer_delay for n, p in profiles.items() if n != ENTITY_MME)
 
 
 def mme_load(lambda_beta, profile_mme: EntityProfile):
@@ -253,14 +235,14 @@ def psi_coefficient(lambda_beta, rho, gamma) -> float:
 
 
 def build_delay_model(lambda_beta, profiles) -> DelayModelParams:
-    """Assemble DelayModelParams from a rate and entity profiles.
+    """Assemble DelayModelParams from a rate and the profiles by entity name.
 
     gamma crosses lambda_beta at rho = 2 - sqrt(2), where the psi
     numerator and denominator vanish together; at that removable point
     psi is evaluated by averaging the two sides.
     """
     check_mme_dominance(profiles)
-    d_service, rho = mme_load(lambda_beta, mme_profile(profiles))
+    d_service, rho = mme_load(lambda_beta, profiles[ENTITY_MME])
     k_const = constant_delay_K(profiles)
     gamma = tail_exponent(rho) / d_service
     # near the gamma = lambda_beta crossing the psi numerator and

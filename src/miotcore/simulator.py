@@ -33,7 +33,7 @@ counterpart of the analytic delay model in :mod:`miotcore.delay`.
 import itertools
 import math
 from array import array
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Optional
@@ -41,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .csvio import write_csv
-from .delay import EntityProfile, _profiles_by_name
+from .delay import ENTITY_MME, EntityProfile
 from .errors import ConfigurationError, OverloadError
 
 _INF = float("inf")
@@ -138,25 +138,23 @@ class ProcedureTemplate:
         return totals
 
     def validate_against(self, profiles):
-        """Check per-entity hop work sums against the entity profiles.
+        """Check per-entity hop work sums against the profiles by entity name.
 
         For every entity appearing in the template there must be a profile,
         and the sum of hop works at that entity must equal the profile's
         ops_per_bearer to within a 1e-9 relative tolerance.
         """
-        by_name = _profiles_by_name(profiles)
         for entity, total in self.work_by_entity().items():
-            if entity not in by_name:
+            if entity not in profiles:
                 raise ConfigurationError(
                     f"template references entity {entity!r} with no profile"
                 )
-            expected = by_name[entity].ops_per_bearer
+            expected = profiles[entity].ops_per_bearer
             if abs(total - expected) > _WORK_TOL * max(1.0, abs(expected)):
                 raise ConfigurationError(
                     f"template work at {entity!r} sums to {total!r}, "
                     f"profile expects {expected!r}"
                 )
-        return by_name
 
 
 def default_bearer_template(profiles):
@@ -170,15 +168,10 @@ def default_bearer_template(profiles):
     profiles by construction.  Profiles must use the default per-entity
     message counts (UE 3, eNB 2, MME 9, HSS 1, SGW 3, PGW 1).
     """
-    counts = {}
-    for entity, _tag in _DEFAULT_HOP_PLAN:
-        counts[entity] = counts.get(entity, 0) + 1
-    by_name = _profiles_by_name(profiles)
+    counts = Counter(entity for entity, _tag in _DEFAULT_HOP_PLAN)
     hops = []
     for entity, tag in _DEFAULT_HOP_PLAN:
-        prof = by_name.get(entity)
-        if prof is None:
-            raise ConfigurationError(f"default template needs a profile for {entity!r}")
+        prof = profiles[entity]
         if prof.messages_per_bearer != counts[entity]:
             raise ConfigurationError(
                 f"default template expects {counts[entity]} messages at {entity!r}, "
@@ -376,7 +369,7 @@ def run_bearer_simulation(
     """
     if not isinstance(template, ProcedureTemplate):
         raise ConfigurationError("template must be a ProcedureTemplate")
-    profile_map = template.validate_against(profiles)
+    template.validate_against(profiles)
     if n_enb < 1 or n_sgw < 1:
         raise ConfigurationError("n_enb and n_sgw must be at least 1")
     if not 0.0 <= link_latency_s < math.inf:
@@ -390,7 +383,7 @@ def run_bearer_simulation(
     n_req = int(np.searchsorted(arrivals, horizon_s, side="right"))
     arrivals = arrivals[:n_req]
 
-    mme_prof = profile_map.get("MME")
+    mme_prof = profiles.get(ENTITY_MME)
     if mme_prof is not None and n_req >= 2 and horizon_s > 0.0:
         mme_ops = mme_prof.ops_per_bearer + encryption_ops
         rho = n_req / horizon_s * mme_ops / mme_prof.capacity
@@ -444,7 +437,7 @@ def run_bearer_simulation(
             sids += first
         route[entity] = memoryview(sids)
         servers.append((entity, first, instances))
-        s_cap += [float(profile_map[entity].capacity)] * instances.size
+        s_cap += [float(profiles[entity].capacity)] * instances.size
     del keys, inverse, sids
     hop_route = [route[h.entity] for h in hops]
 

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .arrivals import KS_MIN_SAMPLES, exponential_cdf, ks_critical_value, ks_distance
+from .arrivals import exponential_cdf, ks_distance, ks_verdict
 from .csvio import write_csv
 from .errors import ConfigurationError, TraceFormatError
 from .traffic import EventStream, poisson_arrivals
@@ -57,9 +57,9 @@ class TraceWindow:
     ``rate_hat`` is the maximum-likelihood exponential rate fitted to the
     inter-arrival gaps inside the window (None below 2 events),
     ``ks_statistic`` the KS distance of those gaps against Exp(rate_hat)
-    (None below 3 events, where the distance is meaningless).  Windows
-    with fewer than KS_MIN_SAMPLES gaps are flagged low-confidence, and
-    get no KS verdict.
+    (None below 3 events, where the distance is meaningless).
+    ``ks_pass`` is the statistic's KS verdict, None below KS_MIN_SAMPLES
+    gaps, where the window is low-confidence.
     """
 
     start_s: float
@@ -67,7 +67,6 @@ class TraceWindow:
     timestamps: np.ndarray
     rate_hat: Optional[float]
     ks_statistic: Optional[float]
-    low_confidence: bool
 
     def __post_init__(self):
         if not self.start_s < self.end_s:
@@ -82,6 +81,12 @@ class TraceWindow:
     @property
     def n_events(self):
         return int(self.timestamps.size)
+
+    @property
+    def ks_pass(self):
+        """arrivals.ks_verdict of the window's gaps; None without a statistic."""
+        return None if self.ks_statistic is None else ks_verdict(
+            self.ks_statistic, self.n_events - 1)
 
 
 def parse_trace(path):
@@ -228,7 +233,6 @@ def _fit_window(start, end, ts):
         timestamps=ts,
         rate_hat=rate,
         ks_statistic=ks,
-        low_confidence=ts.size - 1 < KS_MIN_SAMPLES,
     )
 
 
@@ -238,9 +242,9 @@ def window_and_fit(stream, window_length_s):
     Windows are [k*L, (k+1)*L) for the integer range covering the stream,
     so per-window event counts sum to the stream length.  Per window the
     exponential rate is fitted by maximum likelihood on the within-window
-    gaps (no cross-window gap) and scored with the KS statistic; windows
-    with fewer than KS_MIN_SAMPLES gaps are flagged.  A span of more than
-    MAX_WINDOWS windows raises ConfigurationError before any is built.
+    gaps (no cross-window gap) and scored with the KS statistic and its
+    verdict.  A span of more than MAX_WINDOWS windows raises
+    ConfigurationError before any is built.
     """
     if not 0.0 < window_length_s < math.inf:
         raise ValueError(
@@ -286,20 +290,15 @@ def save_window_report(path, windows):
     """Write the per-window fit report CSV.
 
     Columns: window_start_s, n_events, lambda_hat, ks_stat, ks_pass_1pct.
-    The pass column is empty for windows flagged low-confidence (the
+    The pass column is empty for windows without a KS verdict (the
     asymptotic critical value is not trustworthy there).
     """
-    def verdict(win):
-        if win.ks_statistic is None or win.low_confidence:
-            return ""
-        return int(win.ks_statistic <= ks_critical_value(win.n_events - 1))
-
     write_csv(path, ["window_start_s", "n_events", "lambda_hat", "ks_stat", "ks_pass_1pct"],
               [win.start_s for win in windows],
               [win.n_events for win in windows],
               ["" if win.rate_hat is None else win.rate_hat for win in windows],
               ["" if win.ks_statistic is None else win.ks_statistic for win in windows],
-              [verdict(win) for win in windows])
+              ["" if win.ks_pass is None else int(win.ks_pass) for win in windows])
 
 
 def make_diurnal_trace(base_rate_per_s, shape=DIURNAL_SHAPE_DEFAULT,

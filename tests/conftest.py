@@ -30,7 +30,12 @@ def profiles():
 
 @pytest.fixture
 def profile_mme(profiles):
-    return next(p for p in profiles if p.entity == "MME")
+    return profiles["MME"]
+
+
+def by_name(*profiles):
+    """The profiles mapping the library reads: entity name -> EntityProfile."""
+    return {p.entity: p for p in profiles}
 
 
 def poisson_stream(rate_per_s, n_events, seed, source_ids=None):

@@ -57,7 +57,7 @@ from miotcore.traffic import (
 
 PERIOD_S = 10.0
 LAMBDA_BETA_10K = 632.1205588285577  # Q = 10^4 sources
-MME = next(p for p in DEFAULT_ENTITY_PROFILES if p.entity == "MME")
+MME = DEFAULT_ENTITY_PROFILES["MME"]
 D_MME = 9.0e-4
 
 

@@ -21,6 +21,7 @@ from miotcore.arrivals import (
     ks_critical_value,
     ks_distance,
     ks_report,
+    ks_verdict,
 )
 from miotcore.traffic import SourcePopulation, TrafficParams, beta_pmf, generate_requests
 
@@ -354,4 +355,15 @@ def test_ks_report_text():
         f"ks_distance: {d:.6f}",
         f"low_confidence: fewer than {KS_MIN_SAMPLES} gaps, significance not assessed"]
     assert ks_report(float("nan"), 1)[0] == "ks_distance: nan"
+
+
+def test_ks_verdict_is_the_one_pass_rule():
+    # pass up to and including c/sqrt(n), fail above, no verdict below
+    # KS_MIN_SAMPLES; ks_report and the window report both read it
+    for n in (KS_MIN_SAMPLES, 200):
+        crit = ks_critical_value(n)
+        assert ks_verdict(crit, n) is True
+        assert ks_verdict(math.nextafter(crit, 1.0), n) is False
+    assert ks_verdict(0.0, KS_MIN_SAMPLES - 1) is None
+    assert ks_verdict(float("nan"), 200) is False
 

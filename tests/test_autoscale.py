@@ -21,10 +21,7 @@ from miotcore.errors import ConfigurationError
 
 # an MME ten times slower than stock (D = 9 ms) so the interesting decision
 # thresholds sit at cheap-to-solve loads
-PROFILES = tuple(
-    EntityProfile("MME", 9.0, 1000.0, 9) if p.entity == "MME" else p
-    for p in DEFAULT_ENTITY_PROFILES
-)
+PROFILES = {**DEFAULT_ENTITY_PROFILES, "MME": EntityProfile("MME", 9.0, 1000.0, 9)}
 D = 9.0e-3
 POLICY = ScalingPolicy()  # target 0.1 s at p99, steps 1.0 / 2.0 / 2.5
 
@@ -40,21 +37,25 @@ def test_policy_validation():
         ScalingPolicy(multipliers=(1.0, 1.0))
     with pytest.raises(ConfigurationError):
         ScalingPolicy(hysteresis=1.0)
+    with pytest.raises(ConfigurationError, match="scope must be 'all' or 'mme'"):
+        ScalingPolicy(scope="sgw")
     assert ScalingPolicy(multipliers=[1, 2]).multipliers == (1.0, 2.0)
 
 
 def test_scaled_profiles_scope():
     doubled = scaled_profiles(PROFILES, 2.0)
-    assert all(s.capacity == 2.0 * p.capacity for s, p in zip(doubled, PROFILES))
-    assert all(s.ops_per_bearer == p.ops_per_bearer
-               for s, p in zip(doubled, PROFILES))
-    mme_only = ScalingPolicy(scale_entities=frozenset({"MME"}))
+    assert list(doubled) == list(PROFILES)  # same keys, same order
+    assert all(doubled[n].capacity == 2.0 * p.capacity for n, p in PROFILES.items())
+    assert all(doubled[n].ops_per_bearer == p.ops_per_bearer
+               for n, p in PROFILES.items())
+    mme_only = ScalingPolicy(scope="mme")
     partial = scaled_profiles(PROFILES, 2.0, mme_only)
-    for s, p in zip(partial, PROFILES):
-        if p.entity == "MME":
-            assert s.capacity == 2.0 * p.capacity
+    assert list(partial) == list(PROFILES)
+    for name, p in PROFILES.items():
+        if name == "MME":
+            assert partial[name].capacity == 2.0 * p.capacity
         else:
-            assert s.capacity == p.capacity
+            assert partial[name] is p
     # scaling only the MME leaves the constant offset untouched
     assert constant_delay_K(partial) == constant_delay_K(PROFILES)
     with pytest.raises(ConfigurationError):
@@ -72,8 +73,9 @@ def test_predict_percentile_decreases_with_capacity():
     assert predict_percentile(300.0, 1.0, PROFILES, POLICY) == math.inf
     # loads beyond 0.995 are treated as out of the model's resolution
     assert predict_percentile(110.9, 1.0, PROFILES, POLICY) == math.inf
-    with pytest.raises(ConfigurationError):
-        predict_percentile(lam, 1.0, [p for p in PROFILES if p.entity != "MME"],
+    # a mapping without the MME fails on the lookup, naming it
+    with pytest.raises(KeyError, match="MME"):
+        predict_percentile(lam, 1.0, {n: p for n, p in PROFILES.items() if n != "MME"},
                            POLICY)
 
 

@@ -1,6 +1,7 @@
 """Command-line entry point: artifacts, manifests, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -475,7 +476,7 @@ def test_every_command_refuses_a_profile_list_that_is_not_the_six_entities(
         tmp_path, capsys, names):
     # each command used to read the list its own way: generate and
     # validate-arrivals ran, predict counted an unknown entity in K
-    stock = {p.entity: p for p in DEFAULT_ENTITY_PROFILES}
+    stock = DEFAULT_ENTITY_PROFILES
     doc = {**SMALL_SCENARIO, "entities": {"profiles": [
         {"entity": name, "ops_per_bearer": 1.0, "capacity": 1e4,
          "messages_per_bearer": stock[name].messages_per_bearer if name in stock else 1}
@@ -489,6 +490,133 @@ def test_every_command_refuses_a_profile_list_that_is_not_the_six_entities(
         assert code == 2, argv
         assert "entities.profiles: need one profile for each of" in capsys.readouterr().err
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+# Golden artifacts: the stock profiles in the stock order, and the same rows
+# listed in reverse with every capacity doubled and the controller scaling
+# the MME alone, whose target takes it to 1.5 on the busiest window and,
+# through the hysteresis, keeps it there on the next.
+_REVERSED_ROWS = [
+    {"entity": "PGW", "ops_per_bearer": 1.0, "capacity": 10000.0, "messages_per_bearer": 1},
+    {"entity": "SGW", "ops_per_bearer": 3.0, "capacity": 10000.0, "messages_per_bearer": 3},
+    {"entity": "HSS", "ops_per_bearer": 1.0, "capacity": 10000.0, "messages_per_bearer": 1},
+    {"entity": "MME", "ops_per_bearer": 9.0, "capacity": 10000.0, "messages_per_bearer": 9},
+    {"entity": "eNB", "ops_per_bearer": 2.0, "capacity": 1000.0, "messages_per_bearer": 2},
+    {"entity": "UE", "ops_per_bearer": 3.0, "capacity": 1000.0, "messages_per_bearer": 3},
+]
+GOLDEN_SCENARIOS = {
+    "stock-order": SMALL_SCENARIO,
+    "reversed-mme-scope": {
+        **SMALL_SCENARIO,
+        "entities": {"capacity_scale": 2.0, "profiles": _REVERSED_ROWS},
+        "scaling": {"target_delay_s": 0.0035, "multipliers": [1.0, 1.5, 4.0],
+                    "scope": "mme"},
+    },
+}
+_GOLDEN_COMMANDS = {
+    "generate": ["generate"], "validate-arrivals": ["validate-arrivals"],
+    "simulate": ["simulate"], "simulate-single-job": ["simulate", "--single-job"],
+    "predict": ["predict"],
+    "scale": ["scale", "--trace", "trace.csv", "--window-length", "100"]}
+
+
+def _golden_digests(name):
+    """sha256 of every file the commands write for a golden scenario, run in
+    the working directory, so that every path a manifest records is relative."""
+    Path("scenario.yaml").write_text(yaml.safe_dump(GOLDEN_SCENARIOS[name]))
+    make_diurnal_trace(40.0, shape=(0.5, 2.0, 1.0), window_length_s=100.0,
+                       seed=2).save_csv("trace.csv")
+    digests = {}
+    for label, argv in _GOLDEN_COMMANDS.items():
+        out = Path(label)
+        assert run(argv + ["--config", "scenario.yaml", "--out", label, "--seed", "5"]) == 0
+        for path in sorted(out.iterdir()):
+            digests[f"{label}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+# frozen from the commands as they stood before profiles became one mapping
+# by entity name; every artifact, manifests included, must keep its bytes
+GOLDEN_DIGESTS = {
+    "reversed-mme-scope": {
+        "generate/generate_manifest.json":
+            "c09880291bc4178321c9a88dc21ae4cec65ae5cf99fc14b672cacf91b84ec54e",
+        "generate/stream.bin":
+            "9d2a0b55b641360a7fc324210caba35ffec9eef18c5188c6411cc26da63b4f33",
+        "generate/stream.csv":
+            "ad56f8627a76e238d69f6d53e8e0b04e308144afdd796b9e2c8c59b945a74b33",
+        "predict/model.txt":
+            "7a3d4713a398a9cf790b84ea1e8674d199861f3936ef47b326c285511b9f2b95",
+        "predict/predict_manifest.json":
+            "ba1b9473447dc5b2acbae209dfb424df10e5ce685b678ed49e9b6951404a52b9",
+        "predict/survival.csv":
+            "72744aba8e8455bcdd3c39ca5c0e439697b57968c931fb818ffdb9138f542399",
+        "scale/decisions.csv":
+            "84027c9e07558ffb0c3e7598a133cbddecf9fe33544ed1d2296e97078e8b1efe",
+        "scale/scale_manifest.json":
+            "51595e86604a0f0d62c02d0aa34341cd16bb2674965b8e28255f21ee499cb10e",
+        "scale/trace_windows.csv":
+            "cf271c472e8869e184219e15ea201702c5123762b02a13882d8d46fdd29a1d6d",
+        "simulate-single-job/delays.csv":
+            "33e363b864c143f90830e5c92e009c35700c010f563f1356dbffffa21882a803",
+        "simulate-single-job/simulate_manifest.json":
+            "b9b24308eb09c77ab5f8d6ca8aad7cbf08955e1c93dd3e90f4f3b67f753a80b7",
+        "simulate/delays.csv":
+            "861852651e2640bc1936d233d725663ef5450e2d1b80e438c3992e5ffe3829e7",
+        "simulate/simulate_manifest.json":
+            "44e5a44f7513e54c5d27cbd8c41c2ae7302f6fccc616664ee2cbd26f74448af3",
+        "simulate/utilization.txt":
+            "f29c8450c82035ad19b93bc44bdd34ebf92a58bc743baf0d86ac2eba64ca3957",
+        "validate-arrivals/arrival_cdf.csv":
+            "6b3bfd9c9e01759533723f29c9f704108ac58a3777692436ba0a35fca20be448",
+        "validate-arrivals/ks_report.txt":
+            "b029ad77d89b60b1974fcf86ea4179006ffd95c18686f0c5ff4a0e89ee234e40",
+        "validate-arrivals/validate-arrivals_manifest.json":
+            "e2765c3a5821d7b3422e9385c661e4ff645d614c457df9db9070f1bdbb189828",
+    },
+    "stock-order": {
+        "generate/generate_manifest.json":
+            "d06fa23b6c10e11227afda5e7eb50209f5802f64030b3d617c80eb7cd0f308d2",
+        "generate/stream.bin":
+            "9d2a0b55b641360a7fc324210caba35ffec9eef18c5188c6411cc26da63b4f33",
+        "generate/stream.csv":
+            "ad56f8627a76e238d69f6d53e8e0b04e308144afdd796b9e2c8c59b945a74b33",
+        "predict/model.txt":
+            "618d5ca5472028a0e620d69d413dc6b2ecca746a25e02a4a0d1301d2ae2e504a",
+        "predict/predict_manifest.json":
+            "7251a5e6a1536e261199f559e0491485208844a9c3341e7f27a9aaca2bd358b7",
+        "predict/survival.csv":
+            "0f229ed8fb8576f149e25dec8801179bad08caae94c53a85e5186ba8246a2033",
+        "scale/decisions.csv":
+            "06bd4d6b8f77a01bcf4d138b030077a0e3a57e1ab6625a0fecaeccbd56c31179",
+        "scale/scale_manifest.json":
+            "fd221e62a0e44475bad612c625ae766ad2f9025379cdb7f97fccf6603ef1fb96",
+        "scale/trace_windows.csv":
+            "cf271c472e8869e184219e15ea201702c5123762b02a13882d8d46fdd29a1d6d",
+        "simulate-single-job/delays.csv":
+            "a6d1b331814bff4c2cd51f598efe35781eef00160c7e5ff0f2405195d9835c2c",
+        "simulate-single-job/simulate_manifest.json":
+            "2cbb873ba4aa742f4cdddda60ad70dcc8f8ebc0ad3a3d08bfb3593f366d93b1e",
+        "simulate/delays.csv":
+            "c9a71f687fc90dcb27a4b2cdfcc441b6429128ab69eab049a69f008c9a81f9b1",
+        "simulate/simulate_manifest.json":
+            "ab8be03df9ff9573b1d7d6b0da447189e1fc335354c09ab77261eca51f077552",
+        "simulate/utilization.txt":
+            "635b4bb1cf9128c7a82efbd31c901088e4dd0f0894c1a73d52339b13175ddb46",
+        "validate-arrivals/arrival_cdf.csv":
+            "6b3bfd9c9e01759533723f29c9f704108ac58a3777692436ba0a35fca20be448",
+        "validate-arrivals/ks_report.txt":
+            "b029ad77d89b60b1974fcf86ea4179006ffd95c18686f0c5ff4a0e89ee234e40",
+        "validate-arrivals/validate-arrivals_manifest.json":
+            "c8fd93041a751c2902e4ecb8537883043b77d59c3633a5d158428fbdfaabc050",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
+def test_every_artifact_matches_its_golden_digest(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    assert _golden_digests(name) == GOLDEN_DIGESTS[name]
 
 
 def test_argparse_surface():
@@ -539,7 +667,7 @@ def _scenario(draw):
         {"entity": p.entity, "ops_per_bearer": draw(_mostly(st.floats(0.1, 10.0))),
          "capacity": draw(_mostly(st.floats(10.0, 2e4))),
          "messages_per_bearer": p.messages_per_bearer}
-        for p in DEFAULT_ENTITY_PROFILES if draw(st.integers(0, 23))]
+        for p in DEFAULT_ENTITY_PROFILES.values() if draw(st.integers(0, 23))]
     blocks = {
         "entities": dict(capacity_scale=st.sampled_from([1e-4, 1e-2, 0.5, 1.0, 3.0]),
                          profiles=st.just(profiles)),

@@ -33,7 +33,7 @@ FULL = {
                  "profiles": [{"entity": p.entity, "ops_per_bearer": p.ops_per_bearer,
                                "capacity": p.capacity,
                                "messages_per_bearer": p.messages_per_bearer}
-                              for p in DEFAULT_ENTITY_PROFILES]},
+                              for p in DEFAULT_ENTITY_PROFILES.values()]},
     "topology": {"n_enb": 2, "n_sgw": 1, "link_latency_s": 1e-3,
                  "encryption_ops": 1.0},
     "scaling": {"target_delay_s": 0.1, "percentile": 0.99,
@@ -199,11 +199,9 @@ def test_capacity_scale_and_custom_profiles():
         },
     }
     sc = scenario_from_dict(doc)
-    assert len(sc.profiles) == 6
-    mme = next(p for p in sc.profiles if p.entity == "MME")
-    assert mme.capacity == 10_000.0  # 5000 * 2
-    ue = next(p for p in sc.profiles if p.entity == "UE")
-    assert ue.messages_per_bearer == 1
+    assert list(sc.profiles) == ["MME", "UE", "eNB", "HSS", "SGW", "PGW"]  # file order
+    assert sc.profiles["MME"].capacity == 10_000.0  # 5000 * 2
+    assert sc.profiles["UE"].messages_per_bearer == 1
     with pytest.raises(ConfigurationError, match=r"entities.profiles\[0\]"):
         scenario_from_dict({
             "traffic": MINIMAL["traffic"],
@@ -213,6 +211,13 @@ def test_capacity_scale_and_custom_profiles():
         scenario_from_dict({
             "traffic": MINIMAL["traffic"],
             "entities": {"capacity_scale": 0.0},
+        })
+    # a scale that overflows a capacity is refused under its own name
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "entities.capacity_scale: UE: capacity must be positive and finite")):
+        scenario_from_dict({
+            "traffic": MINIMAL["traffic"],
+            "entities": {"capacity_scale": 1e306},
         })
 
 
@@ -232,10 +237,14 @@ def test_topology_and_scaling_blocks():
     assert sc.encryption_ops == 2.0
     assert sc.policy.target_delay_s == 0.05
     assert sc.policy.multipliers == (1.0, 3.0)
-    assert sc.policy.scale_entities == frozenset({"MME"})
-    with pytest.raises(ConfigurationError, match="scaling.scope"):
+    assert sc.policy.scope == "mme"
+    assert scenario_to_dict(sc)["scaling"]["scope"] == "mme"
+    with pytest.raises(ConfigurationError, match=r"^scaling\.scope must be"):
         scenario_from_dict({"traffic": MINIMAL["traffic"],
                             "scaling": {"scope": "everything"}})
+    with pytest.raises(ConfigurationError, match=r"^scaling\.percentile must"):
+        scenario_from_dict({"traffic": MINIMAL["traffic"],
+                            "scaling": {"percentile": 1.5}})
     with pytest.raises(ConfigurationError, match="topology.n_enb"):
         scenario_from_dict({"traffic": MINIMAL["traffic"],
                             "topology": {"n_enb": 0}})

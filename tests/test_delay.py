@@ -92,10 +92,9 @@ def test_entity_profile_validation():
 def test_constant_delay_default_profiles(profiles):
     # K = 3/1000 + 2/1000 + 1/10^4 + 3/10^4 + 1/10^4 = 5.5 ms
     assert constant_delay_K(profiles) == pytest.approx(K_CONST, rel=1e-14)
-    with pytest.raises(ConfigurationError):
-        constant_delay_K([p for p in profiles if p.entity != "HSS"])
-    with pytest.raises(ConfigurationError):
-        constant_delay_K(list(profiles) + [profiles[0]])
+    # a mapping that lacks an entity names it, never giving a smaller K
+    with pytest.raises(ConfigurationError, match="HSS"):
+        constant_delay_K({n: p for n, p in profiles.items() if n != "HSS"})
 
 
 def test_mme_load_and_overload(profile_mme):
@@ -115,13 +114,11 @@ def test_mme_dominance_warning(profiles):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert check_mme_dominance(profiles) is True
-    slow_hss = [EntityProfile("HSS", 20.0, 10_000.0) if p.entity == "HSS" else p
-                for p in profiles]
+    slow_hss = {**profiles, "HSS": EntityProfile("HSS", 20.0, 10_000.0)}
     with pytest.warns(UserWarning, match="HSS"):
         assert check_mme_dominance(slow_hss) is False
     # UE and eNB serve per-device shares; a slow UE is not a bottleneck
-    slow_ue = [EntityProfile("UE", 50.0, 1000.0) if p.entity == "UE" else p
-               for p in profiles]
+    slow_ue = {**profiles, "UE": EntityProfile("UE", 50.0, 1000.0)}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert check_mme_dominance(slow_ue) is True
@@ -253,7 +250,7 @@ def test_build_delay_model_stock_scenario(profiles):
 def test_psi_smooth_through_gamma_lambda_crossing(profiles):
     # at rho* = 2 - sqrt(2) the raw psi ratio is 0/0; the model must still
     # produce a finite value ~ 1.5 varying smoothly through the crossing
-    mme = next(p for p in profiles if p.entity == ENTITY_MME)
+    mme = profiles[ENTITY_MME]
     lam_star = RHO_STAR / mme.per_bearer_delay
     psis = [build_delay_model(lam_star * (1.0 + e), profiles).psi
             for e in (-4e-3, -1e-3, 0.0, 1e-3, 4e-3)]
@@ -333,8 +330,8 @@ def test_survival_increases_with_load_at_fixed_delay(profiles):
 
 
 def test_build_delay_model_requires_mme(profiles):
-    without = [p for p in profiles if p.entity != ENTITY_MME]
-    with pytest.raises(ConfigurationError):
+    without = {n: p for n, p in profiles.items() if n != ENTITY_MME}
+    with pytest.raises(KeyError, match=ENTITY_MME):
         build_delay_model(LAMBDA_BETA, without)
     assert set(ENTITY_NAMES) == {"UE", "eNB", "MME", "HSS", "SGW", "PGW"}
 

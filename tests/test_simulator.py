@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import poisson_stream
+from conftest import by_name, poisson_stream
 from miotcore.cli import _replication_stream
 from miotcore.config import DEFAULT_ENTITY_PROFILES, scenario_from_dict
-from miotcore.delay import EntityProfile, build_delay_model, constant_delay_K
+from miotcore.delay import EntityProfile, constant_delay_K
 from miotcore.errors import ConfigurationError, OverloadError
 from miotcore.simulator import (
     DelaySampleSet,
@@ -47,16 +47,15 @@ def test_template_validate_against_profiles():
     hops = (MessageHop("MME", 4.0), MessageHop("MME", 5.0),
             MessageHop("UE", 3.0))
     template = ProcedureTemplate(hops=hops)
-    profiles = (EntityProfile("MME", 9.0, 10_000.0, 2),
-                EntityProfile("UE", 3.0, 1000.0, 1))
-    by_name = template.validate_against(profiles)
-    assert by_name["MME"].capacity == 10_000.0
-    short = (EntityProfile("MME", 8.0, 10_000.0, 2),
-             EntityProfile("UE", 3.0, 1000.0, 1))
+    profiles = by_name(EntityProfile("MME", 9.0, 10_000.0, 2),
+                       EntityProfile("UE", 3.0, 1000.0, 1))
+    template.validate_against(profiles)
+    short = by_name(EntityProfile("MME", 8.0, 10_000.0, 2),
+                    EntityProfile("UE", 3.0, 1000.0, 1))
     with pytest.raises(ConfigurationError):
         template.validate_against(short)
     with pytest.raises(ConfigurationError):
-        template.validate_against(profiles[:1])  # UE profile missing
+        template.validate_against({"MME": profiles["MME"]})  # UE profile missing
 
 
 def test_default_bearer_template_shape():
@@ -68,28 +67,13 @@ def test_default_bearer_template_shape():
         counts[hop.entity] = counts.get(hop.entity, 0) + 1
     assert counts == {"UE": 3, "eNB": 2, "MME": 9, "HSS": 1, "SGW": 3, "PGW": 1}
     # per-entity work sums to the profile totals (equal split per message)
-    for prof in DEFAULT_ENTITY_PROFILES:
+    for prof in DEFAULT_ENTITY_PROFILES.values():
         assert template.work_by_entity()[prof.entity] == pytest.approx(
             prof.ops_per_bearer, rel=1e-12)
     # the trailing connection-release message runs off the response path
     assert template.marked_index == template.n_hops - 1
     assert template.hops[template.marked_index].entity == "UE"
     template.validate_against(DEFAULT_ENTITY_PROFILES)
-
-
-def test_duplicate_profile_has_one_wording():
-    mme = next(p for p in DEFAULT_ENTITY_PROFILES if p.entity == "MME")
-    doubled = DEFAULT_ENTITY_PROFILES + (mme,)
-    template = default_bearer_template(DEFAULT_ENTITY_PROFILES)
-    checks = (template.validate_against,
-              default_bearer_template,
-              lambda profiles: build_delay_model(100.0, profiles))
-    messages = set()
-    for check in checks:
-        with pytest.raises(ConfigurationError) as exc_info:
-            check(doubled)
-        messages.add(str(exc_info.value))
-    assert messages == {"duplicate profile for MME"}
 
 
 def _walk(arrivals, hops, capacity, marked_index=None):
@@ -99,8 +83,8 @@ def _walk(arrivals, hops, capacity, marked_index=None):
     Returns the request completion times and the MME server's stats.
     """
     template = ProcedureTemplate(hops=hops, marked_index=marked_index)
-    profiles = tuple(EntityProfile(name, work, capacity[name])
-                     for name, work in template.work_by_entity().items())
+    profiles = {name: EntityProfile(name, work, capacity[name])
+                for name, work in template.work_by_entity().items()}
     samples, report = run_bearer_simulation(
         EventStream(np.array(arrivals)), template, profiles, horizon_s=10.0)
     (mme,) = (row for row in report.rows if row.entity == "MME")
@@ -166,7 +150,7 @@ def test_ps_server_input_errors():
     stream = SimpleNamespace(timestamps=np.array([1.0, 0.5]), source_ids=np.array([0, 0]))
     template = ProcedureTemplate(hops=(MessageHop("UE", 1.0),))
     with pytest.raises(ValueError, match="time moved backwards"):
-        run_bearer_simulation(stream, template, (EntityProfile("UE", 1.0, 1.0),),
+        run_bearer_simulation(stream, template, by_name(EntityProfile("UE", 1.0, 1.0)),
                               horizon_s=10.0)
 
 
@@ -181,14 +165,14 @@ def test_idle_request_takes_constant_plus_service_time():
     # breakdown attributes every second of the delay to some entity
     total = sum(cols[0] for cols in samples.breakdown.values())
     assert total == pytest.approx(delay, abs=1e-12)
-    for prof in DEFAULT_ENTITY_PROFILES:
+    for prof in DEFAULT_ENTITY_PROFILES.values():
         assert samples.breakdown[prof.entity][0] == pytest.approx(
             prof.ops_per_bearer / prof.capacity, abs=1e-12)
 
 
 def test_marked_hop_runs_concurrently_with_response_path():
-    profiles = (EntityProfile("MME", 1.0, 1.0), EntityProfile("HSS", 1.0, 1.0),
-                EntityProfile("PGW", 5.0, 1.0))
+    profiles = by_name(EntityProfile("MME", 1.0, 1.0), EntityProfile("HSS", 1.0, 1.0),
+                       EntityProfile("PGW", 5.0, 1.0))
     hops = (MessageHop("MME", 1.0), MessageHop("HSS", 1.0), MessageHop("PGW", 5.0))
     serial = ProcedureTemplate(hops=hops)
     fork_after_first = ProcedureTemplate(
@@ -224,7 +208,7 @@ def test_link_latency_adds_per_message_lag():
     # every crossing is booked to the link, including the one into the
     # marked hop; each entity keeps exactly its own service time
     assert samples.breakdown["link"][0] == pytest.approx(18 * lag, abs=1e-12)
-    for prof in DEFAULT_ENTITY_PROFILES:
+    for prof in DEFAULT_ENTITY_PROFILES.values():
         assert samples.breakdown[prof.entity][0] == pytest.approx(
             prof.ops_per_bearer / prof.capacity, abs=1e-12)
     total = sum(cols[0] for cols in samples.breakdown.values())
@@ -266,7 +250,7 @@ def test_busy_run_invariants():
     served = {}
     for row in report.rows:
         served[row.entity] = served.get(row.entity, 0.0) + row.served_work
-    for prof in DEFAULT_ENTITY_PROFILES:
+    for prof in DEFAULT_ENTITY_PROFILES.values():
         assert served[prof.entity] == pytest.approx(
             len(samples) * prof.ops_per_bearer, rel=1e-9)
 
@@ -302,7 +286,7 @@ def test_one_hop_walk_matches_equal_work_oracle(rho, n_jobs, seed):
     # a horizon covering n_jobs / rate keeps the load estimate at rho
     horizon = max(float(stream.timestamps[-1]), n_jobs / rate)
     samples, report = run_bearer_simulation(
-        stream, template, (mme,), horizon_s=horizon)
+        stream, template, by_name(mme), horizon_s=horizon)
     oracle = _ps_sojourns_equal_work(stream.timestamps, D_MME)
     assert len(samples) == n_jobs
     assert np.max(np.abs(samples.delays_s - oracle)) <= 1e-9

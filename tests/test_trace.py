@@ -211,11 +211,11 @@ def test_trace_without_data_rows_is_refused_without_a_warning(tmp_path, recwarn)
 
 def test_trace_window_validation():
     with pytest.raises(ValueError):
-        TraceWindow(1.0, 1.0, np.array([]), None, None, True)
+        TraceWindow(1.0, 1.0, np.array([]), None, None)
     with pytest.raises(ValueError):
-        TraceWindow(0.0, 1.0, np.array([1.0]), None, None, True)  # t >= end
+        TraceWindow(0.0, 1.0, np.array([1.0]), None, None)  # t >= end
     with pytest.raises(ValueError):
-        TraceWindow(0.0, 1.0, np.array([0.1, 0.2]), -1.0, 0.1, False)
+        TraceWindow(0.0, 1.0, np.array([0.1, 0.2]), -1.0, 0.1)
 
 
 def test_window_and_fit_exact_rate_on_lattice():
@@ -227,8 +227,8 @@ def test_window_and_fit_exact_rate_on_lattice():
     assert sum(w.n_events for w in windows) == len(ts)
     for w in windows:
         assert w.rate_hat == 8.0
-        assert not w.low_confidence
         # deterministic gaps are nothing like exponential
+        assert w.ks_pass is False
         assert w.ks_statistic > ks_critical_value(w.n_events - 1)
     assert windows[0].start_s == 0.0 and windows[0].end_s == 16.0
     assert windows[-1].start_s == 48.0
@@ -242,7 +242,7 @@ def test_window_and_fit_poisson_recovers_rate():
     fitted = windows[0]
     assert fitted.rate_hat == pytest.approx(rate, rel=0.02)
     assert fitted.ks_statistic <= ks_critical_value(fitted.n_events - 1)
-    assert not fitted.low_confidence
+    assert fitted.ks_pass is True
 
 
 def test_window_and_fit_flags_and_gaps():
@@ -252,7 +252,7 @@ def test_window_and_fit_flags_and_gaps():
     assert len(windows) == 3
     assert [w.n_events for w in windows] == [3, 0, 2]
     assert windows[1].rate_hat is None and windows[1].ks_statistic is None
-    assert all(w.low_confidence for w in windows)  # all below 50 events
+    assert all(w.ks_pass is None for w in windows)  # all below 50 events
     assert windows[2].rate_hat == pytest.approx(1.0 / 0.1, rel=1e-9)
     with pytest.raises(ValueError):
         window_and_fit(EventStream(ts), 0.0)
@@ -288,9 +288,9 @@ def test_rate_fit_is_exactly_scale_equivariant():
 
 def test_replay_rate_series_orders_and_skips():
     w = [
-        TraceWindow(10.0, 20.0, np.array([11.0, 12.0]), 1.0, 0.5, True),
-        TraceWindow(0.0, 10.0, np.array([1.0, 3.0]), 0.5, 0.5, True),
-        TraceWindow(20.0, 30.0, np.array([]), None, None, True),
+        TraceWindow(10.0, 20.0, np.array([11.0, 12.0]), 1.0, 0.5),
+        TraceWindow(0.0, 10.0, np.array([1.0, 3.0]), 0.5, 0.5),
+        TraceWindow(20.0, 30.0, np.array([]), None, None),
     ]
     series = replay_rate_series(w)
     assert series == [(0.0, 0.5), (10.0, 1.0)]
@@ -324,7 +324,7 @@ def test_ks_verdict_needs_min_samples_gaps(tmp_path):
                          np.sort(rng.uniform(10.0, 20.0, KS_MIN_SAMPLES + 1))])
     windows = window_and_fit(EventStream(ts), 10.0)
     assert [w.n_events for w in windows] == [KS_MIN_SAMPLES, KS_MIN_SAMPLES + 1]
-    assert windows[0].low_confidence and not windows[1].low_confidence
+    assert windows[0].ks_pass is None and windows[1].ks_pass is not None
     path = tmp_path / "windows.csv"
     save_window_report(path, windows)
     rows = path.read_text().splitlines()[1:]

@@ -51,7 +51,7 @@ def reference_walk(stream, template, profiles, n_enb=1, n_sgw=1,
     then the earliest server completion.  Returns ``(completions,
     breakdown)`` with the walk's column conventions.
     """
-    capacity = {p.entity: p.capacity for p in profiles}
+    capacity = {name: p.capacity for name, p in profiles.items()}
     hops = template.hops
     marked = template.marked_index
     works = [h.work for h in hops]
@@ -145,8 +145,8 @@ def reference_walk(stream, template, profiles, n_enb=1, n_sgw=1,
 
 
 def _with_capacity(profiles, capacities):
-    return tuple(dataclasses.replace(p, capacity=capacities.get(p.entity, p.capacity))
-                 for p in profiles)
+    return {name: dataclasses.replace(p, capacity=capacities.get(name, p.capacity))
+            for name, p in profiles.items()}
 
 
 @given(rho=st.floats(0.3, 0.98), n_req=st.integers(2, 1000),
@@ -158,8 +158,8 @@ def test_walk_with_instant_non_mme_servers_is_the_single_job_queue(
     # at capacity 1e300 every non-MME hop ends at t + w/C == t, so the nine
     # MME visits of a request join into one job of ops + encryption_ops
     fast = _with_capacity(DEFAULT_ENTITY_PROFILES, {
-        p.entity: 1e300 for p in DEFAULT_ENTITY_PROFILES if p.entity != "MME"})
-    mme = next(p for p in fast if p.entity == "MME")
+        name: 1e300 for name in DEFAULT_ENTITY_PROFILES if name != "MME"})
+    mme = fast["MME"]
     ops = mme.ops_per_bearer + encryption_ops
     rate = rho * mme.capacity / ops
     stream = poisson_stream(rate, n_req, seed, source_ids=np.arange(n_req) % 7)
