@@ -3,17 +3,17 @@
 Starting from the generator's own slot hazard (traffic.slot_phases,
 traffic.hazard_table and traffic.cumulative_hazard), this module
 evaluates the exact conditional CDF of the lag to the next alarm, per
-source and for the merged system, and the Erlang-mixture inter-request
-law with its exponential closed form, plus Kolmogorov-Smirnov tooling to
-compare models against sampled gaps.  tests/test_arrivals.py checks the
-exact system law against generate_requests streams at finite Q.
+source and for the merged system, and the exponential closed form of the
+inter-request law, plus Kolmogorov-Smirnov tooling to compare models
+against sampled gaps.  tests/test_arrivals.py checks the exact system law
+against generate_requests streams at finite Q; the Erlang-mixture law
+that the closed form sums lives in the tests, as their oracle.
 
 Everything here is numpy and the standard library only; scipy serves
 the tests alone, as the oracle of the Erlang CDF and the KS statistic.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,46 +28,9 @@ from .traffic import (
 # asymptotic two-sided KS critical values need a healthy sample
 KS_MIN_SAMPLES = 50
 
-# the significance of every KS verdict the package reports
-KS_SIGNIFICANCE = 0.01
-
-# the Kolmogorov quantile at KS_SIGNIFICANCE: scipy.special.kolmogi(0.01)
+# the Kolmogorov quantile at 1%, the significance of every KS verdict
+# the package reports: scipy.special.kolmogi(0.01)
 KS_CRITICAL_C = 1.6276236115189504
-
-
-@dataclass(frozen=True)
-class ErlangMixture:
-    """Geometric mixture of Erlang stages for the inter-request time.
-
-    A request happens on an alarm with probability success_probability,
-    so the number of alarm epochs between two requests is geometric and
-    the inter-request time is an Erlang(z, stage_rate) mixture truncated
-    at z_max stages.
-    """
-
-    stage_rate: float
-    success_probability: float = TX_PROBABILITY_DEFAULT
-    z_max: int = 100
-
-    def __post_init__(self):
-        if self.stage_rate <= 0.0:
-            raise ValueError("stage_rate must be positive")
-        if not 0.0 < self.success_probability < 1.0:
-            raise ValueError("success_probability must be in (0, 1)")
-        if self.z_max < 1:
-            raise ValueError("z_max must be >= 1")
-
-    def weights(self) -> np.ndarray:
-        """P(z stages) = p*(1-p)^(z-1) for z = 1..z_max."""
-        z = np.arange(1, self.z_max + 1)
-        p = self.success_probability
-        return p * (1.0 - p) ** (z - 1)
-
-    @property
-    def truncation_bound(self) -> float:
-        """Upper bound on the CDF mass ignored beyond z_max stages."""
-        p = self.success_probability
-        return (1.0 - p) ** self.z_max / p
 
 
 def bearer_request_rate(q_total, period_s,
@@ -133,8 +96,6 @@ def falpha_system_discrete(m, k, population, params: TrafficParams,
     power.  If transmitter_group is given, one source of that group is
     treated as the transmitter whose next slot is forced Regular.
     """
-    if population.offsets_s is None:
-        raise ValueError("population must carry explicit offsets")
     m_arr = _as_lags(m)
     if not 0 <= k < params.n_slots:
         raise ValueError(f"slot k out of [0, {params.n_slots})")
@@ -152,29 +113,6 @@ def falpha_system_discrete(m, k, population, params: TrafficParams,
             total = total + count * expo
     out = -np.expm1(-total)
     return float(out) if np.ndim(m) == 0 else out
-
-
-def fbeta_mixture(tau, mix: ErlangMixture):
-    """Erlang-mixture CDF of the inter-request time.
-
-    sum_{z=1..z_max} ErlangCDF(z, stage_rate)(tau) * p * (1-p)^(z-1);
-    the mass ignored beyond z_max is bounded by mix.truncation_bound.
-    With x = stage_rate * tau, the integer-shape Erlang CDF is
-    1 - sum_{j<z} e^-x x^j / j!, each term taken through its logarithm
-    so that no large x overflows.
-    """
-    tau_arr = np.asarray(tau, dtype=np.float64)
-    if np.any(tau_arr < 0.0):
-        raise ValueError("tau must be >= 0")
-    x = mix.stage_rate * tau_arr.reshape(1, -1)
-    j = np.arange(mix.z_max, dtype=np.float64)[:, None]
-    log_fact = np.cumsum(np.log(np.maximum(j, 1.0)), axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_terms = j * np.log(x) - x - log_fact
-    log_terms[0] = -x[0]  # j = 0, where 0 * log(0) is nan at x = 0
-    stage_cdf = 1.0 - np.cumsum(np.exp(log_terms), axis=0)
-    out = (mix.weights() @ stage_cdf).reshape(tau_arr.shape)
-    return float(out) if np.ndim(tau) == 0 else out
 
 
 def exponential_cdf(rate, tau):
@@ -207,8 +145,8 @@ def ks_distance(samples, model_cdf) -> float:
 def ks_critical_value(n) -> float:
     """Asymptotic two-sided KS critical value at 1% significance, c/sqrt(n).
 
-    c = KS_CRITICAL_C solves Q(c) = KS_SIGNIFICANCE for the Kolmogorov
-    survival function Q.
+    c = KS_CRITICAL_C solves Q(c) = 0.01 for the Kolmogorov survival
+    function Q.
     """
     if n < KS_MIN_SAMPLES:
         raise ValueError(f"KS significance needs n >= {KS_MIN_SAMPLES}, got {n}")

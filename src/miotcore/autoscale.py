@@ -15,8 +15,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .csvio import write_csv
-from .delay import ENTITY_MME, build_delay_model, constant_delay_K, delay_percentile
-from .errors import ConfigurationError
+from .delay import (
+    ENTITY_MME,
+    build_delay_model,
+    constant_delay_K,
+    delay_percentile,
+    mme_load,
+)
+from .errors import ConfigurationError, OverloadError
 from .simulator import single_job_mode
 from .traffic import EventStream, poisson_arrivals
 
@@ -99,8 +105,11 @@ def predict_percentile(lambda_beta, multiplier, profiles, policy):
     load below 1.
     """
     profs = scaled_profiles(profiles, multiplier, policy)
-    mme = profs[ENTITY_MME]
-    if lambda_beta * mme.ops_per_bearer / mme.capacity >= MAX_FEASIBLE_LOAD:
+    try:
+        _, rho = mme_load(lambda_beta, profs[ENTITY_MME])
+    except OverloadError:
+        return math.inf
+    if rho >= MAX_FEASIBLE_LOAD:
         return math.inf
     return delay_percentile(policy.percentile, build_delay_model(lambda_beta, profs))
 
@@ -113,29 +122,21 @@ def choose_multiplier(lambda_beta, profiles, policy, previous=None):
     scales down only once the load has genuinely receded.  When no
     multiplier is feasible the largest is returned with ``feasible=False``.
     """
-    cache = {}
-
-    def pred(m):
-        if m not in cache:
-            cache[m] = predict_percentile(lambda_beta, m, profiles, policy)
-        return cache[m]
-
     prev_mult = previous.multiplier if previous is not None else None
-    chosen = None
+    feasible = False
     for mult in policy.multipliers:
         limit = policy.target_delay_s
         if prev_mult is not None and mult < prev_mult:
             limit *= 1.0 - policy.hysteresis
-        if pred(mult) <= limit:
-            chosen = mult
+        predicted = predict_percentile(lambda_beta, mult, profiles, policy)
+        if predicted <= limit:
+            feasible = True
             break
-    feasible = chosen is not None
-    if not feasible:
-        chosen = policy.multipliers[-1]
+    # without a break the loop ends at the largest multiplier, predicted
     return ScalingDecision(
         lambda_beta=float(lambda_beta),
-        multiplier=chosen,
-        predicted_delay_s=pred(chosen),
+        multiplier=mult,
+        predicted_delay_s=predicted,
         feasible=feasible,
     )
 

@@ -33,6 +33,7 @@ from .delay import (
     build_delay_model,
     constant_delay_K,
     delay_percentile,
+    mme_load,
     save_survival_csv,
 )
 from .errors import ConfigurationError, OverloadError, TraceFormatError
@@ -152,8 +153,12 @@ def cmd_validate_arrivals(args):
 def _simulate_one(scenario, rep_ss, single_job):
     stream = _replication_stream(scenario, rep_ss)
     if single_job:
-        samples = single_job_mode(stream, scenario.profiles[ENTITY_MME],
-                                  constant_delay_K(scenario.profiles))
+        mme = scenario.profiles[ENTITY_MME]
+        # refused at the walk's rate, n / horizon, as the walk refuses it;
+        # single_job_mode runs any load, as scale replays overloaded windows
+        if len(stream) >= 2:
+            mme_load(len(stream) / scenario.horizon_s, mme)
+        samples = single_job_mode(stream, mme, constant_delay_K(scenario.profiles))
         return samples, None
     template = default_bearer_template(scenario.profiles)
     return run_bearer_simulation(

@@ -7,10 +7,10 @@ A scenario file is a nested key/value document with four optional blocks
       period_s: 10.0            # required
       q_total: 10000            # required
       n_groups: 100
-      slot_delta_s: 1.0e-5
-      alarm_rate_lambda: 1.0
-      regular_rate_epsilon: 0.0
-      tx_probability: null      # default 1 - exp(-alarm_rate_lambda)
+      slot_delta_s: ...         # these four are TrafficParams fields; an
+      alarm_rate_lambda: ...    # omitted one takes that class's default
+      regular_rate_epsilon: ...
+      tx_probability: ...
       offsets_s: null           # fixed per-group offsets; default Uniform[0, T)
       horizon_s: 1000.0         # default 100 * period_s
     entities:
@@ -19,17 +19,18 @@ A scenario file is a nested key/value document with four optional blocks
                                 # list holds one row for each of UE, eNB, MME,
                                 # HSS, SGW and PGW, and no other entity
         - {entity: MME, ops_per_bearer: 9.0, capacity: 10000.0, messages_per_bearer: 9}
+                                # messages_per_bearer defaults to the stock count
     topology:
       n_enb: null               # default: one eNB per source group
       n_sgw: 1
       link_latency_s: 0.0
       encryption_ops: 0.0
-    scaling:
-      target_delay_s: 0.1
-      percentile: 0.99
-      multipliers: [1.0, 2.0, 2.5]
-      hysteresis: 0.1
-      scope: all                # or "mme"
+    scaling:                    # ScalingPolicy fields, with its defaults
+      target_delay_s: ...
+      percentile: ...
+      multipliers: [...]
+      hysteresis: ...
+      scope: ...                # "all" or "mme"
 
 A resolved Scenario keeps its profiles as one dict from entity name to
 EntityProfile, in the file's order and with capacity_scale applied; every
@@ -130,6 +131,14 @@ def _take(block, field, path, default=None, required=False, convert=None):
         raise ConfigurationError(f"{path}.{field}: {exc}") from exc
 
 
+def _given(block, path, converters):
+    """The fields of ``converters`` that the block sets, each converted,
+    by name: a dataclass takes its own defaults for the rest."""
+    values = {field: _take(block, field, path, convert=convert)
+              for field, convert in converters.items()}
+    return {field: value for field, value in values.items() if value is not None}
+
+
 def _reject_unknown(block, path):
     if block:
         fields = ", ".join(map(str, sorted(block, key=str)))
@@ -163,22 +172,15 @@ def scenario_from_dict(doc):
     period_s = _take(tr, "period_s", "traffic", required=True, convert=_finite)
     q_total = _take(tr, "q_total", "traffic", required=True, convert=_int_strict)
     n_groups = _take(tr, "n_groups", "traffic", default=DEFAULT_N_GROUPS, convert=_int_strict)
-    slot_delta_s = _take(tr, "slot_delta_s", "traffic", default=1e-5, convert=_finite)
-    alarm_rate = _take(tr, "alarm_rate_lambda", "traffic", default=1.0, convert=_finite)
-    epsilon = _take(tr, "regular_rate_epsilon", "traffic", default=0.0, convert=_finite)
-    tx_probability = _take(tr, "tx_probability", "traffic", convert=_finite)
+    traffic_fields = _given(tr, "traffic", dict.fromkeys(
+        ("slot_delta_s", "alarm_rate_lambda", "regular_rate_epsilon", "tx_probability"),
+        _finite))
     offsets = _take(tr, "offsets_s", "traffic")
     horizon_s = _take(tr, "horizon_s", "traffic", default=100.0 * period_s, convert=_finite)
     _reject_unknown(tr, "traffic")
 
     try:
-        params = TrafficParams(
-            period_s=period_s,
-            slot_delta_s=slot_delta_s,
-            alarm_rate_lambda=alarm_rate,
-            regular_rate_epsilon=epsilon,
-            tx_probability=tx_probability,
-        )
+        params = TrafficParams(period_s=period_s, **traffic_fields)
     except ValueError as exc:
         raise ConfigurationError(f"traffic: {exc}") from exc
     if q_total < 1:
@@ -224,7 +226,11 @@ def scenario_from_dict(doc):
             entity = _take(row, "entity", path, required=True, convert=str)
             ops = _take(row, "ops_per_bearer", path, required=True, convert=_finite)
             cap = _take(row, "capacity", path, required=True, convert=_finite)
-            msgs = _take(row, "messages_per_bearer", path, default=1, convert=_int_strict)
+            # an omitted count is the stock one, the only one the default
+            # template accepts; an unknown entity is refused below, by name
+            stock = DEFAULT_ENTITY_PROFILES.get(entity)
+            msgs = _take(row, "messages_per_bearer", path, convert=_int_strict,
+                         default=stock.messages_per_bearer if stock else 1)
             _reject_unknown(row, path)
             try:
                 profiles.append(EntityProfile(entity, ops, cap, msgs))
@@ -259,19 +265,13 @@ def scenario_from_dict(doc):
         raise ConfigurationError("topology.encryption_ops: must be >= 0")
 
     sc = _block(doc, "scaling")
-    target = _take(sc, "target_delay_s", "scaling", default=0.1, convert=_finite)
-    percentile = _take(sc, "percentile", "scaling", default=0.99, convert=_finite)
-    multipliers = _take(sc, "multipliers", "scaling", default=(1.0, 2.0, 2.5))
-    hysteresis = _take(sc, "hysteresis", "scaling", default=0.1, convert=_finite)
-    scope = _take(sc, "scope", "scaling", default="all", convert=str)
+    scaling_fields = _given(sc, "scaling", {
+        "target_delay_s": _finite, "percentile": _finite,
+        "multipliers": lambda ms: tuple(_finite(m) for m in ms),
+        "hysteresis": _finite, "scope": str})
     _reject_unknown(sc, "scaling")
     try:
-        multipliers = tuple(_finite(m) for m in multipliers)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"scaling.multipliers: {exc}") from exc
-    try:
-        policy = ScalingPolicy(target_delay_s=target, percentile=percentile,
-                               multipliers=multipliers, hysteresis=hysteresis, scope=scope)
+        policy = ScalingPolicy(**scaling_fields)
     except ConfigurationError as exc:
         # each of the policy's messages opens with the field it refuses
         raise ConfigurationError(f"scaling.{exc}") from exc

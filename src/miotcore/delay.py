@@ -81,10 +81,7 @@ class DelayModelParams:
     def __post_init__(self):
         if self.D <= 0.0:
             raise ValueError("D must be positive")
-        if not 0.0 < self.rho < 1.0:
-            raise OverloadError(
-                f"rho={self.rho:.6g} outside (0, 1)",
-                min_capacity_multiplier=self.rho if self.rho >= 1.0 else None)
+        _check_load(self.rho)
         if self.gamma <= 0.0:
             raise ValueError("gamma must be positive")
         if self.psi <= 0.0:
@@ -143,8 +140,21 @@ def constant_delay_K(profiles) -> float:
     return sum(p.per_bearer_delay for n, p in profiles.items() if n != ENTITY_MME)
 
 
+def _check_load(rho):
+    """Refuse a load outside (0, 1); from rho >= 1 up, rho is the least
+    capacity multiplier that would restore stability."""
+    if not 0.0 < rho < 1.0:
+        raise OverloadError(f"rho={rho:.6g} outside (0, 1)",
+                            min_capacity_multiplier=rho if rho >= 1.0 else None)
+
+
 def mme_load(lambda_beta, profile_mme: EntityProfile):
-    """MME service time and load: D = O_MME/C_MME, rho = lambda_beta * D."""
+    """MME service time and load: D = O_MME/C_MME, rho = lambda_beta * D.
+
+    The one place a rate and the MME profile make a load, and the one
+    refusal of rho >= 1: the model, the walk, ``simulate --single-job``
+    and the scaling controller all call it.
+    """
     if lambda_beta <= 0.0:
         raise ValueError("lambda_beta must be positive")
     if profile_mme.entity != ENTITY_MME:
@@ -200,9 +210,7 @@ def tail_exponent(rho) -> float:
     vanishes as rho -> 1.  Below 1e-6, g is held at its value at 1e-6;
     g falls as rho rises, so the held value over-predicts delay.
     """
-    if not 0.0 < rho < 1.0:
-        raise OverloadError(f"rho={rho:.6g} outside (0, 1)",
-                            min_capacity_multiplier=rho if rho >= 1 else None)
+    _check_load(rho)
     if rho > _G_RHO_MAX:
         u = 1.0 - rho
         return u * (1.0 + u * _Q_HOLD)
@@ -221,9 +229,7 @@ def tail_exponent(rho) -> float:
 
 def psi_coefficient(lambda_beta, rho, gamma) -> float:
     """Tail prefactor psi = (1-rho)(lambda_beta-gamma) / (2 lambda_beta (1-rho) - gamma rho (2-rho))."""
-    if not 0.0 < rho < 1.0:
-        raise OverloadError(f"rho={rho:.6g} outside (0, 1)",
-                            min_capacity_multiplier=rho if rho >= 1 else None)
+    _check_load(rho)
     num = (1.0 - rho) * (lambda_beta - gamma)
     den = 2.0 * lambda_beta * (1.0 - rho) - gamma * rho * (2.0 - rho)
     scale = 2.0 * lambda_beta * (1.0 - rho) + abs(gamma * rho * (2.0 - rho))

@@ -34,40 +34,41 @@ import itertools
 import math
 from array import array
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from heapq import heapify, heappop, heappush
 from typing import Optional
 
 import numpy as np
 
 from .csvio import write_csv
-from .delay import ENTITY_MME, EntityProfile
-from .errors import ConfigurationError, OverloadError
+from .delay import ENTITY_MME, EntityProfile, mme_load
+from .errors import ConfigurationError
 
 _INF = float("inf")
 _WORK_TOL = 1e-9
 _LINK_ENTITY = "link"
 
+# the entity of each step of the procedure, in order
 _DEFAULT_HOP_PLAN = (
-    ("UE", "attach_request"),
-    ("eNB", "attach_forward"),
-    ("MME", "attach_processing"),
-    ("HSS", "auth_vectors"),
-    ("MME", "auth_check"),
-    ("UE", "auth_response"),
-    ("MME", "security_setup"),
-    ("MME", "identity_check"),
-    ("SGW", "session_create"),
-    ("PGW", "session_create"),
-    ("SGW", "session_confirm"),
-    ("MME", "session_complete"),
-    ("eNB", "bearer_setup"),
-    ("MME", "bearer_confirm"),
-    ("MME", "data_notify"),
-    ("SGW", "data_forward"),
-    ("MME", "data_complete"),
-    ("MME", "bearer_release"),
-    ("UE", "rrc_connection_release"),
+    "UE",   # attach request
+    "eNB",  # attach forward
+    "MME",  # attach processing
+    "HSS",  # authentication vectors
+    "MME",  # authentication check
+    "UE",   # authentication response
+    "MME",  # security setup
+    "MME",  # identity check
+    "SGW",  # session create
+    "PGW",  # session create
+    "SGW",  # session confirm
+    "MME",  # session complete
+    "eNB",  # bearer setup
+    "MME",  # bearer confirm
+    "MME",  # data notify
+    "SGW",  # data forward
+    "MME",  # data complete
+    "MME",  # bearer release
+    "UE",   # RRC connection release
 )
 
 
@@ -77,7 +78,6 @@ class MessageHop:
 
     entity: str
     work: float
-    tag: str = ""
 
     def __post_init__(self):
         if not self.entity:
@@ -168,16 +168,16 @@ def default_bearer_template(profiles):
     profiles by construction.  Profiles must use the default per-entity
     message counts (UE 3, eNB 2, MME 9, HSS 1, SGW 3, PGW 1).
     """
-    counts = Counter(entity for entity, _tag in _DEFAULT_HOP_PLAN)
+    counts = Counter(_DEFAULT_HOP_PLAN)
     hops = []
-    for entity, tag in _DEFAULT_HOP_PLAN:
+    for entity in _DEFAULT_HOP_PLAN:
         prof = profiles[entity]
         if prof.messages_per_bearer != counts[entity]:
             raise ConfigurationError(
                 f"default template expects {counts[entity]} messages at {entity!r}, "
                 f"profile declares {prof.messages_per_bearer}; supply a custom template"
             )
-        hops.append(MessageHop(entity, prof.ops_per_bearer / counts[entity], tag))
+        hops.append(MessageHop(entity, prof.ops_per_bearer / counts[entity]))
     return ProcedureTemplate(tuple(hops), marked_index=len(hops) - 1)
 
 
@@ -360,9 +360,10 @@ def run_bearer_simulation(
     (default 0: delays are purely computational).  ``encryption_ops`` adds
     constant extra work to the request's first MME hop (default 0).
 
-    Raises :class:`OverloadError` when two or more requests load the MME
-    to ``n / horizon_s * (ops_per_bearer + encryption_ops) / capacity >= 1``:
-    the MME queue would then grow for as long as the stream lasts.
+    Raises :class:`OverloadError` when the template visits the MME and two
+    or more requests load it to rho >= 1 (``delay.mme_load`` at the rate
+    ``n / horizon_s``, with ``encryption_ops`` added to its per-bearer
+    work): the MME queue would then grow for as long as the stream lasts.
 
     Returns ``(samples, report)``: a :class:`DelaySampleSet` ordered by
     request index and a :class:`UtilizationReport`.
@@ -383,16 +384,10 @@ def run_bearer_simulation(
     n_req = int(np.searchsorted(arrivals, horizon_s, side="right"))
     arrivals = arrivals[:n_req]
 
-    mme_prof = profiles.get(ENTITY_MME)
-    if mme_prof is not None and n_req >= 2 and horizon_s > 0.0:
-        mme_ops = mme_prof.ops_per_bearer + encryption_ops
-        rho = n_req / horizon_s * mme_ops / mme_prof.capacity
-        if rho >= 1.0:
-            raise OverloadError(
-                f"MME load factor {rho:.3f} >= 1 over the {horizon_s!r} s horizon; "
-                "its queue would grow without bound",
-                min_capacity_multiplier=rho,
-            )
+    if ENTITY_MME in template.entities() and n_req >= 2 and horizon_s > 0.0:
+        mme = profiles[ENTITY_MME]
+        mme_load(n_req / horizon_s,
+                 replace(mme, ops_per_bearer=mme.ops_per_bearer + encryption_ops))
 
     hops = template.hops
     n_hops = len(hops)
@@ -678,7 +673,7 @@ def single_job_mode(stream, profile_mme, constant_delay_s):
             f"constant_delay_s must be non-negative, got {constant_delay_s!r}"
         )
     arrivals = np.asarray(stream.timestamps, dtype=float)
-    service_s = profile_mme.ops_per_bearer / profile_mme.capacity
+    service_s = profile_mme.per_bearer_delay
     sojourns = _ps_sojourns_equal_work(arrivals, service_s)
     delays = sojourns + constant_delay_s
     n = arrivals.shape[0]
@@ -687,6 +682,7 @@ def single_job_mode(stream, profile_mme, constant_delay_s):
         completions_s=arrivals + delays,
         breakdown={
             "MME": sojourns,
-            "other": np.full(n, float(constant_delay_s)),
+            # one read-only float repeated with stride 0, not n copies of it
+            "other": np.broadcast_to(float(constant_delay_s), (n,)),
         },
     )

@@ -89,16 +89,15 @@ class SourcePopulation:
 
     group_size: int
     n_groups: int
-    offsets_s: Optional[tuple] = None  # one per group, seconds in [0, T)
+    offsets_s: tuple  # one per group, seconds in [0, T)
 
     def __post_init__(self):
         if self.group_size < 1 or self.n_groups < 1:
             raise ValueError("group_size and n_groups must be >= 1")
-        if self.offsets_s is not None:
-            if len(self.offsets_s) != self.n_groups:
-                raise ValueError("need one offset per group")
-            if not all(0.0 <= w < math.inf for w in self.offsets_s):
-                raise ValueError("offsets must be non-negative and finite")
+        if len(self.offsets_s) != self.n_groups:
+            raise ValueError("need one offset per group")
+        if not all(0.0 <= w < math.inf for w in self.offsets_s):
+            raise ValueError("offsets must be non-negative and finite")
 
     @property
     def q_total(self) -> int:
@@ -142,15 +141,6 @@ class EventStream:
         with open(path, "wb") as fh:
             fh.write(struct.pack("<Q", len(self.timestamps)))
             fh.write(self.timestamps.astype("<f8").tobytes())
-
-    @classmethod
-    def load_binary(cls, path):
-        with open(path, "rb") as fh:
-            (count,) = struct.unpack("<Q", fh.read(8))
-            data = np.frombuffer(fh.read(8 * count), dtype="<f8")
-        if len(data) != count:
-            raise ValueError(f"truncated stream: header says {count}, got {len(data)}")
-        return cls(data.copy())
 
 
 def poisson_arrivals(rate, start_s, end_s, rng):
@@ -327,10 +317,7 @@ def generate_requests(population: SourcePopulation, params: TrafficParams,
     rng = np.random.default_rng(seed)
     delta = params.slot_delta_s
 
-    offsets_s = population.offsets_s
-    if offsets_s is None:
-        offsets_s = rng.uniform(0.0, params.period_s, size=population.n_groups)
-    phase = np.repeat(slot_phases(offsets_s, params), population.group_size)
+    phase = np.repeat(slot_phases(population.offsets_s, params), population.group_size)
     table = hazard_table(params)
 
     q_total = population.q_total

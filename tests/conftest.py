@@ -12,7 +12,7 @@ import pytest
 from hypothesis import settings
 
 from miotcore.config import DEFAULT_ENTITY_PROFILES
-from miotcore.traffic import EventStream
+from miotcore.traffic import EventStream, SourcePopulation
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 
@@ -36,6 +36,14 @@ def profile_mme(profiles):
 def by_name(*profiles):
     """The profiles mapping the library reads: entity name -> EntityProfile."""
     return {p.entity: p for p in profiles}
+
+
+def drawn_population(group_size, n_groups, period_s, rng):
+    """A SourcePopulation whose group offsets are i.i.d. Uniform[0, T) draws
+    from ``rng``.  Passing the same ``rng`` on to generate_requests as its
+    seed draws the offsets and then the stream from one generator."""
+    offsets = rng.uniform(0.0, period_s, n_groups)
+    return SourcePopulation(group_size, n_groups, tuple(float(x) for x in offsets))
 
 
 def poisson_stream(rate_per_s, n_events, seed, source_ids=None):

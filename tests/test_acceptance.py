@@ -24,13 +24,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import poisson_stream
+from conftest import drawn_population, poisson_stream
+from erlang_mixture import ErlangMixture, fbeta_mixture
 from miotcore.arrivals import (
-    ErlangMixture,
     bearer_request_rate,
     exponential_cdf,
     falpha_q_discrete,
-    fbeta_mixture,
     ks_critical_value,
     ks_distance,
 )
@@ -47,13 +46,7 @@ from miotcore.simulator import (
     single_job_mode,
 )
 from miotcore.trace import make_diurnal_trace, window_and_fit
-from miotcore.traffic import (
-    EventStream,
-    SourcePopulation,
-    TrafficParams,
-    beta_pmf,
-    generate_requests,
-)
+from miotcore.traffic import EventStream, TrafficParams, beta_pmf, generate_requests
 
 PERIOD_S = 10.0
 LAMBDA_BETA_10K = 632.1205588285577  # Q = 10^4 sources
@@ -65,8 +58,9 @@ def test_criterion_1_merged_gaps_are_exponential():
     """Budget: under a minute; both runs take a few seconds."""
     params = TrafficParams()
     for n_groups, horizon, bound in ((10, 3200.0, 0.05), (100, 320.0, 0.02)):
-        pop = SourcePopulation(group_size=50, n_groups=n_groups)
-        stream = generate_requests(pop, params, horizon, seed=1)
+        rng = np.random.default_rng(1)
+        pop = drawn_population(50, n_groups, PERIOD_S, rng)
+        stream = generate_requests(pop, params, horizon, rng)
         gaps = stream.gaps()
         assert gaps.size >= 100_000
         lam = bearer_request_rate(pop.q_total, PERIOD_S)
@@ -143,8 +137,9 @@ def test_criterion_5_tail_model_matches_simulation_at_stock_load():
     assert abs(s99 / 0.01 - 1.0) <= 0.10, s99
 
     # the full 19-message walk agrees with the analytic percentile
-    pop = SourcePopulation(group_size=100, n_groups=100)
-    full_stream = generate_requests(pop, TrafficParams(), 316.3, seed=41)
+    rng = np.random.default_rng(41)
+    pop = drawn_population(100, 100, PERIOD_S, rng)
+    full_stream = generate_requests(pop, TrafficParams(), 316.3, rng)
     assert len(full_stream) >= 190_000
     samples, _ = run_bearer_simulation(
         full_stream, default_bearer_template(DEFAULT_ENTITY_PROFILES),
@@ -159,8 +154,9 @@ def test_criterion_5_tail_model_matches_simulation_at_stock_load():
 
 def test_criterion_6_fanout_leaves_percentiles_unchanged():
     """Budget: under three minutes; two ~14 s walks over a shared stream."""
-    pop = SourcePopulation(group_size=100, n_groups=150)  # Q = 15,000
-    stream = generate_requests(pop, TrafficParams(), 158.0, seed=21)
+    rng = np.random.default_rng(21)
+    pop = drawn_population(100, 150, PERIOD_S, rng)  # Q = 15,000
+    stream = generate_requests(pop, TrafficParams(), 158.0, rng)
     template = default_bearer_template(DEFAULT_ENTITY_PROFILES)
     wide, _ = run_bearer_simulation(
         stream, template, DEFAULT_ENTITY_PROFILES, n_enb=150, n_sgw=1)

@@ -26,8 +26,10 @@ SMALL_SCENARIO = {
     "traffic": {"period_s": 10.0, "q_total": 200, "n_groups": 10,
                 "horizon_s": 50.0},
 }
+# rho is about 2.3 at the rate of the model and of a generated stream alike
 OVERLOADED_SCENARIO = {
     "traffic": {"period_s": 10.0, "q_total": 20_000, "horizon_s": 20.0},
+    "entities": {"capacity_scale": 0.5},
 }
 
 
@@ -394,21 +396,40 @@ def test_exit_codes(tmp_path, cfg, capsys):
     # 3: unreadable input data
     assert run(["validate-arrivals", "--config", cfg,
                 "--stream", str(tmp_path / "ghost.csv")]) == 3
-    # 4: infeasible scenario, with a capacity hint on stderr
+    # 4: infeasible scenario, with a capacity hint on stderr; one rule,
+    # delay.mme_load, refuses it for the model, the walk and the single-job
+    # pass alike, so neither simulation runs a queue that grows without bound
     over_cfg = tmp_path / "over.yaml"
     over_cfg.write_text(yaml.safe_dump(OVERLOADED_SCENARIO))
     capsys.readouterr()
-    assert run(["predict", "--config", str(over_cfg),
-                "--out", str(tmp_path / "o")]) == 4
-    err = capsys.readouterr().err
-    assert "overload" in err
-    assert "minimum feasible capacity multiplier" in err
-    # the full walk refuses to run an MME queue that grows without bound
-    assert run(["simulate", "--config", str(over_cfg),
-                "--out", str(tmp_path / "s")]) == 4
-    err = capsys.readouterr().err
-    assert "overload" in err
-    assert "minimum feasible capacity multiplier" in err
+    codes, errors = {}, {}
+    for argv in (["predict"], ["simulate"], ["simulate", "--single-job"]):
+        label = " ".join(argv)
+        codes[label] = run(argv + ["--config", str(over_cfg), "--out", str(tmp_path / "o")])
+        errors[label] = capsys.readouterr().err
+    assert codes == {"predict": 4, "simulate": 4, "simulate --single-job": 4}
+    for label, err in errors.items():
+        assert err.startswith("overload: MME overloaded: rho="), label
+        assert "minimum feasible capacity multiplier" in err, label
+
+
+def test_omitted_message_counts_are_the_stock_ones(tmp_path, monkeypatch):
+    # six rows without messages_per_bearer run the default template, with
+    # the bytes of the same rows that write the counts out
+    monkeypatch.chdir(tmp_path)
+    omitted = [{"entity": p.entity, "ops_per_bearer": p.ops_per_bearer, "capacity": p.capacity}
+               for p in DEFAULT_ENTITY_PROFILES.values()]
+    written = [{**row, "messages_per_bearer": DEFAULT_ENTITY_PROFILES[row["entity"]]
+                .messages_per_bearer} for row in omitted]
+    digests = []
+    for label, rows in (("written", written), ("omitted", omitted)):
+        Path(f"{label}.yaml").write_text(yaml.safe_dump(
+            {**SMALL_SCENARIO, "entities": {"profiles": rows}}))
+        assert run(["simulate", "--config", f"{label}.yaml", "--out", label]) == 0
+        digests.append({path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                        for path in Path(label).iterdir()})
+    assert sorted(digests[0]) == ["delays.csv", "simulate_manifest.json", "utilization.txt"]
+    assert digests[0] == digests[1]
 
 
 def test_cli_start_up_loads_no_scipy(tmp_path, cfg):

@@ -178,6 +178,11 @@ def test_slot_grid_past_max_slots_is_refused():
 
 
 def test_explicit_null_means_default():
+    # config states no default of its own for a TrafficParams or a
+    # ScalingPolicy field: an omitted or null field takes its class's default
+    sc = scenario_from_dict(MINIMAL)
+    assert sc.params == TrafficParams(period_s=10.0)
+    assert sc.policy == ScalingPolicy()
     doc = {"traffic": {**MINIMAL["traffic"], "tx_probability": None,
                        "offsets_s": None}}
     sc = scenario_from_dict(doc)
@@ -201,7 +206,10 @@ def test_capacity_scale_and_custom_profiles():
     sc = scenario_from_dict(doc)
     assert list(sc.profiles) == ["MME", "UE", "eNB", "HSS", "SGW", "PGW"]  # file order
     assert sc.profiles["MME"].capacity == 10_000.0  # 5000 * 2
-    assert sc.profiles["UE"].messages_per_bearer == 1
+    # an omitted count is the stock one, which the default template takes
+    assert sc.profiles["UE"].messages_per_bearer == 3
+    assert sc.profiles["eNB"].messages_per_bearer == 2
+    default_bearer_template(sc.profiles)
     with pytest.raises(ConfigurationError, match=r"entities.profiles\[0\]"):
         scenario_from_dict({
             "traffic": MINIMAL["traffic"],

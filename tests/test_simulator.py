@@ -335,7 +335,7 @@ def test_overload_raises_with_capacity_hint():
     n_req = 3000
     stream = poisson_stream(1500.0, n_req, seed=3)
     template = default_bearer_template(DEFAULT_ENTITY_PROFILES)
-    with pytest.raises(OverloadError, match="load factor") as info:
+    with pytest.raises(OverloadError, match="MME overloaded") as info:
         run_bearer_simulation(stream, template, DEFAULT_ENTITY_PROFILES)
     horizon = float(stream.timestamps[-1])
     assert info.value.min_capacity_multiplier == pytest.approx(
@@ -359,6 +359,20 @@ def test_overload_estimate_spans_the_horizon():
         stream, template, DEFAULT_ENTITY_PROFILES, horizon_s=100.0)
     assert len(samples) == 5
     assert report.per_entity()["MME"] == pytest.approx(5 * D_MME / 100.0)
+
+
+def test_overload_rule_reads_only_a_visited_mme():
+    # an MME that the template never visits builds no queue, whatever its
+    # profile: at 1 request/s and D = 9 s it would load its server to 9
+    template = ProcedureTemplate(hops=(MessageHop("UE", 1.0),))
+    profiles = by_name(EntityProfile("UE", 1.0, 1000.0), EntityProfile("MME", 9.0, 1.0))
+    stream = EventStream(np.array([1.0, 2.0, 3.0]), np.arange(3))
+    samples, report = run_bearer_simulation(stream, template, profiles, horizon_s=3.0)
+    assert np.allclose(samples.delays_s, 1e-3, rtol=1e-12)
+    assert [entity for entity, *_ in report.servers] == ["UE"]
+    with pytest.raises(OverloadError, match="MME overloaded"):
+        run_bearer_simulation(stream, ProcedureTemplate(hops=(MessageHop("MME", 9.0),)),
+                              profiles, horizon_s=3.0)
 
 
 def test_simulation_input_validation():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import drawn_population
 from miotcore import traffic
 from miotcore.traffic import (
     MAX_ALARM_DRAWS,
@@ -45,10 +46,12 @@ def test_params_validation():
 
 
 def test_population_validation():
-    pop = SourcePopulation(group_size=50, n_groups=10)
+    pop = SourcePopulation(group_size=50, n_groups=10, offsets_s=(0.0,) * 10)
     assert pop.q_total == 500
+    with pytest.raises(TypeError):  # the offsets are drawn by whoever builds one
+        SourcePopulation(group_size=50, n_groups=10)
     with pytest.raises(ValueError):
-        SourcePopulation(group_size=0, n_groups=10)
+        SourcePopulation(group_size=0, n_groups=10, offsets_s=(0.0,) * 10)
     with pytest.raises(ValueError):
         SourcePopulation(group_size=50, n_groups=2, offsets_s=(0.0,))
     with pytest.raises(ValueError):
@@ -187,11 +190,12 @@ def test_generate_requests_keeps_no_hazard_table():
     # stream is returned, traced memory is back within the stream's own
     # arrays of where it started
     params = TrafficParams(period_s=9.0, slot_delta_s=1e-5)
-    population = SourcePopulation(10, 10)
+    rng = np.random.default_rng(4)
+    population = drawn_population(10, 10, params.period_s, rng)
     tracemalloc.start()
     try:
         start, _ = tracemalloc.get_traced_memory()
-        stream = generate_requests(population, params, 20.0, seed=4)
+        stream = generate_requests(population, params, 20.0, rng)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -275,24 +279,24 @@ def test_generate_requests_refuses_too_many_expected_requests(monkeypatch):
     params = TrafficParams(period_s=10.0, tx_probability=0.5)
     q_total = 2 * MAX_EXPECTED_REQUESTS // 10  # p * H / T = 5 at H = 100
     with pytest.raises(ValueError, match="expect"):
-        generate_requests(SourcePopulation(q_total, 1), params, 100.0 + 1e-9, seed=0)
+        generate_requests(SourcePopulation(q_total, 1, (0.0,)), params, 100.0 + 1e-9, seed=0)
     with pytest.raises(ValueError, match="expect"):
-        generate_requests(SourcePopulation(1, 1), TrafficParams(regular_rate_epsilon=1.0),
+        generate_requests(SourcePopulation(1, 1, (0.0,)), TrafficParams(regular_rate_epsilon=1.0),
                           float(MAX_EXPECTED_REQUESTS), seed=0)
     with pytest.raises(ValueError, match="expect"):
-        generate_requests(SourcePopulation(1, 1), params, math.nan, seed=0)
+        generate_requests(SourcePopulation(1, 1, (0.0,)), params, math.nan, seed=0)
     traffic.check_expected_requests(q_total, params, 100.0)  # exactly at the bound
     # a tiny tx_probability expects few requests, but the generator still
     # draws Q * H / T alarms and holds state for all Q sources
     rare = TrafficParams(period_s=10.0, tx_probability=1e-9)
     for q_total, horizon_s in ((10**9, 10.0), (MAX_ALARM_DRAWS // 10, 100.0 + 1e-9)):
         with pytest.raises(ValueError, match="alarm draws, need <="):
-            generate_requests(SourcePopulation(q_total, 1), rare, horizon_s, seed=0)
+            generate_requests(SourcePopulation(q_total, 1, (0.0,)), rare, horizon_s, seed=0)
     traffic.check_expected_requests(MAX_ALARM_DRAWS // 10, rare, 100.0)  # at the bound
 
 
 def test_generate_requests_deterministic_and_sorted():
-    pop = SourcePopulation(group_size=20, n_groups=5)
+    pop = SourcePopulation(group_size=20, n_groups=5, offsets_s=(0.0, 1.5, 4.0, 6.5, 9.0))
     params = TrafficParams(period_s=10.0, slot_delta_s=1e-4)
     a = generate_requests(pop, params, 200.0, seed=42)
     b = generate_requests(pop, params, 200.0, seed=42)
@@ -307,10 +311,11 @@ def test_generate_requests_deterministic_and_sorted():
 
 def test_generate_requests_rate_law():
     # E[events] = Q * tx * horizon / T within a few sigma
-    pop = SourcePopulation(group_size=100, n_groups=10)
     params = TrafficParams()
+    rng = np.random.default_rng(3)
+    pop = drawn_population(100, 10, params.period_s, rng)
     horizon = 400.0
-    stream = generate_requests(pop, params, horizon, seed=3)
+    stream = generate_requests(pop, params, horizon, rng)
     expect = pop.q_total * params.tx_probability * horizon / params.period_s
     assert abs(len(stream) - expect) < 5.0 * math.sqrt(expect)
     assert stream.mean_rate() == pytest.approx(
@@ -371,7 +376,7 @@ def test_generate_requests_offset_shifts_phases():
 def test_generate_requests_rejects_bad_horizon_and_offsets():
     params = TrafficParams()
     with pytest.raises(ValueError):
-        generate_requests(SourcePopulation(1, 1), params, 5.0, seed=0)
+        generate_requests(SourcePopulation(1, 1, (0.0,)), params, 5.0, seed=0)
     bad = SourcePopulation(1, 1, offsets_s=(10.0,))  # must be < period
     with pytest.raises(ValueError):
         generate_requests(bad, params, 20.0, seed=0)
@@ -412,13 +417,13 @@ def test_event_stream_validation_and_roundtrips(tmp_path):
     # (n - 1) gaps over the observed span of 2.5 s
     assert stream.mean_rate() == pytest.approx(3 / 2.5)
 
-    # the binary form carries timestamps only (length-prefixed f64)
+    # the binary form carries timestamps only: a little-endian u64 count,
+    # then that many little-endian f64 seconds
     bin_path = tmp_path / "events.bin"
     stream.save_binary(bin_path)
-    again = EventStream.load_binary(bin_path)
-    assert np.array_equal(again.timestamps, stream.timestamps)
-    assert again.source_ids is None
-    assert bin_path.stat().st_size == 8 + 8 * len(stream)
+    raw = bin_path.read_bytes()
+    assert np.frombuffer(raw[:8], dtype="<u8")[0] == len(stream)
+    assert np.array_equal(np.frombuffer(raw[8:], dtype="<f8"), stream.timestamps)
 
     csv_path = tmp_path / "events.csv"
     stream.save_csv(csv_path)
