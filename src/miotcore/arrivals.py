@@ -32,6 +32,10 @@ KS_MIN_SAMPLES = 50
 # the package reports: scipy.special.kolmogi(0.01)
 KS_CRITICAL_C = 1.6276236115189504
 
+# order statistics per step of ks_distance; bounds its scratch memory to
+# a few arrays of this length
+_KS_CHUNK = 1 << 14
+
 
 def bearer_request_rate(q_total, period_s,
                         tx_probability=TX_PROBABILITY_DEFAULT) -> float:
@@ -124,21 +128,42 @@ def exponential_cdf(rate, tau):
     return -np.expm1(-rate * np.asarray(tau, dtype=np.float64))
 
 
+def _sorted(x):
+    """x itself when it is non-decreasing and NaN-free, else np.sort(x).
+
+    The order is checked _KS_CHUNK values at a time; a NaN fails the
+    check, so np.sort puts it last, as it would anyway.
+    """
+    for lo in range(0, x.size - 1, _KS_CHUNK):
+        part = x[lo:lo + _KS_CHUNK + 1]
+        if not np.all(part[1:] >= part[:-1]):
+            return np.sort(x)
+    return x
+
+
 def ks_distance(samples, model_cdf) -> float:
     """Two-sided Kolmogorov-Smirnov distance of samples vs a model CDF.
 
     sup over the sample points of |empirical CDF - model CDF|: with the
     order statistics x_(1..n) and F = model_cdf(x), the larger of
     D+ = max(i/n - F) and D- = max(F - (i-1)/n), the same arithmetic as
-    scipy.stats.ks_1samp (which is the tests' oracle).
+    scipy.stats.ks_1samp (which is the tests' oracle).  Samples already
+    in order are not copied, and both maxima run over _KS_CHUNK order
+    statistics at a time, the max of the chunk maxima being the max of
+    one pass.  model_cdf must act elementwise.
     """
-    x = np.sort(np.asarray(samples, dtype=np.float64))
+    x = _sorted(np.asarray(samples, dtype=np.float64))
     n = x.size
     if n < 2:
         raise ValueError("need >= 2 samples")
-    cdf = model_cdf(x)
-    d_plus = float(np.max(np.arange(1.0, n + 1) / n - cdf))
-    d_minus = float(np.max(cdf - np.arange(0.0, n) / n))
+    d_plus = d_minus = -np.inf
+    for lo in range(0, n, _KS_CHUNK):
+        cdf = model_cdf(x[lo:lo + _KS_CHUNK])
+        i = np.arange(float(lo), lo + cdf.size)
+        # np.maximum, unlike max(), keeps a NaN whichever side it is on
+        d_plus = np.maximum(d_plus, np.max((i + 1.0) / n - cdf))
+        d_minus = np.maximum(d_minus, np.max(cdf - i / n))
+    d_plus, d_minus = float(d_plus), float(d_minus)
     return d_plus if d_plus > d_minus else d_minus
 
 

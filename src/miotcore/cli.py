@@ -126,7 +126,8 @@ def cmd_validate_arrivals(args):
         print(f"parsed {args.stream}: {report.text()}")
     else:
         stream = next(iter(_replication_streams(scenario, args.seed, 1)))
-    gaps = np.sort(stream.gaps())
+    gaps = stream.gaps()
+    gaps.sort()
     if gaps.size < 2:
         error = TraceFormatError if args.stream else ConfigurationError
         raise error(f"the stream has {len(stream)} requests; "
@@ -153,6 +154,7 @@ def cmd_validate_arrivals(args):
 def _simulate_one(scenario, rep_ss, single_job):
     stream = _replication_stream(scenario, rep_ss)
     if single_job:
+        stream.source_ids = None  # the pass reads the times alone
         mme = scenario.profiles[ENTITY_MME]
         # refused at the walk's rate, n / horizon, as the walk refuses it;
         # single_job_mode runs any load, as scale replays overloaded windows

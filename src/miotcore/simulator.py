@@ -651,7 +651,9 @@ def _ps_sojourns_equal_work(arrivals, service_s):
         t = t + (vfs[0] - v) * len(vfs)
         v = vfs.popleft()
         done.append(t)
-    return np.frombuffer(done, dtype=float) - arrivals
+    sojourns = np.frombuffer(done, dtype=float)
+    sojourns -= arrivals
+    return sojourns
 
 
 def single_job_mode(stream, profile_mme, constant_delay_s):
@@ -675,11 +677,13 @@ def single_job_mode(stream, profile_mme, constant_delay_s):
     arrivals = np.asarray(stream.timestamps, dtype=float)
     service_s = profile_mme.per_bearer_delay
     sojourns = _ps_sojourns_equal_work(arrivals, service_s)
-    delays = sojourns + constant_delay_s
+    # arrival + (sojourn + K), added in that order into one buffer
+    completions = sojourns + constant_delay_s
+    completions += arrivals
     n = arrivals.shape[0]
     return DelaySampleSet(
         arrivals_s=arrivals,
-        completions_s=arrivals + delays,
+        completions_s=completions,
         breakdown={
             "MME": sojourns,
             # one read-only float repeated with stride 0, not n copies of it

@@ -119,10 +119,13 @@ def parse_trace(path):
     times, ids, n_rows, n_malformed = parsed
     if not times.size:
         raise TraceFormatError(f"trace {path!r} contains no valid rows")
-    order = np.argsort(times, kind="stable")
-    times = times[order]
+    # a stable sort of rows already in order would leave them as they are
+    if np.any(times[1:] < times[:-1]):
+        order = np.argsort(times, kind="stable")
+        times = times[order]
+        ids = None if ids is None else ids[order]
     n_dup = _duplicate_count(times)
-    stream = EventStream(times, None if ids is None else ids[order])
+    stream = EventStream(times, ids)
     report = TraceParseReport(
         n_rows=n_rows,
         n_valid=int(times.size),

@@ -20,14 +20,15 @@ from .csvio import write_csv
 TX_PROBABILITY_DEFAULT = 1.0 - math.exp(-1.0)
 
 # the finest slot grid a parameter set may ask for: its cumulative hazard
-# table is one float64 per even slot, 40 MB at this size
+# table is one float64 per _STRIDE slots, 20 MB at this size
 MAX_SLOTS = 10**7
 
 # the most requests a generation call may expect, Q * (p * H / T + epsilon * H):
 # the stream is a float64 time and an int64 source id per request, 160 MB at
-# this size (its merge holds about twice that), and a walk of it about 88
-# bytes a request beside its per-server state (80 of per-request arrays,
-# 8 of int32 routes to the UE and eNB servers), 0.9 GB
+# this size (its merge holds about twice that), a single-job pass over it 16
+# bytes a request beside the times (sojourn and completion), 160 MB, and a
+# walk of it about 88 bytes a request beside its per-server state (80 of
+# per-request arrays, 8 of int32 routes to the UE and eNB servers), 0.9 GB
 MAX_EXPECTED_REQUESTS = 10**7
 
 # the most alarm draws a generation call may make, Q * H / T, whatever p:
@@ -39,6 +40,10 @@ MAX_ALARM_DRAWS = 2 * 10**7
 # slots per step of the cumulative-hazard build; bounds its scratch memory
 # to about 0.9 MiB traced
 _PREFIX_CHUNK = 1 << 14
+
+# the hazard table keeps the cumulative hazard of every _STRIDE-th slot;
+# a slot in between costs up to _STRIDE - 1 hazard evaluations to rebuild
+_STRIDE = 4
 
 
 @dataclass(frozen=True)
@@ -111,7 +116,7 @@ class EventStream:
         self.timestamps = np.asarray(timestamps, dtype=np.float64)
         if self.timestamps.ndim != 1:
             raise ValueError("timestamps must be one-dimensional")
-        if len(self.timestamps) > 1 and np.any(np.diff(self.timestamps) < 0):
+        if np.any(self.timestamps[1:] < self.timestamps[:-1]):
             raise ValueError("timestamps must be non-decreasing")
         if source_ids is not None:
             source_ids = np.asarray(source_ids, dtype=np.int64)
@@ -140,7 +145,8 @@ class EventStream:
         """Length-prefixed stream: little-endian u64 count, then f64 seconds."""
         with open(path, "wb") as fh:
             fh.write(struct.pack("<Q", len(self.timestamps)))
-            fh.write(self.timestamps.astype("<f8").tobytes())
+            # no copy unless the times are strided or not little-endian
+            fh.write(np.ascontiguousarray(self.timestamps, dtype="<f8"))
 
 
 def poisson_arrivals(rate, start_s, end_s, rng):
@@ -181,16 +187,17 @@ def beta_pmf(n, params):
 
 
 class HazardTable(NamedTuple):
-    """The cumulative slot hazard of one period, kept at its even slots.
+    """The cumulative slot hazard of one period, kept at every _STRIDE-th slot.
 
-    ``even[m]`` is P[2m], the hazard -ln(1-f) summed over slots 1..2m, for
-    2m <= N; ``phi`` is the period total P[N].  An odd slot's P[2m+1] is
-    rebuilt on demand as ``even[m] + h(2m+1)``, the one float add the
-    running sum made there, so every rebuilt value equals the full
-    prefix's bit for bit.
+    ``checkpoints[m]`` is P[4m], the hazard -ln(1-f) summed over slots
+    1..4m, for 4m <= N; ``phi`` is the period total P[N].  A slot 4m+i in
+    between (i = 1..3) is rebuilt on demand by adding h(4m+1) .. h(4m+i)
+    to ``checkpoints[m]`` one at a time, the float adds the running sum
+    made there, so every rebuilt value equals the full prefix's bit for
+    bit.
     """
 
-    even: np.ndarray
+    checkpoints: np.ndarray
     phi: float
     n_slots: int
 
@@ -204,35 +211,43 @@ def hazard_table(params: TrafficParams) -> HazardTable:
     """The cumulative hazard -ln(1-f) over one period, as a HazardTable.
 
     Built afresh on every call, for its caller alone: one float64 per
-    even slot (3.8 MiB at the stock 10^6 slots) that nothing keeps once
-    the caller drops it.  Every f is at most 2.0736/N, so -ln(1-f) is
+    _STRIDE slots (1.9 MiB at the stock 10^6 slots) that nothing keeps
+    once the caller drops it.  Every f is at most 2.0736/N, so -ln(1-f) is
     finite and phi is about 1.  The sum runs _PREFIX_CHUNK slots at a
     time, each chunk's first term carrying the sum so far, which adds in
     the same left-to-right order as one cumsum over the whole grid.
     """
     n_slots = params.n_slots
-    even = np.empty(n_slots // 2 + 1)
-    even[0] = 0.0
+    checkpoints = np.empty(n_slots // _STRIDE + 1)
+    checkpoints[0] = 0.0
     run = np.empty(_PREFIX_CHUNK)
     total = 0.0
-    # every chunk starts at an odd slot, so its even slots sit at odd offsets
+    # every chunk starts at a slot 1 past a multiple of _STRIDE, so its
+    # checkpoint slots sit at offsets _STRIDE - 1, 2 * _STRIDE - 1, ...
     for lo in range(1, n_slots + 1, _PREFIX_CHUNK):
         hi = min(lo + _PREFIX_CHUNK, n_slots + 1)
         h = _slot_hazard(np.arange(lo, hi), n_slots)
         h[0] += total
         part = np.cumsum(h, out=run[:hi - lo])
-        even[(lo + 1) // 2:(hi + 1) // 2] = part[1::2]
+        checkpoints[(lo + _STRIDE - 1) // _STRIDE:(hi + _STRIDE - 1) // _STRIDE] = \
+            part[_STRIDE - 1::_STRIDE]
         total = float(part[-1])
-    return HazardTable(even, total, n_slots)
+    return HazardTable(checkpoints, total, n_slots)
 
 
 def _prefix_at(table: HazardTable, slots):
-    """P[slots] for int64 slots in [0, N], any shape, odd ones rebuilt."""
+    """P[slots] for int64 slots in [0, N], any shape, in-between ones rebuilt.
+
+    Slot 4m+i adds h(4m+1), then h(4m+2), ... h(4m+i) to P[4m], the
+    float adds the running sum made there.
+    """
     slots = np.asarray(slots)
     flat = slots.reshape(-1)
-    out = table.even[flat >> 1]
-    odd = np.flatnonzero(flat & 1)
-    out[odd] += _slot_hazard(flat[odd], table.n_slots)
+    m, i = np.divmod(flat, _STRIDE)
+    out = table.checkpoints[m]
+    for step in range(1, _STRIDE):
+        k = np.flatnonzero(i >= step)
+        out[k] += _slot_hazard(_STRIDE * m[k] + step, table.n_slots)
     return out.reshape(slots.shape)[()]
 
 
@@ -261,24 +276,31 @@ def cumulative_hazard(y, table: HazardTable):
 
 def _slots_from_targets(table: HazardTable, targets):
     """Smallest absolute slots y with cumulative hazard(y) >= targets."""
-    even, phi, n_slots = table
+    checkpoints, phi, n_slots = table
     periods = np.floor_divide(targets, phi).astype(np.int64)
     residual = targets - periods * phi
     # sorted keys walk the table in order, where unsorted ones each miss
     # the cache: the slots are found in that order, then scattered back
     order = np.argsort(residual)
     r = residual[order]
-    j = np.searchsorted(even, r, side="left")
-    # P[2j-2] < r <= P[2j]: the first slot is the odd 2j-1 when
-    # P[2j-1] = P[2j-2] + h(2j-1) reaches r, else 2j; past the table's end
-    # (r > phi at even N) it is N+1, as the search over the full prefix gives
-    y = 2 * j
-    odd = y - 1
-    past = odd > n_slots
-    y[past] = odd[past]
-    k = np.flatnonzero((j > 0) & ~past)
-    k = k[even[j[k] - 1] + _slot_hazard(odd[k], n_slots) >= r[k]]
-    y[k] = odd[k]
+    j = np.searchsorted(checkpoints, r, side="left")
+    # P[4j-4] < r <= P[4j]: the first slot is 4j-3 plus the number of
+    # slots 4j-3 .. 4j-1 whose P, rebuilt one add at a time, falls short
+    # of r, else 4j; past the table's end (r above its last checkpoint) it
+    # is N+1 when no slot up to N reaches r, as the search over the full
+    # prefix gives.  A slot past N adds slot N's zero hazard, so it never
+    # reaches r.
+    y = np.minimum(_STRIDE * j, n_slots + 1)
+    k = np.flatnonzero(j > 0)
+    first = _STRIDE * (j[k] - 1) + 1
+    run = checkpoints[j[k] - 1]
+    r = r[k]
+    short = np.zeros(k.size, dtype=np.int64)
+    for step in range(_STRIDE - 1):
+        run += _slot_hazard(np.minimum(first + step, n_slots), n_slots)
+        short += run < r
+    hit = short < _STRIDE - 1
+    y[k[hit]] = (first + short)[hit]
     np.maximum(y, 1, out=y)
     slots = np.empty_like(y)
     slots[order] = y

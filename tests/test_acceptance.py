@@ -19,10 +19,7 @@ simulator, and the controller to each other:
    the fitted rates are exactly scale-equivariant.
 """
 
-import math
-
 import numpy as np
-import pytest
 
 from conftest import drawn_population, poisson_stream
 from erlang_mixture import ErlangMixture, fbeta_mixture

@@ -9,6 +9,7 @@ from hypothesis import example, given, strategies as st
 from scipy import special, stats
 
 from erlang_mixture import ErlangMixture, fbeta_mixture
+from miotcore import arrivals
 from miotcore.arrivals import (
     KS_CRITICAL_C,
     KS_MIN_SAMPLES,
@@ -302,6 +303,39 @@ def test_ks_distance_discriminates():
     assert ks_distance(good, model) < ks_critical_value(5000)
     lattice = np.full(5000, 0.5)  # all mass at one point
     assert ks_distance(lattice, model) > 10 * ks_critical_value(5000)
+
+
+def _one_shot_ks(samples, model_cdf):
+    """The KS distance as one pass over one sorted copy of the samples."""
+    x = np.sort(np.asarray(samples, dtype=np.float64))
+    n = x.size
+    cdf = model_cdf(x)
+    d_plus = float(np.max(np.arange(1.0, n + 1) / n - cdf))
+    d_minus = float(np.max(cdf - np.arange(0.0, n) / n))
+    return d_plus if d_plus > d_minus else d_minus
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, "3x+7"])
+@pytest.mark.parametrize("form", ["sorted", "shuffled", "nan"])
+def test_chunked_ks_distance_equals_the_one_pass_formula_bit_for_bit(extra, form):
+    # chunk maxima, and samples left unsorted when already in order, give
+    # the float one pass over a sorted copy gives, at sizes around the
+    # chunk; a NaN makes both NaN (whose sign bit numpy's max does not fix)
+    chunk = arrivals._KS_CHUNK
+    n = 3 * chunk + 7 if extra == "3x+7" else chunk + extra
+    rng = np.random.default_rng(n)
+    sample = np.sort(rng.exponential(0.5, size=n))
+    if form != "sorted":
+        rng.shuffle(sample)
+    if form == "nan":
+        sample[rng.integers(n)] = np.nan
+    model = lambda x: exponential_cdf(2.0, x)
+    got = ks_distance(sample, model)
+    want = _one_shot_ks(sample, model)
+    if form == "nan":
+        assert math.isnan(got) and math.isnan(want)
+    else:
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_ks_critical_value_formula():

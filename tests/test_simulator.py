@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import by_name, poisson_stream
 from miotcore.cli import _replication_stream
 from miotcore.config import DEFAULT_ENTITY_PROFILES, scenario_from_dict
-from miotcore.delay import EntityProfile, constant_delay_K
+from miotcore.delay import EntityProfile
 from miotcore.errors import ConfigurationError, OverloadError
 from miotcore.simulator import (
     DelaySampleSet,

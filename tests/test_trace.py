@@ -37,6 +37,35 @@ def test_parse_trace_sorted_with_ids(tmp_path):
     assert "valid=3" in report.text()
 
 
+@pytest.mark.parametrize("malformed", [False, True])
+def test_parse_trace_of_shuffled_rows_equals_the_sorted_trace(tmp_path, malformed):
+    # rows in order are not re-sorted, rows out of order are, and both
+    # give the same stream and report; tied timestamps, which carry
+    # different source ids, keep their file order either way.  A malformed
+    # row sends both files through the row-by-row reader instead.
+    rng = np.random.default_rng(21)
+    times = np.sort(np.round(rng.uniform(0.0, 50.0, 400), 1))  # many ties
+    ids = rng.permutation(400)
+    assert _duplicate_count(times) > 50
+    perm = rng.permutation(400)
+    for t in np.unique(times[1:][times[1:] == times[:-1]]):
+        tied = np.flatnonzero(times[perm] == t)
+        perm[tied] = np.sort(perm[tied])
+    assert not np.all(np.diff(times[perm]) >= 0.0)
+    tail = ["oops,3"] if malformed else []
+    parsed = []
+    for name, order in (("sorted.csv", np.arange(400)), ("shuffled.csv", perm)):
+        rows = [f"{float(times[i])!r},{int(ids[i])}" for i in order]
+        path = write(tmp_path, "\n".join(["timestamp_s,source_id"] + rows + tail) + "\n", name)
+        parsed.append(parse_trace(path))
+    (ordered, ordered_report), (shuffled, shuffled_report) = parsed
+    assert ordered.timestamps.tobytes() == shuffled.timestamps.tobytes() == times.tobytes()
+    assert ordered.source_ids.tobytes() == shuffled.source_ids.tobytes() == ids.tobytes()
+    assert ordered_report == shuffled_report
+    assert ordered_report.n_malformed == int(malformed)
+    assert ordered_report.n_duplicate_timestamps == _duplicate_count(times)
+
+
 def test_parse_trace_counts_malformed_and_duplicates(tmp_path):
     path = write(tmp_path, "\n".join([
         "timestamp_s,source_id",

@@ -120,14 +120,16 @@ def test_cumulative_hazard_wraps_the_period_and_is_the_prefix_within_it():
     assert cumulative_hazard(np.int64(2 * params.n_slots), table) == 2 * table.phi
 
 
-@pytest.mark.parametrize("n_slots", [199, 200])
+@pytest.mark.parametrize("n_slots", [199, 200, 201, 202])
 def test_cumulative_hazard_of_scalar_slots_on_odd_and_even_grids(n_slots):
-    # a scalar slot, odd or even, reads the prefix as an array slot does:
-    # Python int, numpy int and 0-d array each give one float64
+    # a scalar slot, at a checkpoint or between, reads the prefix as an
+    # array slot does, on grids of every n_slots % 4: Python int, numpy
+    # int and 0-d array each give one float64
     params = TrafficParams(period_s=float(n_slots), slot_delta_s=1.0)
     prefix = _one_shot_prefix(params)
     table = hazard_table(params)
-    for y in (0, 1, 2, n_slots - 2, n_slots - 1, n_slots, n_slots + 1, 3 * n_slots + 5):
+    for y in (0, 1, 2, 3, 4, 5, n_slots - 3, n_slots - 2, n_slots - 1, n_slots,
+              n_slots + 1, 3 * n_slots + 5, 3 * n_slots + 6):
         want = (y // n_slots) * prefix[-1] + prefix[y % n_slots]
         for slot in (y, np.int64(y), np.array(y)):
             got = cumulative_hazard(slot, table)
@@ -152,13 +154,17 @@ def test_params_refuse_a_slot_grid_past_max_slots():
     assert TrafficParams(period_s=10.0, slot_delta_s=1e-6).n_slots == traffic.MAX_SLOTS
 
 
-@pytest.mark.parametrize("chunks, extra", [(0, 100), (1, -1), (1, 0), (1, 1), (3, 7)])
+@pytest.mark.parametrize("chunks, extra", [
+    (0, 100), (0, 101), (0, 102), (0, 103),
+    (1, -1), (1, 0), (1, 1), (1, 2), (3, 7),
+])
 def test_chunked_prefix_equals_one_cumsum_bit_for_bit(chunks, extra):
+    # every n_slots % 4, with chunk edges before, at and past the grid's end
     n_slots = chunks * traffic._PREFIX_CHUNK + extra
     params = TrafficParams(period_s=float(n_slots), slot_delta_s=1.0)
     assert params.n_slots == n_slots
     table = hazard_table(params)
-    assert table.even.size == n_slots // 2 + 1  # odd and even grids both
+    assert table.checkpoints.size == n_slots // traffic._STRIDE + 1
     prefix = _full_prefix(table)
     assert prefix.tobytes() == _one_shot_prefix(params).tobytes()
     assert table.phi == prefix[-1]
@@ -166,7 +172,7 @@ def test_chunked_prefix_equals_one_cumsum_bit_for_bit(chunks, extra):
 
 def test_stock_prefix_matches_its_golden_digest():
     # sha256 of the stock grid's prefix as one whole-grid cumsum built it,
-    # here rebuilt whole from the even-slot table
+    # here rebuilt whole from the checkpoint table
     prefix = _full_prefix(hazard_table(TrafficParams()))
     assert hashlib.sha256(prefix.tobytes()).hexdigest() == (
         "e7e5b54d7a88e3b4dffb2cc7ee40c29d235c47c1ef7fb587e90a0187f182dcc6")
@@ -175,18 +181,19 @@ def test_stock_prefix_matches_its_golden_digest():
 def test_prefix_scratch_memory_is_bounded():
     # the stock grid's full prefix is 7.6 MiB; a whole-grid build peaked
     # at 38.2 MiB, 65,536-slot chunks at 10.6 MiB, 16,384-slot ones at
-    # 8.4 MiB, and the even-slot table (3.8 MiB) at 4.7 MiB
+    # 8.4 MiB, the even-slot table (3.8 MiB) at 4.7 MiB, and the table of
+    # every 4th slot (1.9 MiB) at 2.8 MiB
     tracemalloc.start()
     try:
         table = hazard_table(TrafficParams())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= table.even.nbytes + 2**20
+    assert peak <= table.checkpoints.nbytes + 2**20
 
 
 def test_generate_requests_keeps_no_hazard_table():
-    # the 900,000-slot table (3.4 MiB) lives for the call alone: once the
+    # the 900,000-slot table (1.7 MiB) lives for the call alone: once the
     # stream is returned, traced memory is back within the stream's own
     # arrays of where it started
     params = TrafficParams(period_s=9.0, slot_delta_s=1e-5)
@@ -207,8 +214,8 @@ def test_generate_requests_keeps_no_hazard_table():
 def test_slots_from_targets_is_an_exact_inverse_transform():
     # a target in (P[k-1], P[k]] of period m is first reached at slot k of
     # that period, m * N + k: at P[k] itself, just past P[k-1], and between,
-    # on an even and an odd grid
-    for n_slots in (100, 101):
+    # on grids of every n_slots % 4
+    for n_slots in (100, 101, 102, 103):
         params = TrafficParams(period_s=float(n_slots), slot_delta_s=1.0)
         prefix = _one_shot_prefix(params)
         table = hazard_table(params)
@@ -226,13 +233,13 @@ def test_slots_from_targets_is_an_exact_inverse_transform():
 
 
 def test_slots_from_targets_equals_the_unsorted_search():
-    # the even-slot search, sorted and scattered back, must give the
+    # the checkpoint search, sorted and scattered back, must give the
     # indices one unsorted np.searchsorted over the whole prefix gives, on
     # ties, exact prefix values and their neighbours, 0 and whole periods
-    # among them, on an even and an odd grid; some whole periods m * phi
-    # leave a residual just above phi (m = 517 on the even grid), which
-    # the whole prefix's search puts at slot N + 1
-    for period_s in (1.0, 0.999):
+    # among them, on grids of every n_slots % 4; some whole periods m * phi
+    # leave a residual just above phi (m = 517 on the 1000-slot grid),
+    # which the whole prefix's search puts at slot N + 1
+    for period_s in (1.0, 0.999, 1.001, 1.002):
         params = TrafficParams(period_s=period_s, slot_delta_s=1e-3)
         assert params.n_slots == round(1000 * period_s)
         prefix = _one_shot_prefix(params)
