@@ -171,7 +171,6 @@ def _simulate_one(scenario, rep_ss, single_job):
         n_enb=scenario.effective_n_enb,
         n_sgw=scenario.n_sgw,
         link_latency_s=scenario.link_latency_s,
-        encryption_ops=scenario.encryption_ops,
     )
 
 

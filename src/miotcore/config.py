@@ -19,12 +19,13 @@ A scenario file is a nested key/value document with four optional blocks
                                 # list holds one row for each of UE, eNB, MME,
                                 # HSS, SGW and PGW, and no other entity
         - {entity: MME, ops_per_bearer: 9.0, capacity: 10000.0, messages_per_bearer: 9}
-                                # messages_per_bearer defaults to the stock count
+                                # messages_per_bearer is omitted or the stock
+                                # count, simulator.message_count
     topology:
       n_enb: null               # default: one eNB per source group
       n_sgw: 1
       link_latency_s: 0.0
-      encryption_ops: 0.0
+      encryption_ops: 0.0       # extra MME operations per bearer
     scaling:                    # ScalingPolicy fields, with its defaults
       target_delay_s: ...
       percentile: ...
@@ -33,35 +34,37 @@ A scenario file is a nested key/value document with four optional blocks
       scope: ...                # "all" or "mme"
 
 A resolved Scenario keeps its profiles as one dict from entity name to
-EntityProfile, in the file's order and with capacity_scale applied; every
-library function that takes ``profiles`` reads such a mapping by name.
+EntityProfile, in the file's order, with capacity_scale applied and
+encryption_ops added to the MME's ops_per_bearer, so every command reads
+one MME; every library function that takes ``profiles`` reads such a
+mapping by name.  ``scenario_to_dict`` writes these resolved rows, with
+``topology.encryption_ops: 0.0``.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import yaml
 
 from .arrivals import bearer_request_rate
 from .autoscale import ScalingPolicy, scaled_profiles
-from .delay import ENTITY_NAMES, EntityProfile
+from .delay import ENTITY_MME, ENTITY_NAMES, EntityProfile
 from .errors import ConfigurationError
+from .simulator import message_count
 from .traffic import SourcePopulation, TrafficParams, check_expected_requests
 
-DEFAULT_ENTITY_PROFILES = {p.entity: p for p in (
-    EntityProfile("UE", 3.0, 1000.0, 3),
-    EntityProfile("eNB", 2.0, 1000.0, 2),
-    EntityProfile("MME", 9.0, 10000.0, 9),
-    EntityProfile("HSS", 1.0, 10000.0, 1),
-    EntityProfile("SGW", 3.0, 10000.0, 3),
-    EntityProfile("PGW", 1.0, 10000.0, 1),
-)}
+DEFAULT_ENTITY_PROFILES = {e: EntityProfile(e, ops, cap, message_count(e)) for e, ops, cap in (
+    ("UE", 3.0, 1000.0), ("eNB", 2.0, 1000.0), ("MME", 9.0, 10000.0),
+    ("HSS", 1.0, 10000.0), ("SGW", 3.0, 10000.0), ("PGW", 1.0, 10000.0))}
 DEFAULT_N_GROUPS = 100
 
 @dataclass(frozen=True)
 class Scenario:
-    """Fully resolved scenario: traffic, entity profiles, topology, scaling."""
+    """Fully resolved scenario: traffic, entity profiles, topology, scaling.
+
+    ``profiles`` already carry ``capacity_scale`` and ``encryption_ops``.
+    """
 
     params: TrafficParams
     q_total: int
@@ -72,7 +75,6 @@ class Scenario:
     n_enb: Optional[int]
     n_sgw: int
     link_latency_s: float
-    encryption_ops: float
     policy: ScalingPolicy
 
     @property
@@ -217,7 +219,7 @@ def scenario_from_dict(doc):
     else:
         if not isinstance(raw_profiles, list) or not raw_profiles:
             raise ConfigurationError("entities.profiles: must be a non-empty list")
-        profiles = []
+        rows = []  # (declared message count, profile)
         for i, row in enumerate(raw_profiles):
             if not isinstance(row, dict):
                 raise ConfigurationError(f"entities.profiles[{i}]: must be a mapping")
@@ -226,24 +228,26 @@ def scenario_from_dict(doc):
             entity = _take(row, "entity", path, required=True, convert=str)
             ops = _take(row, "ops_per_bearer", path, required=True, convert=_finite)
             cap = _take(row, "capacity", path, required=True, convert=_finite)
-            # an omitted count is the stock one, the only one the default
-            # template accepts; an unknown entity is refused below, by name
-            stock = DEFAULT_ENTITY_PROFILES.get(entity)
-            msgs = _take(row, "messages_per_bearer", path, convert=_int_strict,
-                         default=stock.messages_per_bearer if stock else 1)
+            msgs = _take(row, "messages_per_bearer", path, convert=_int_strict)
             _reject_unknown(row, path)
             try:
-                profiles.append(EntityProfile(entity, ops, cap, msgs))
+                rows.append((msgs, EntityProfile(entity, ops, cap)))
             except ConfigurationError as exc:
                 raise ConfigurationError(f"{path}: {exc}") from exc
         # every command reads the same six: the walk, the model's K and the
         # MME lookup each need all of them, and none reads another
-        names = [p.entity for p in profiles]
+        names = [p.entity for _, p in rows]
         if sorted(names) != sorted(ENTITY_NAMES):
             raise ConfigurationError(
                 f"entities.profiles: need one profile for each of "
                 f"{', '.join(ENTITY_NAMES)}, got {', '.join(names)}")
-        profiles = {p.entity: p for p in profiles}
+        # the walk splits an entity's work over its stock count alone
+        profiles = {}
+        for i, (msgs, p) in enumerate(rows):
+            try:
+                profiles[p.entity] = replace(p, messages_per_bearer=message_count(p.entity, msgs))
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"entities.profiles[{i}].{exc}") from exc
     try:
         profiles = scaled_profiles(profiles, capacity_scale)
     except ConfigurationError as exc:
@@ -263,6 +267,12 @@ def scenario_from_dict(doc):
         raise ConfigurationError("topology.link_latency_s: must be >= 0")
     if encryption_ops < 0.0:
         raise ConfigurationError("topology.encryption_ops: must be >= 0")
+    mme = profiles[ENTITY_MME]
+    try:
+        profiles = {**profiles, ENTITY_MME: replace(
+            mme, ops_per_bearer=mme.ops_per_bearer + encryption_ops)}
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"topology.encryption_ops: {exc}") from exc
 
     sc = _block(doc, "scaling")
     scaling_fields = _given(sc, "scaling", {
@@ -286,7 +296,6 @@ def scenario_from_dict(doc):
         n_enb=n_enb,
         n_sgw=n_sgw,
         link_latency_s=link_latency_s,
-        encryption_ops=encryption_ops,
         policy=policy,
     )
 
@@ -304,33 +313,18 @@ def load_scenario(path):
 
 
 def scenario_to_dict(scenario):
-    """Plain-dict form of a resolved scenario (manifest serialization)."""
+    """Plain-dict form of a resolved scenario (manifest serialization).
+
+    The profiles are the resolved rows, which already carry capacity_scale
+    and encryption_ops, so reading the dict back gives an equal scenario.
+    """
     return {
-        "traffic": {
-            "period_s": scenario.params.period_s,
-            "q_total": scenario.q_total,
-            "n_groups": scenario.n_groups,
-            "slot_delta_s": scenario.params.slot_delta_s,
-            "alarm_rate_lambda": scenario.params.alarm_rate_lambda,
-            "regular_rate_epsilon": scenario.params.regular_rate_epsilon,
-            "tx_probability": scenario.params.tx_probability,
-            "offsets_s": list(scenario.offsets_s) if scenario.offsets_s else None,
-            "horizon_s": scenario.horizon_s,
-        },
-        "entities": {
-            "profiles": [asdict(p) for p in scenario.profiles.values()],
-        },
-        "topology": {
-            "n_enb": scenario.n_enb,
-            "n_sgw": scenario.n_sgw,
-            "link_latency_s": scenario.link_latency_s,
-            "encryption_ops": scenario.encryption_ops,
-        },
-        "scaling": {
-            "target_delay_s": scenario.policy.target_delay_s,
-            "percentile": scenario.policy.percentile,
-            "multipliers": list(scenario.policy.multipliers),
-            "hysteresis": scenario.policy.hysteresis,
-            "scope": scenario.policy.scope,
-        },
+        "traffic": {**asdict(scenario.params), "q_total": scenario.q_total,
+                    "n_groups": scenario.n_groups,
+                    "offsets_s": list(scenario.offsets_s) if scenario.offsets_s else None,
+                    "horizon_s": scenario.horizon_s},
+        "entities": {"profiles": [asdict(p) for p in scenario.profiles.values()]},
+        "topology": {"n_enb": scenario.n_enb, "n_sgw": scenario.n_sgw,
+                     "link_latency_s": scenario.link_latency_s, "encryption_ops": 0.0},
+        "scaling": {**asdict(scenario.policy), "multipliers": list(scenario.policy.multipliers)},
     }

@@ -39,7 +39,9 @@ class EntityProfile:
 
     ops_per_bearer and capacity share units (messages or CPU operations);
     their ratio is the entity's per-bearer delay in seconds.
-    messages_per_bearer is the per-message split used by the simulator.
+    messages_per_bearer is how many messages share that work in the
+    simulator's default template; a scenario file may only give the stock
+    count (``simulator.message_count``).
     """
 
     entity: str

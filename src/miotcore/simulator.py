@@ -33,8 +33,8 @@ counterpart of the analytic delay model in :mod:`miotcore.delay`.
 import itertools
 import math
 from array import array
-from collections import Counter, deque
-from dataclasses import dataclass, replace
+from collections import deque
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Optional
 
@@ -157,6 +157,16 @@ class ProcedureTemplate:
                 )
 
 
+def message_count(entity, declared=None):
+    """Messages per bearer at ``entity``, its hops in the default plan: the
+    only split the default template makes, so any other ``declared`` is refused."""
+    count = _DEFAULT_HOP_PLAN.count(entity)
+    if declared is not None and declared != count:
+        raise ConfigurationError(
+            f"messages_per_bearer: expected {count} at {entity}, got {declared}")
+    return count
+
+
 def default_bearer_template(profiles):
     """Build the default 19-hop bearer-instantiation template.
 
@@ -165,19 +175,14 @@ def default_bearer_template(profiles):
     forwarding, release), with the radio-connection release toward the
     device as the final, marked hop.  Each entity's per-bearer operations
     are split equally over its hops, so per-entity totals match the
-    profiles by construction.  Profiles must use the default per-entity
-    message counts (UE 3, eNB 2, MME 9, HSS 1, SGW 3, PGW 1).
+    profiles by construction.  Every profile must declare its entity's
+    ``message_count``.
     """
-    counts = Counter(_DEFAULT_HOP_PLAN)
     hops = []
     for entity in _DEFAULT_HOP_PLAN:
         prof = profiles[entity]
-        if prof.messages_per_bearer != counts[entity]:
-            raise ConfigurationError(
-                f"default template expects {counts[entity]} messages at {entity!r}, "
-                f"profile declares {prof.messages_per_bearer}; supply a custom template"
-            )
-        hops.append(MessageHop(entity, prof.ops_per_bearer / counts[entity]))
+        count = message_count(entity, prof.messages_per_bearer)
+        hops.append(MessageHop(entity, prof.ops_per_bearer / count))
     return ProcedureTemplate(tuple(hops), marked_index=len(hops) - 1)
 
 
@@ -341,7 +346,6 @@ def run_bearer_simulation(
     n_enb=1,
     n_sgw=1,
     link_latency_s=0.0,
-    encryption_ops=0.0,
 ):
     """Simulate every bearer request in ``stream`` walking ``template``.
 
@@ -357,13 +361,14 @@ def run_bearer_simulation(
     HSS and PGW are single instances at the profile capacities.
 
     ``link_latency_s`` adds a constant delay on every inter-entity link
-    (default 0: delays are purely computational).  ``encryption_ops`` adds
-    constant extra work to the request's first MME hop (default 0).
+    (default 0: delays are purely computational).  Each hop costs exactly
+    its template work, so the profiles alone set every entity's per-bearer
+    work, the MME's included.
 
     Raises :class:`OverloadError` when the template visits the MME and two
     or more requests load it to rho >= 1 (``delay.mme_load`` at the rate
-    ``n / horizon_s``, with ``encryption_ops`` added to its per-bearer
-    work): the MME queue would then grow for as long as the stream lasts.
+    ``n / horizon_s``): the MME queue would then grow for as long as the
+    stream lasts.
 
     Returns ``(samples, report)``: a :class:`DelaySampleSet` ordered by
     request index and a :class:`UtilizationReport`.
@@ -375,8 +380,6 @@ def run_bearer_simulation(
         raise ConfigurationError("n_enb and n_sgw must be at least 1")
     if not 0.0 <= link_latency_s < math.inf:
         raise ConfigurationError("link_latency_s must be non-negative and finite")
-    if not 0.0 <= encryption_ops < math.inf:
-        raise ConfigurationError("encryption_ops must be non-negative and finite")
 
     arrivals = np.asarray(stream.timestamps, dtype=float)
     if horizon_s is None:
@@ -385,19 +388,12 @@ def run_bearer_simulation(
     arrivals = arrivals[:n_req]
 
     if ENTITY_MME in template.entities() and n_req >= 2 and horizon_s > 0.0:
-        mme = profiles[ENTITY_MME]
-        mme_load(n_req / horizon_s,
-                 replace(mme, ops_per_bearer=mme.ops_per_bearer + encryption_ops))
+        mme_load(n_req / horizon_s, profiles[ENTITY_MME])
 
     hops = template.hops
     n_hops = len(hops)
     marked = template.marked_index
     works = [float(h.work) for h in hops]
-    if encryption_ops > 0.0:
-        for i, h in enumerate(hops):
-            if h.entity == "MME":
-                works[i] += float(encryption_ops)
-                break
     entity_order = template.entities()
     col_of = {name: j for j, name in enumerate(entity_order)}
     n_cols = len(entity_order)

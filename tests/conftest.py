@@ -4,6 +4,7 @@ scripts/ goes on the import path, so that tests can take the criticality
 march, the oracle of the g table, from scripts/gen_g_table.py.
 """
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -36,6 +37,14 @@ def profile_mme(profiles):
 def by_name(*profiles):
     """The profiles mapping the library reads: entity name -> EntityProfile."""
     return {p.entity: p for p in profiles}
+
+
+def with_mme_ops(profiles, extra):
+    """``profiles`` with ``extra`` operations per bearer added at the MME, as
+    config adds ``topology.encryption_ops``."""
+    mme = profiles["MME"]
+    return {**profiles, "MME": dataclasses.replace(
+        mme, ops_per_bearer=mme.ops_per_bearer + extra)}
 
 
 def drawn_population(group_size, n_groups, period_s, rng):

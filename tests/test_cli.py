@@ -413,6 +413,47 @@ def test_exit_codes(tmp_path, cfg, capsys):
         assert "minimum feasible capacity multiplier" in err, label
 
 
+# rho is 0.57 on the stock MME, 0.76 with 3 encryption operations per
+# bearer and 1.08 with 8
+ENCRYPTED_TRAFFIC = {"period_s": 10.0, "q_total": 10_000, "horizon_s": 20.0}
+
+
+def test_every_command_reads_one_mme(tmp_path, capsys):
+    # encryption_ops is MME work in the profile every command reads, so the
+    # walk, the single-job pass and the model refuse the same scenarios
+    labels = {"simulate": ["simulate"], "simulate --single-job": ["simulate", "--single-job"],
+              "predict": ["predict"]}
+    for ops, expected in ((8.0, 4), (3.0, 0)):
+        config = tmp_path / f"encrypted-{ops}.yaml"
+        config.write_text(yaml.safe_dump(
+            {"traffic": ENCRYPTED_TRAFFIC, "topology": {"encryption_ops": ops}}))
+        codes, errors = {}, {}
+        for label, argv in labels.items():
+            out = tmp_path / f"{label}-{ops}"
+            codes[label] = run(argv + ["--config", str(config), "--out", str(out)])
+            errors[label] = capsys.readouterr().err
+        assert codes == dict.fromkeys(labels, expected), ops
+        for label, err in errors.items():
+            assert err.startswith("overload: MME overloaded: rho=") == (expected == 4), label
+    assert (tmp_path / "predict-3.0" / "model.txt").read_text().startswith("D_s: 0.0012\n")
+
+
+def test_every_command_refuses_a_message_count_other_than_the_stock_one(tmp_path, capsys):
+    rows = [{"entity": p.entity, "ops_per_bearer": p.ops_per_bearer, "capacity": p.capacity}
+            for p in DEFAULT_ENTITY_PROFILES.values()]
+    rows[0]["messages_per_bearer"] = 2
+    config = tmp_path / "scenario.yaml"
+    config.write_text(yaml.safe_dump({**SMALL_SCENARIO, "entities": {"profiles": rows}}))
+    trace = _trace_file(tmp_path)
+    for argv in (["generate"], ["validate-arrivals"], ["simulate"], ["simulate", "--single-job"],
+                 ["predict"], ["scale", "--trace", trace, "--window-length", "100"]):
+        assert run(argv + ["--config", str(config), "--out", str(tmp_path / "out")]) == 2, argv
+        assert capsys.readouterr().err == (
+            "configuration error: entities.profiles[0].messages_per_bearer: "
+            "expected 3 at UE, got 2\n"), argv
+    assert not (tmp_path / "out").exists()
+
+
 def test_omitted_message_counts_are_the_stock_ones(tmp_path, monkeypatch):
     # six rows without messages_per_bearer run the default template, with
     # the bytes of the same rows that write the counts out
@@ -527,6 +568,7 @@ _REVERSED_ROWS = [
 ]
 GOLDEN_SCENARIOS = {
     "stock-order": SMALL_SCENARIO,
+    "encrypted-mme": {**SMALL_SCENARIO, "topology": {"encryption_ops": 3.0}},
     "reversed-mme-scope": {
         **SMALL_SCENARIO,
         "entities": {"capacity_scale": 2.0, "profiles": _REVERSED_ROWS},
@@ -557,8 +599,47 @@ def _golden_digests(name):
 
 
 # frozen from the commands as they stood before profiles became one mapping
-# by entity name; every artifact, manifests included, must keep its bytes
+# by entity name; every artifact, manifests included, must keep its bytes.
+# encrypted-mme was frozen when encryption_ops became MME work that every
+# command reads: its manifests record the MME row at 12 operations per
+# bearer and encryption_ops 0.0
 GOLDEN_DIGESTS = {
+    "encrypted-mme": {
+        "generate/generate_manifest.json":
+            "68014308b0c7b4eb6f661c75f239cc0c3912047b16c17d79ce1f925046e30dcb",
+        "generate/stream.bin":
+            "9d2a0b55b641360a7fc324210caba35ffec9eef18c5188c6411cc26da63b4f33",
+        "generate/stream.csv":
+            "ad56f8627a76e238d69f6d53e8e0b04e308144afdd796b9e2c8c59b945a74b33",
+        "predict/model.txt":
+            "8938c3b23245bd4fde9100f89766953d213c2d4900e3b43020b2d549946aea62",
+        "predict/predict_manifest.json":
+            "d197d6314f4b05676b43eeb788966a2194ab51ad4bd0f82b80e6a6b38ac704cd",
+        "predict/survival.csv":
+            "0bb5152960263f491dd8d58ed19ffc0567dc04dc7700ca90dca89e4a64e56c6f",
+        "scale/decisions.csv":
+            "2103a5bbf4b6c954d54be7daa734b170366bf6b1d0ef0ac9e5b0bb72e9686e8c",
+        "scale/scale_manifest.json":
+            "b16fc11920ac24eb99c7aa46dfd38e48b6e728d06d7623142535a9eb5a1ae70e",
+        "scale/trace_windows.csv":
+            "cf271c472e8869e184219e15ea201702c5123762b02a13882d8d46fdd29a1d6d",
+        "simulate-single-job/delays.csv":
+            "10036d305c1394c8f3f5c21fbe27371bd45cb232d77ce62c485173ff5b9d6701",
+        "simulate-single-job/simulate_manifest.json":
+            "5a2f7ba43c284ba6d6f2e5522c694d50f06d48e3e9905fb6f1a66551d56e7341",
+        "simulate/delays.csv":
+            "c72b5b5e13ba7fb0eb54269a3a1c20f9e0cc05591618695c976165530cabc8f0",
+        "simulate/simulate_manifest.json":
+            "579ede565d607784fbcb54f1b78ed6e9d5e5707eb9f88c66beed04fa300af753",
+        "simulate/utilization.txt":
+            "1fe4839057948d773043e52e97006951f74fead23ab84d1f8b2b3bc35c5caf48",
+        "validate-arrivals/arrival_cdf.csv":
+            "6b3bfd9c9e01759533723f29c9f704108ac58a3777692436ba0a35fca20be448",
+        "validate-arrivals/ks_report.txt":
+            "b029ad77d89b60b1974fcf86ea4179006ffd95c18686f0c5ff4a0e89ee234e40",
+        "validate-arrivals/validate-arrivals_manifest.json":
+            "928c0f7f1f7a721a54b3e4d74379cfd877d3523fcca38dd3f7c8f7ad33ce9ba1",
+    },
     "reversed-mme-scope": {
         "generate/generate_manifest.json":
             "c09880291bc4178321c9a88dc21ae4cec65ae5cf99fc14b672cacf91b84ec54e",

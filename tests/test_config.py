@@ -157,15 +157,13 @@ def _walk(**kwargs):
     (lambda: ScalingPolicy(target_delay_s=math.inf), ConfigurationError),
     (lambda: _walk(link_latency_s=math.nan), ConfigurationError),
     (lambda: _walk(link_latency_s=math.inf), ConfigurationError),
-    (lambda: _walk(encryption_ops=math.nan), ConfigurationError),
-    (lambda: _walk(encryption_ops=math.inf), ConfigurationError),
     (lambda: TrafficParams(regular_rate_epsilon=math.nan), ValueError),
     (lambda: TrafficParams(regular_rate_epsilon=math.inf), ValueError),
     (lambda: SourcePopulation(1, 2, offsets_s=(1.0, math.nan)), ValueError),
     (lambda: SourcePopulation(1, 2, offsets_s=(1.0, math.inf)), ValueError),
 ], ids=["ops-nan", "ops-inf", "capacity-nan", "capacity-inf", "multiplier-nan",
         "multiplier-inf", "target-inf", "latency-nan", "latency-inf",
-        "encryption-nan", "encryption-inf", "epsilon-nan", "epsilon-inf",
+        "epsilon-nan", "epsilon-inf",
         "offset-nan", "offset-inf"])
 def test_library_constructor_refuses_non_finite(build, error):
     with pytest.raises(error, match="finite"):
@@ -242,7 +240,11 @@ def test_topology_and_scaling_blocks():
     assert sc.n_enb == 4 and sc.effective_n_enb == 4
     assert sc.n_sgw == 2
     assert sc.link_latency_s == 1e-3
-    assert sc.encryption_ops == 2.0
+    # the extra MME work is in the MME's profile, which every command reads
+    assert sc.profiles["MME"].ops_per_bearer == 11.0
+    assert {name: p for name, p in sc.profiles.items() if name != "MME"} == {
+        name: p for name, p in DEFAULT_ENTITY_PROFILES.items() if name != "MME"}
+    assert scenario_to_dict(sc)["topology"]["encryption_ops"] == 0.0
     assert sc.policy.target_delay_s == 0.05
     assert sc.policy.multipliers == (1.0, 3.0)
     assert sc.policy.scope == "mme"
@@ -256,6 +258,32 @@ def test_topology_and_scaling_blocks():
     with pytest.raises(ConfigurationError, match="topology.n_enb"):
         scenario_from_dict({"traffic": MINIMAL["traffic"],
                             "topology": {"n_enb": 0}})
+    with pytest.raises(ConfigurationError, match=r"^topology\.encryption_ops: must be >= 0$"):
+        scenario_from_dict({"traffic": MINIMAL["traffic"],
+                            "topology": {"encryption_ops": -1}})
+    # work that overflows the MME's ops is refused under its own name
+    with pytest.raises(ConfigurationError, match=r"^topology\.encryption_ops: MME: ops_per"):
+        scenario_from_dict({"traffic": MINIMAL["traffic"], "entities": {"profiles": [
+            {**row, "ops_per_bearer": 1e308} for row in FULL["entities"]["profiles"]]},
+            "topology": {"encryption_ops": 1e308}})
+
+
+@pytest.mark.parametrize("index", range(len(DEFAULT_ENTITY_PROFILES)))
+def test_message_counts_other_than_the_stock_ones_are_refused(index):
+    # the walk splits an entity's work over its stock count alone, so config
+    # refuses any other for every command, and names the count it expects
+    rows = copy.deepcopy(FULL["entities"]["profiles"])
+    row = rows[index]
+    stock = row["messages_per_bearer"]
+    row["messages_per_bearer"] = stock + 1
+    with pytest.raises(ConfigurationError, match="^" + re.escape(
+            f"entities.profiles[{index}].messages_per_bearer: expected {stock} at "
+            f"{row['entity']}, got {stock + 1}") + "$"):
+        scenario_from_dict({"traffic": MINIMAL["traffic"], "entities": {"profiles": rows}})
+    # the stock count, given or omitted, is the one the profile keeps
+    del row["messages_per_bearer"]
+    sc = scenario_from_dict({"traffic": MINIMAL["traffic"], "entities": {"profiles": rows}})
+    assert sc.profiles == DEFAULT_ENTITY_PROFILES
 
 
 def test_scenario_dict_round_trip():
@@ -268,6 +296,17 @@ def test_scenario_dict_round_trip():
     sc = scenario_from_dict(doc)
     again = scenario_from_dict(scenario_to_dict(sc))
     assert again == sc
+    # the manifest writes the resolved rows: the scaled capacities and the
+    # MME's ops with the encryption work, beside encryption_ops 0.0
+    doc = {"traffic": doc["traffic"], "entities": {"capacity_scale": 2.0},
+           "topology": {"encryption_ops": 2.0}}
+    sc = scenario_from_dict(doc)
+    assert sc.profiles["MME"] == EntityProfile("MME", 11.0, 20_000.0, 9)
+    written = scenario_to_dict(sc)
+    assert written["topology"]["encryption_ops"] == 0.0
+    assert scenario_from_dict(written) == sc
+    assert scenario_from_dict(scenario_to_dict(scenario_from_dict(FULL))) == \
+        scenario_from_dict(FULL)
 
 
 def test_load_scenario_yaml(tmp_path):

@@ -1,5 +1,6 @@
 """Event-driven PS simulator: exact schedules, invariants, procedure walks."""
 
+import dataclasses
 import hashlib
 import tracemalloc
 from types import SimpleNamespace
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import by_name, poisson_stream
+from conftest import by_name, poisson_stream, with_mme_ops
 from miotcore.cli import _replication_stream
 from miotcore.config import DEFAULT_ENTITY_PROFILES, scenario_from_dict
 from miotcore.delay import EntityProfile
@@ -74,6 +75,11 @@ def test_default_bearer_template_shape():
     assert template.marked_index == template.n_hops - 1
     assert template.hops[template.marked_index].entity == "UE"
     template.validate_against(DEFAULT_ENTITY_PROFILES)
+    # the template takes its split from the one rule config applies too
+    ue = dataclasses.replace(DEFAULT_ENTITY_PROFILES["UE"], messages_per_bearer=2)
+    with pytest.raises(ConfigurationError,
+                       match=r"^messages_per_bearer: expected 3 at UE, got 2$"):
+        default_bearer_template({**DEFAULT_ENTITY_PROFILES, "UE": ue})
 
 
 def _walk(arrivals, hops, capacity, marked_index=None):
@@ -216,13 +222,16 @@ def test_link_latency_adds_per_message_lag():
 
 
 def test_encryption_ops_adds_mme_work():
-    template = default_bearer_template(DEFAULT_ENTITY_PROFILES)
+    # config adds encryption_ops to the MME's profile, which the default
+    # template spreads over the nine MME hops
     stream = EventStream(np.array([0.0]), np.array([0]))
     plain, _ = run_bearer_simulation(
-        stream, template, DEFAULT_ENTITY_PROFILES, horizon_s=1.0)
-    heavy, _ = run_bearer_simulation(
-        stream, template, DEFAULT_ENTITY_PROFILES, horizon_s=1.0,
-        encryption_ops=5.0)
+        stream, default_bearer_template(DEFAULT_ENTITY_PROFILES),
+        DEFAULT_ENTITY_PROFILES, horizon_s=1.0)
+    profiles = with_mme_ops(DEFAULT_ENTITY_PROFILES, 5.0)
+    template = default_bearer_template(profiles)
+    assert [h.work for h in template.hops if h.entity == "MME"] == [14.0 / 9] * 9
+    heavy, _ = run_bearer_simulation(stream, template, profiles, horizon_s=1.0)
     assert heavy.delays_s[0] - plain.delays_s[0] == pytest.approx(
         5.0 / 10_000.0, abs=1e-12)
 
@@ -299,12 +308,11 @@ def test_fanned_out_walk_with_links_and_encryption_is_deterministic():
     n_req = 3_000
     stream = poisson_stream(400.0, n_req, seed=17,
                             source_ids=np.arange(n_req) % 40)
-    template = default_bearer_template(DEFAULT_ENTITY_PROFILES)
-    kwargs = dict(n_enb=3, n_sgw=2, link_latency_s=5.0e-4, encryption_ops=2.0)
-    samples, report = run_bearer_simulation(
-        stream, template, DEFAULT_ENTITY_PROFILES, **kwargs)
-    again, again_report = run_bearer_simulation(
-        stream, template, DEFAULT_ENTITY_PROFILES, **kwargs)
+    profiles = with_mme_ops(DEFAULT_ENTITY_PROFILES, 2.0)
+    template = default_bearer_template(profiles)
+    kwargs = dict(n_enb=3, n_sgw=2, link_latency_s=5.0e-4)
+    samples, report = run_bearer_simulation(stream, template, profiles, **kwargs)
+    again, again_report = run_bearer_simulation(stream, template, profiles, **kwargs)
     assert np.array_equal(samples.completions_s, again.completions_s)
     assert samples.breakdown.keys() == again.breakdown.keys()
     for name, col in samples.breakdown.items():
@@ -341,13 +349,15 @@ def test_overload_raises_with_capacity_hint():
     assert info.value.min_capacity_multiplier == pytest.approx(
         n_req / horizon * D_MME, rel=1e-12)
     # the encryption work counts: 900 req/s load the MME to 0.81 without
-    # it and to 1.35 with 6 extra operations per request
+    # it and to 1.35 with 6 extra operations per request in its profile
     stream = poisson_stream(900.0, n_req, seed=3)
     run_bearer_simulation(stream, template, DEFAULT_ENTITY_PROFILES,
                           horizon_s=n_req / 900.0)
-    with pytest.raises(OverloadError):
-        run_bearer_simulation(stream, template, DEFAULT_ENTITY_PROFILES,
-                              horizon_s=n_req / 900.0, encryption_ops=6.0)
+    heavy = with_mme_ops(DEFAULT_ENTITY_PROFILES, 6.0)
+    with pytest.raises(OverloadError, match="MME overloaded") as info:
+        run_bearer_simulation(stream, default_bearer_template(heavy), heavy,
+                              horizon_s=n_req / 900.0)
+    assert info.value.min_capacity_multiplier == pytest.approx(900.0 * 15.0 / 10_000.0)
 
 
 def test_overload_estimate_spans_the_horizon():
@@ -385,9 +395,6 @@ def test_simulation_input_validation():
     with pytest.raises(ConfigurationError):
         run_bearer_simulation(stream, template, DEFAULT_ENTITY_PROFILES,
                               link_latency_s=-1.0)
-    with pytest.raises(ConfigurationError):
-        run_bearer_simulation(stream, template, DEFAULT_ENTITY_PROFILES,
-                              encryption_ops=-1.0)
 
 
 def test_single_job_mode_idle_and_errors(profile_mme):
