@@ -170,7 +170,6 @@ def _simulate_one(scenario, rep_ss, single_job):
         horizon_s=scenario.horizon_s,
         n_enb=scenario.effective_n_enb,
         n_sgw=scenario.n_sgw,
-        link_latency_s=scenario.link_latency_s,
     )
 
 

@@ -24,7 +24,7 @@ A scenario file is a nested key/value document with four optional blocks
     topology:
       n_enb: null               # default: one eNB per source group
       n_sgw: 1
-      link_latency_s: 0.0
+      link_latency_s: 0.0       # omitted or 0: the model has no link term
       encryption_ops: 0.0       # extra MME operations per bearer
     scaling:                    # ScalingPolicy fields, with its defaults
       target_delay_s: ...
@@ -38,7 +38,8 @@ EntityProfile, in the file's order, with capacity_scale applied and
 encryption_ops added to the MME's ops_per_bearer, so every command reads
 one MME; every library function that takes ``profiles`` reads such a
 mapping by name.  ``scenario_to_dict`` writes these resolved rows, with
-``topology.encryption_ops: 0.0``.
+``topology.encryption_ops: 0.0`` and ``topology.link_latency_s: 0.0``, the
+only latency accepted: no command models link delay.
 """
 
 import math
@@ -64,6 +65,8 @@ class Scenario:
     """Fully resolved scenario: traffic, entity profiles, topology, scaling.
 
     ``profiles`` already carry ``capacity_scale`` and ``encryption_ops``.
+    There is no link latency: every command prices a bearer as service and
+    queueing alone.
     """
 
     params: TrafficParams
@@ -74,7 +77,6 @@ class Scenario:
     profiles: dict
     n_enb: Optional[int]
     n_sgw: int
-    link_latency_s: float
     policy: ScalingPolicy
 
     @property
@@ -263,8 +265,8 @@ def scenario_from_dict(doc):
         raise ConfigurationError("topology.n_enb: must be >= 1")
     if n_sgw < 1:
         raise ConfigurationError("topology.n_sgw: must be >= 1")
-    if link_latency_s < 0.0:
-        raise ConfigurationError("topology.link_latency_s: must be >= 0")
+    if link_latency_s != 0.0:  # the delay model has no link term
+        raise ConfigurationError(f"topology.link_latency_s: expected 0, got {link_latency_s!r}")
     if encryption_ops < 0.0:
         raise ConfigurationError("topology.encryption_ops: must be >= 0")
     mme = profiles[ENTITY_MME]
@@ -295,7 +297,6 @@ def scenario_from_dict(doc):
         profiles=profiles,
         n_enb=n_enb,
         n_sgw=n_sgw,
-        link_latency_s=link_latency_s,
         policy=policy,
     )
 
@@ -325,6 +326,6 @@ def scenario_to_dict(scenario):
                     "horizon_s": scenario.horizon_s},
         "entities": {"profiles": [asdict(p) for p in scenario.profiles.values()]},
         "topology": {"n_enb": scenario.n_enb, "n_sgw": scenario.n_sgw,
-                     "link_latency_s": scenario.link_latency_s, "encryption_ops": 0.0},
+                     "link_latency_s": 0.0, "encryption_ops": 0.0},
         "scaling": {**asdict(scenario.policy), "multipliers": list(scenario.policy.multipliers)},
     }

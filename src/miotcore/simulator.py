@@ -14,16 +14,16 @@ dispatched concurrently when its predecessor completes; the request is
 complete when both the sequential chain and the marked hop have
 finished.
 
-The event core merges three sources in time order: request arrivals,
+The event core merges two sources in time order: request arrivals,
 read by a pointer into the sorted stream (an arrival wins every time
-tie); one pending completion per busy server, whose queue entry is
+tie), and one pending completion per busy server, whose queue entry is
 updated in place when an admission moves that server's next completion,
-so the queue never holds a stale entry; and, with a link latency,
-messages in flight between entities.  The processor-sharing arithmetic
-runs inline in that loop, over per-server state kept in flat lists
-indexed by server id.  A job admitted to an idle server -- the common
-case for the per-device UE servers and the eNBs -- accrues no clock
-and needs no heap work.
+so the queue never holds a stale entry.  Messages between entities take
+no time: as in the paper's model, a request's delay is service and
+queueing alone.  The processor-sharing arithmetic runs inline in that
+loop, over per-server state kept in flat lists indexed by server id.  A
+job admitted to an idle server -- the common case for the per-device UE
+servers and the eNBs -- accrues no clock and needs no heap work.
 
 ``single_job_mode`` collapses the whole procedure into one deterministic
 job at the MME plus a constant offset, which is the exact simulation
@@ -46,7 +46,6 @@ from .errors import ConfigurationError
 
 _INF = float("inf")
 _WORK_TOL = 1e-9
-_LINK_ENTITY = "link"
 
 # the entity of each step of the procedure, in order
 _DEFAULT_HOP_PLAN = (
@@ -219,8 +218,8 @@ class DelaySampleSet:
     ``delays_s``.  ``breakdown`` maps entity name to a column of the time
     each request spent being served (or queued) there; for the marked
     out-of-band hop only the span extending beyond both the sequential
-    chain and the hop's own dispatch is attributed, and link crossings go
-    to ``link``, so a request's breakdown sums to its delay.
+    chain and the hop's own dispatch is attributed, so a request's
+    breakdown sums to its delay.
     """
 
     def __init__(self, arrivals_s, completions_s, breakdown=None):
@@ -345,7 +344,6 @@ def run_bearer_simulation(
     horizon_s=None,
     n_enb=1,
     n_sgw=1,
-    link_latency_s=0.0,
 ):
     """Simulate every bearer request in ``stream`` walking ``template``.
 
@@ -360,10 +358,10 @@ def run_bearer_simulation(
     source ids); each device's UE processing runs on its own server; MME,
     HSS and PGW are single instances at the profile capacities.
 
-    ``link_latency_s`` adds a constant delay on every inter-entity link
-    (default 0: delays are purely computational).  Each hop costs exactly
-    its template work, so the profiles alone set every entity's per-bearer
-    work, the MME's included.
+    Delays are purely computational: a message reaches its next entity
+    the instant it is sent, and each hop costs exactly its template work,
+    so the profiles alone set every entity's per-bearer work, the MME's
+    included.
 
     Raises :class:`OverloadError` when the template visits the MME and two
     or more requests load it to rho >= 1 (``delay.mme_load`` at the rate
@@ -378,8 +376,6 @@ def run_bearer_simulation(
     template.validate_against(profiles)
     if n_enb < 1 or n_sgw < 1:
         raise ConfigurationError("n_enb and n_sgw must be at least 1")
-    if not 0.0 <= link_latency_s < math.inf:
-        raise ConfigurationError("link_latency_s must be non-negative and finite")
 
     arrivals = np.asarray(stream.timestamps, dtype=float)
     if horizon_s is None:
@@ -459,8 +455,7 @@ def run_bearer_simulation(
     hop_at = [col_of[h.entity] * n_req for h in hops]  # a hop's column start
 
     # The event queue holds at most one entry per server, [time, ticket,
-    # sid], kept current as the server's next completion moves, plus one
-    # [time, ticket, None, request, hop] per message crossing a link.
+    # sid], kept current as the server's next completion moves.
     # Arrivals are merged from the sorted stream and win every time tie;
     # other ties go to the lower ticket, and one ticket sequence also
     # orders admissions within a server.
@@ -526,9 +521,6 @@ def run_bearer_simulation(
         heappop(events)
         t = entry[0]
         sid = entry[2]
-        if sid is None:
-            dispatch(t, entry[3], entry[4])
-            continue
         # The entry's time is the head job's finish, so that job completes
         # now; with k jobs in service, so does every job whose finish rounds
         # to t.  All of them complete before any successor is dispatched.
@@ -563,11 +555,7 @@ def run_bearer_simulation(
                 continue
             breakdown[hop_at[hop] + req] += t - seq_start[req]
             for nxt in successors[hop]:
-                if link_latency_s > 0.0:
-                    # across a link the hop starts later, after the events between
-                    heappush(events, [t + link_latency_s, ticket(), None, req, nxt])
-                else:
-                    dispatch(t, req, nxt)
+                dispatch(t, req, nxt)
             if next_hop[hop] < 0 and t > late[req]:
                 late[req] = t
         if jobs and s_entry[sid] is None:
@@ -588,21 +576,15 @@ def run_bearer_simulation(
     if marked is not None:
         marked_end = np.frombuffer(marked_end, dtype=float)
         # the marked entity gets only its span beyond both the chain and its
-        # own dispatch; a link crossing into it stays in the link residual
+        # own dispatch
         breakdown[col_of[hops[marked].entity]] += np.maximum(0.0, marked_end - completions)
         # a hop ends after its dispatch, so this is max(chain end, marked end)
         np.maximum(completions, marked_end, out=completions)
 
-    cols = {name: breakdown[j] for name, j in col_of.items()}
-    if link_latency_s > 0.0:
-        # summed over the row-major layout, in the order its rows add
-        spent = np.ascontiguousarray(breakdown.T).sum(axis=1)
-        cols[_LINK_ENTITY] = np.maximum(0.0, (completions - arrivals) - spent)
-
     samples = DelaySampleSet(
         arrivals_s=arrivals,
         completions_s=completions,
-        breakdown=cols,
+        breakdown={name: breakdown[j] for name, j in col_of.items()},
     )
     del breakdown, late, marked_end
 

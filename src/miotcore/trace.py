@@ -311,12 +311,15 @@ def make_diurnal_trace(base_rate_per_s, shape=DIURNAL_SHAPE_DEFAULT,
     ``shape`` gives one relative rate per window; window k has Poisson
     arrivals at base_rate_per_s * shape[k] over [k*L, (k+1)*L).  The
     default 8-window shape ramps up through the morning and eases off, the
-    texture of an urban sensor log.  Deterministic for a fixed seed.
+    texture of an urban sensor log.  A zero entry leaves its window empty.
+    Deterministic for a fixed seed.
     """
     if not base_rate_per_s > 0.0:
         raise ValueError("base_rate_per_s must be positive")
     if not shape:
         raise ValueError("shape must be non-empty")
+    if not all(0.0 <= float(rel) < math.inf for rel in shape):
+        raise ValueError(f"shape entries must be non-negative and finite, got {shape!r}")
     rng = np.random.default_rng(seed)
     length = float(window_length_s)
     times = [poisson_arrivals(base_rate_per_s * float(rel), k * length,

@@ -454,6 +454,22 @@ def test_every_command_refuses_a_message_count_other_than_the_stock_one(tmp_path
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("latency, expected", [(1e-3, 2), (0.0, 0)])
+def test_every_command_refuses_a_link_latency_other_than_0(tmp_path, capsys, latency, expected):
+    # no command models link delay: a nonzero latency used to reach the walk
+    # alone, which added 18 link crossings that predict and scale left out
+    config = tmp_path / "scenario.yaml"
+    config.write_text(yaml.safe_dump({**SMALL_SCENARIO, "topology": {"link_latency_s": latency}}))
+    trace = _trace_file(tmp_path)
+    for i, argv in enumerate((["generate"], ["validate-arrivals"], ["simulate"],
+                              ["simulate", "--single-job"], ["predict"],
+                              ["scale", "--trace", trace, "--window-length", "100"])):
+        code = run(argv + ["--config", str(config), "--out", str(tmp_path / f"out-{i}")])
+        err = capsys.readouterr().err
+        assert code == expected, (argv, err)
+        assert ("topology.link_latency_s" in err) == (expected == 2), argv
+
+
 def test_omitted_message_counts_are_the_stock_ones(tmp_path, monkeypatch):
     # six rows without messages_per_bearer run the default template, with
     # the bytes of the same rows that write the counts out
@@ -774,7 +790,6 @@ def _scenario(draw):
         "entities": dict(capacity_scale=st.sampled_from([1e-4, 1e-2, 0.5, 1.0, 3.0]),
                          profiles=st.just(profiles)),
         "topology": dict(n_enb=st.integers(1, 4), n_sgw=st.integers(1, 3),
-                         link_latency_s=st.floats(0.0, 1e-2),
                          encryption_ops=st.floats(0.0, 3.0)),
         "scaling": dict(target_delay_s=st.floats(1e-3, 0.5),
                         percentile=st.floats(0.5, 0.999),

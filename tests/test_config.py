@@ -18,8 +18,8 @@ from miotcore.config import (
 )
 from miotcore.delay import EntityProfile
 from miotcore.errors import ConfigurationError
-from miotcore.simulator import default_bearer_template, run_bearer_simulation
-from miotcore.traffic import EventStream, SourcePopulation, TrafficParams
+from miotcore.simulator import default_bearer_template
+from miotcore.traffic import SourcePopulation, TrafficParams
 
 MINIMAL = {"traffic": {"period_s": 10.0, "q_total": 1000}}
 
@@ -34,7 +34,7 @@ FULL = {
                                "capacity": p.capacity,
                                "messages_per_bearer": p.messages_per_bearer}
                               for p in DEFAULT_ENTITY_PROFILES.values()]},
-    "topology": {"n_enb": 2, "n_sgw": 1, "link_latency_s": 1e-3,
+    "topology": {"n_enb": 2, "n_sgw": 1, "link_latency_s": 0.0,
                  "encryption_ops": 1.0},
     "scaling": {"target_delay_s": 0.1, "percentile": 0.99,
                 "multipliers": [1.0, 2.0], "hysteresis": 0.1, "scope": "all"},
@@ -138,13 +138,6 @@ def test_non_finite_float_is_refused(path, value):
         scenario_from_dict(doc)
 
 
-def _walk(**kwargs):
-    stream = EventStream(np.array([1.0]), np.array([0]))
-    template = default_bearer_template(DEFAULT_ENTITY_PROFILES)
-    return run_bearer_simulation(stream, template, DEFAULT_ENTITY_PROFILES,
-                                 horizon_s=2.0, **kwargs)
-
-
 # library callers that skip scenario_from_dict reach these checks directly;
 # each used to let NaN through, as every comparison with NaN is false
 @pytest.mark.parametrize("build, error", [
@@ -155,15 +148,12 @@ def _walk(**kwargs):
     (lambda: ScalingPolicy(multipliers=(1.0, math.nan)), ConfigurationError),
     (lambda: ScalingPolicy(multipliers=(1.0, math.inf)), ConfigurationError),
     (lambda: ScalingPolicy(target_delay_s=math.inf), ConfigurationError),
-    (lambda: _walk(link_latency_s=math.nan), ConfigurationError),
-    (lambda: _walk(link_latency_s=math.inf), ConfigurationError),
     (lambda: TrafficParams(regular_rate_epsilon=math.nan), ValueError),
     (lambda: TrafficParams(regular_rate_epsilon=math.inf), ValueError),
     (lambda: SourcePopulation(1, 2, offsets_s=(1.0, math.nan)), ValueError),
     (lambda: SourcePopulation(1, 2, offsets_s=(1.0, math.inf)), ValueError),
 ], ids=["ops-nan", "ops-inf", "capacity-nan", "capacity-inf", "multiplier-nan",
-        "multiplier-inf", "target-inf", "latency-nan", "latency-inf",
-        "epsilon-nan", "epsilon-inf",
+        "multiplier-inf", "target-inf", "epsilon-nan", "epsilon-inf",
         "offset-nan", "offset-inf"])
 def test_library_constructor_refuses_non_finite(build, error):
     with pytest.raises(error, match="finite"):
@@ -230,7 +220,7 @@ def test_capacity_scale_and_custom_profiles():
 def test_topology_and_scaling_blocks():
     doc = {
         "traffic": MINIMAL["traffic"],
-        "topology": {"n_enb": 4, "n_sgw": 2, "link_latency_s": 1e-3,
+        "topology": {"n_enb": 4, "n_sgw": 2, "link_latency_s": 0.0,
                      "encryption_ops": 2.0},
         "scaling": {"target_delay_s": 0.05, "percentile": 0.9,
                     "multipliers": [1.0, 3.0], "hysteresis": 0.2,
@@ -239,12 +229,17 @@ def test_topology_and_scaling_blocks():
     sc = scenario_from_dict(doc)
     assert sc.n_enb == 4 and sc.effective_n_enb == 4
     assert sc.n_sgw == 2
-    assert sc.link_latency_s == 1e-3
     # the extra MME work is in the MME's profile, which every command reads
     assert sc.profiles["MME"].ops_per_bearer == 11.0
     assert {name: p for name, p in sc.profiles.items() if name != "MME"} == {
         name: p for name, p in DEFAULT_ENTITY_PROFILES.items() if name != "MME"}
     assert scenario_to_dict(sc)["topology"]["encryption_ops"] == 0.0
+    # no command models link delay, so only 0 is accepted, and written
+    assert scenario_to_dict(sc)["topology"]["link_latency_s"] == 0.0
+    with pytest.raises(ConfigurationError,
+                       match=r"^topology\.link_latency_s: expected 0, got 0\.001$"):
+        scenario_from_dict({"traffic": MINIMAL["traffic"],
+                            "topology": {"link_latency_s": 1e-3}})
     assert sc.policy.target_delay_s == 0.05
     assert sc.policy.multipliers == (1.0, 3.0)
     assert sc.policy.scope == "mme"

@@ -14,6 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import poisson_stream
 from miotcore.delay import (
     ENTITY_MME,
     ENTITY_NAMES,
@@ -32,6 +33,7 @@ from miotcore.delay import (
 )
 from miotcore._g_table import H
 from miotcore.errors import ConfigurationError, NumericalError, OverloadError
+from miotcore.simulator import single_job_mode
 
 from gen_g_table import criticality_exponent
 
@@ -285,6 +287,31 @@ def test_survival_and_percentile_inverse(profiles):
         delay_percentile(0.0, model)
     with pytest.raises(ValueError):
         delay_percentile(1.0, model)
+
+
+# Relative error a single 10^6-job run may show between the model's
+# percentile and the single-job queue's, set before the seeds were.  A
+# per-run bound holds only where one run's spread is well inside it: at
+# rho 0.8 and above single runs read -1.3% to -23% at p99 and p99.9, so
+# those loads need a bound on the mean over replications instead.
+TAIL_RTOL = 0.03
+TAIL_POINTS = {0.1: (0.9, 0.99, 0.999), 0.3: (0.9, 0.99, 0.999),
+               0.57: (0.9, 0.99, 0.999), 0.7: (0.9, 0.99)}
+
+
+def test_tail_model_matches_the_single_job_queue_across_loads(profiles):
+    # delay_percentile is what predict reports and single_job_mode the
+    # exact M/D/1-PS queue with the same K that simulate --single-job runs
+    d_mme = profiles[ENTITY_MME].per_bearer_delay
+    k_const = constant_delay_K(profiles)
+    residuals = {}
+    for seed, (rho, ps) in enumerate(TAIL_POINTS.items(), start=1):
+        model = build_delay_model(rho / d_mme, profiles)
+        stream = poisson_stream(rho / d_mme, 1_000_000, seed=seed)
+        samples = single_job_mode(stream, profiles[ENTITY_MME], k_const)
+        for p in ps:
+            residuals[rho, p] = delay_percentile(p, model) / samples.delay_percentile(p) - 1.0
+    assert all(abs(r) <= TAIL_RTOL for r in residuals.values()), residuals
 
 
 def test_percentile_below_tail_region_rejected():

@@ -200,27 +200,6 @@ def test_marked_hop_runs_concurrently_with_response_path():
         ProcedureTemplate(hops=fork_after_first.hops, marked_index=0)
 
 
-def test_link_latency_adds_per_message_lag():
-    template = default_bearer_template(DEFAULT_ENTITY_PROFILES)
-    stream = EventStream(np.array([0.0]), np.array([0]))
-    lag = 2.0e-3
-    samples, _ = run_bearer_simulation(
-        stream, template, DEFAULT_ENTITY_PROFILES, horizon_s=1.0,
-        link_latency_s=lag)
-    # 19 hops: the first is dispatched at arrival, the other 18 each cross
-    # one link
-    assert samples.delays_s[0] == pytest.approx(
-        D_MME + K_CONST + 18 * lag, abs=1e-12)
-    # every crossing is booked to the link, including the one into the
-    # marked hop; each entity keeps exactly its own service time
-    assert samples.breakdown["link"][0] == pytest.approx(18 * lag, abs=1e-12)
-    for prof in DEFAULT_ENTITY_PROFILES.values():
-        assert samples.breakdown[prof.entity][0] == pytest.approx(
-            prof.ops_per_bearer / prof.capacity, abs=1e-12)
-    total = sum(cols[0] for cols in samples.breakdown.values())
-    assert total == pytest.approx(samples.delays_s[0], abs=1e-12)
-
-
 def test_encryption_ops_adds_mme_work():
     # config adds encryption_ops to the MME's profile, which the default
     # template spreads over the nine MME hops
@@ -304,13 +283,13 @@ def test_one_hop_walk_matches_equal_work_oracle(rho, n_jobs, seed):
     assert row.served_work == pytest.approx(n_jobs * 9.0, rel=1e-12)
 
 
-def test_fanned_out_walk_with_links_and_encryption_is_deterministic():
+def test_fanned_out_walk_with_encryption_is_deterministic():
     n_req = 3_000
     stream = poisson_stream(400.0, n_req, seed=17,
                             source_ids=np.arange(n_req) % 40)
     profiles = with_mme_ops(DEFAULT_ENTITY_PROFILES, 2.0)
     template = default_bearer_template(profiles)
-    kwargs = dict(n_enb=3, n_sgw=2, link_latency_s=5.0e-4)
+    kwargs = dict(n_enb=3, n_sgw=2)
     samples, report = run_bearer_simulation(stream, template, profiles, **kwargs)
     again, again_report = run_bearer_simulation(stream, template, profiles, **kwargs)
     assert np.array_equal(samples.completions_s, again.completions_s)
@@ -320,9 +299,9 @@ def test_fanned_out_walk_with_links_and_encryption_is_deterministic():
     assert report == again_report
     total = sum(cols for cols in samples.breakdown.values())
     assert np.allclose(total, samples.delays_s, rtol=0.0, atol=1e-9)
-    # no request beats its 18 link crossings plus its dedicated service, and
-    # the extra MME work is served
-    floor = D_MME + 2.0 / 10_000.0 + K_CONST + 18 * 5.0e-4
+    # no request beats its dedicated service, and the extra MME work is
+    # served
+    floor = D_MME + 2.0 / 10_000.0 + K_CONST
     assert np.all(samples.delays_s >= floor - 1e-12)
     served = sum(r.served_work for r in report.rows if r.entity == "MME")
     assert served == pytest.approx(n_req * (9.0 + 2.0), rel=1e-9)
@@ -392,9 +371,6 @@ def test_simulation_input_validation():
         run_bearer_simulation(stream, "nope", DEFAULT_ENTITY_PROFILES)
     with pytest.raises(ConfigurationError):
         run_bearer_simulation(stream, template, DEFAULT_ENTITY_PROFILES, n_enb=0)
-    with pytest.raises(ConfigurationError):
-        run_bearer_simulation(stream, template, DEFAULT_ENTITY_PROFILES,
-                              link_latency_s=-1.0)
 
 
 def test_single_job_mode_idle_and_errors(profile_mme):

@@ -1,5 +1,6 @@
 """Trace ingestion: CSV parsing, windowed exponential fits, rate replay."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -376,3 +377,15 @@ def test_make_diurnal_trace_follows_shape():
         make_diurnal_trace(0.0)
     with pytest.raises(ValueError):
         make_diurnal_trace(10.0, shape=())
+
+
+def test_make_diurnal_trace_refuses_bad_shape_entries():
+    # such an entry used to drop its window with no error: (1, -1, nan, 1)
+    # over 10 s windows gave rows in two windows
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="shape entries must be non-negative and finite"):
+            make_diurnal_trace(100.0, shape=(1.0, bad, 1.0), window_length_s=10.0)
+    # a zero entry is a quiet window
+    stream = make_diurnal_trace(100.0, shape=(1.0, 0.0, 1.0), window_length_s=10.0, seed=1)
+    counts = np.histogram(stream.timestamps, bins=[0.0, 10.0, 20.0, 30.0])[0]
+    assert counts[0] > 0 and counts[1] == 0 and counts[2] > 0

@@ -9,8 +9,8 @@ Three independent views of ``run_bearer_simulation`` on the default
 * a reference walker written from the processor-sharing definition alone
   (no heap, no idle fast path, no pending-entry map), which must agree
   with the walk bit for bit on contended eNB, SGW and MME servers, with
-  link latency, extra MME work and the marked hop, on the default
-  template and on templates Hypothesis draws;
+  extra MME work and the marked hop, on the default template and on
+  templates Hypothesis draws;
 * a golden digest of a walk over a generated stream, which pins how the
   walk orders events that fall at the same instant.
 """
@@ -48,18 +48,18 @@ def _instance(entity, key, n_enb, n_sgw):
     return 0
 
 
-def reference_walk(stream, template, profiles, n_enb=1, n_sgw=1, link_latency_s=0.0):
+def reference_walk(stream, template, profiles, n_enb=1, n_sgw=1):
     """Walk every request of ``stream`` through ``template`` by brute force.
 
     Each server is ``[t_now, virtual, jobs, scheduled]`` with ``jobs``
     mapping a job to its virtual finish, updated only at that server's own
     arrivals and completions.  The next event is found by scanning, every
-    step.  Events at one instant run in the walk's order: a request arrival
-    first, then the message or server completion scheduled first.  A
-    message is scheduled when it leaves its hop; a server's completion at
-    its latest admission or, when jobs outlast a completion, after that
-    completion's successors.  A server completes every job due at the
-    instant before any successor starts.  Returns ``(completions,
+    step.  A completed hop admits its successors at once.  Events at one
+    instant run in the walk's order: a request arrival first, then the
+    server completion scheduled first, a server's completion counting as
+    scheduled at its latest admission or, when jobs outlast a completion,
+    after that completion's successors.  A server completes every job due
+    at the instant before any successor starts.  Returns ``(completions,
     breakdown)`` with the walk's column conventions.
     """
     capacity = {name: p.capacity for name, p in profiles.items()}
@@ -79,7 +79,6 @@ def reference_walk(stream, template, profiles, n_enb=1, n_sgw=1, link_latency_s=
     marked_end = [0.0] * n
     breakdown = [[0.0] * len(columns) for _ in range(n)]
     servers = {}  # (entity, instance) -> [t_now, virtual, {job: virtual finish}, scheduled]
-    in_flight = []  # [time, scheduled, request, hop] per message crossing a link
     order = itertools.count()
 
     def admit(t, req, hop):
@@ -104,19 +103,14 @@ def reference_walk(stream, template, profiles, n_enb=1, n_sgw=1, link_latency_s=
     i = 0
     while True:
         t_arr = arrivals[i] if i < n else _INF
-        pending = [(m[0], m[1], None, m) for m in in_flight]
-        pending += [(next_completion(name, srv)[0], srv[3], name, srv)
-                    for name, srv in servers.items() if srv[2]]
+        pending = [(next_completion(name, srv)[0], srv[3], name, srv)
+                   for name, srv in servers.items() if srv[2]]
         t, _, name, event = min(pending, default=(_INF, 0, None, None))
         if t_arr == t == _INF:
             break
         if t_arr <= t:
             admit(t_arr, i, chain[0])
             i += 1
-            continue
-        if name is None:
-            in_flight.remove(event)
-            admit(t, *event[2:])
             continue
         done = []
         while event[2]:
@@ -138,10 +132,7 @@ def reference_walk(stream, template, profiles, n_enb=1, n_sgw=1, link_latency_s=
             else:
                 chain_end[req] = t
             for nxt in nexts:
-                if link_latency_s > 0.0:
-                    in_flight.append([t + link_latency_s, next(order), req, nxt])
-                else:
-                    admit(t, req, nxt)
+                admit(t, req, nxt)
         if event[2] and event[3] is None:
             event[3] = next(order)
 
@@ -153,11 +144,7 @@ def reference_walk(stream, template, profiles, n_enb=1, n_sgw=1, link_latency_s=
         completions = np.maximum(chain_end, marked_end)
         extra = np.maximum(0.0, marked_end - np.maximum(chain_end, np.array(marked_start)))
         breakdown[:, col[marked]] += extra
-    cols = {name: breakdown[:, j].copy() for j, name in enumerate(columns)}
-    if link_latency_s > 0.0:
-        residual = (completions - arrivals) - breakdown.sum(axis=1)
-        cols["link"] = np.maximum(0.0, residual)
-    return completions, cols
+    return completions, {name: breakdown[:, j].copy() for j, name in enumerate(columns)}
 
 
 def _with_capacity(profiles, capacities):
@@ -200,16 +187,13 @@ def _assert_walks_agree(stream, template, profiles, horizon_s=None, **kwargs):
 
 def test_contended_walks_match_the_reference_walker():
     n_req = 1000
-    # MME at 0.88, SGW at 0.60 and each of three eNBs at 0.53; every link
-    # column entry goes through the residual
-    # column entry goes through the residual; the MME carries 2 extra
-    # operations per request, as config adds encryption_ops
+    # MME at 0.88, SGW at 0.60 and each of three eNBs at 0.53; the MME
+    # carries 2 extra operations per request, as config adds encryption_ops
     profiles = with_mme_ops(_with_capacity(DEFAULT_ENTITY_PROFILES, {"SGW": 4000.0}), 2.0)
     stream = poisson_stream(800.0, n_req, seed=5, source_ids=np.arange(n_req) % 40)
-    _assert_walks_agree(stream, default_bearer_template(profiles), profiles,
-                        n_enb=3, link_latency_s=5.0e-4)
-    # with no link latency a completion admits its successor at once, so
-    # consecutive MME hops re-enter the server they just left
+    _assert_walks_agree(stream, default_bearer_template(profiles), profiles, n_enb=3)
+    # a completion admits its successor at once, so consecutive MME hops
+    # re-enter the server they just left
     profiles = _with_capacity(DEFAULT_ENTITY_PROFILES, {"SGW": 3500.0})
     stream = poisson_stream(700.0, n_req, seed=6, source_ids=np.arange(n_req) % 25)
     _assert_walks_agree(stream, default_bearer_template(profiles), profiles, n_enb=2)
@@ -218,7 +202,7 @@ def test_contended_walks_match_the_reference_walker():
 @st.composite
 def _drawn_walk(draw):
     """A template, its profiles, a stream of at most 200 requests with tied
-    times, and the walk's fan-out and link latency."""
+    times, and the walk's fan-out."""
     entities = draw(st.lists(st.sampled_from(ENTITY_NAMES), min_size=1, max_size=8))
     mme_ops = draw(st.sampled_from([9.0, 11.0, 12.5, 17.0]))
     # the MME's ops split evenly over its hops, as the default template
@@ -241,8 +225,7 @@ def _drawn_walk(draw):
     d_mme = mme_ops / capacity.get("MME", 1.0)
     horizon = max(float(stream.timestamps[-1]), 2.0 * n * d_mme)
     kwargs = dict(horizon_s=horizon, n_enb=draw(st.integers(1, 3)),
-                  n_sgw=draw(st.integers(1, 3)),
-                  link_latency_s=draw(st.sampled_from([0.0, 0.0, 1e-4, 1e-3])))
+                  n_sgw=draw(st.integers(1, 3)))
     return stream, template, profiles, kwargs
 
 
