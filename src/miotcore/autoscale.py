@@ -20,7 +20,7 @@ from .delay import (
     build_delay_model,
     constant_delay_K,
     delay_percentile,
-    mme_load,
+    instance_loads,
 )
 from .errors import ConfigurationError, OverloadError
 from .simulator import single_job_mode
@@ -106,7 +106,7 @@ def predict_percentile(lambda_beta, multiplier, profiles, policy):
     """
     profs = scaled_profiles(profiles, multiplier, policy)
     try:
-        _, rho = mme_load(lambda_beta, profs[ENTITY_MME])
+        rho = instance_loads({ENTITY_MME: lambda_beta}, profs)[ENTITY_MME]
     except OverloadError:
         return math.inf
     if rho >= MAX_FEASIBLE_LOAD:
@@ -173,6 +173,8 @@ def run_scaling_loop(rate_series, profiles, policy, window_length_s, seed=0):
     if any(b <= a for a, b in zip(starts, starts[1:])):
         raise ValueError("window starts must be strictly increasing")
     length = float(window_length_s)
+    if not 0.0 < length < math.inf:
+        raise ValueError(f"window_length_s must be positive and finite, got {length!r}")
     for start, rate in series:
         if not rate > 0.0:
             raise ValueError(f"window at {start!r} has non-positive rate {rate!r}")

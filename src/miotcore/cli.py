@@ -33,7 +33,7 @@ from .delay import (
     build_delay_model,
     constant_delay_K,
     delay_percentile,
-    mme_load,
+    instance_loads,
     save_survival_csv,
 )
 from .errors import ConfigurationError, OverloadError, TraceFormatError
@@ -155,12 +155,13 @@ def _simulate_one(scenario, rep_ss, single_job):
     stream = _replication_stream(scenario, rep_ss)
     if single_job:
         stream.source_ids = None  # the pass reads the times alone
-        mme = scenario.profiles[ENTITY_MME]
-        # refused at the walk's rate, n / horizon, as the walk refuses it;
+        # refused at the walk's rate, n / horizon, over the routing's shares;
         # single_job_mode runs any load, as scale replays overloaded windows
         if len(stream) >= 2:
-            mme_load(len(stream) / scenario.horizon_s, mme)
-        samples = single_job_mode(stream, mme, constant_delay_K(scenario.profiles))
+            instance_loads(scenario.instance_rates(len(stream) / scenario.horizon_s),
+                           scenario.profiles)
+        samples = single_job_mode(stream, scenario.profiles[ENTITY_MME],
+                                  constant_delay_K(scenario.profiles))
         return samples, None
     template = default_bearer_template(scenario.profiles)
     return run_bearer_simulation(
@@ -223,6 +224,7 @@ def cmd_predict(args):
     scenario = _require_config(args)
     out = _out_dir(args)
     lam = scenario.lambda_beta()
+    instance_loads(scenario.instance_rates(lam), scenario.profiles)
     model = build_delay_model(lam, scenario.profiles)
     tau_p = delay_percentile(args.percentile, model)
     lines = model.summary().splitlines()

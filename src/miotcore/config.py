@@ -22,7 +22,7 @@ A scenario file is a nested key/value document with four optional blocks
                                 # messages_per_bearer is omitted or the stock
                                 # count, simulator.message_count
     topology:
-      n_enb: null               # default: one eNB per source group
+      n_enb: null               # default: one per source group; few groups load few eNBs
       n_sgw: 1
       link_latency_s: 0.0       # omitted or 0: the model has no link term
       encryption_ops: 0.0       # extra MME operations per bearer
@@ -52,7 +52,7 @@ from .arrivals import bearer_request_rate
 from .autoscale import ScalingPolicy, scaled_profiles
 from .delay import ENTITY_MME, ENTITY_NAMES, EntityProfile
 from .errors import ConfigurationError
-from .simulator import message_count
+from .simulator import _route_divisor, message_count
 from .traffic import SourcePopulation, TrafficParams, check_expected_requests
 
 DEFAULT_ENTITY_PROFILES = {e: EntityProfile(e, ops, cap, message_count(e)) for e, ops, cap in (
@@ -86,6 +86,13 @@ class Scenario:
     @property
     def effective_n_enb(self):
         return self.n_enb if self.n_enb is not None else self.n_groups
+
+    def instance_rates(self, rate):
+        """Each entity's share of ``rate`` at its busiest server instance when
+        the walk's routing spreads the Q sources evenly: ceil(Q / n) / Q."""
+        q, n_enb = self.q_total, self.effective_n_enb
+        return {name: rate * (math.ceil(q / (_route_divisor(name, n_enb, self.n_sgw) or q)) / q)
+                for name in self.profiles}
 
     def lambda_beta(self):
         """Merged bearer-request rate Q * tx_probability / T."""

@@ -112,24 +112,6 @@ class DelayModelParams:
         ])
 
 
-# entities that serve the full aggregated request stream; UE and eNB see
-# only per-device and per-group shares, so their per-bearer delay may
-# exceed the MME's without ever building a queue
-_SHARED_CORE = ("HSS", "SGW", "PGW")
-
-
-def check_mme_dominance(profiles) -> bool:
-    """Warn unless the MME has the largest O_X/C_X among shared entities."""
-    d_mme = profiles[ENTITY_MME].per_bearer_delay
-    slower = [n for n in _SHARED_CORE if profiles[n].per_bearer_delay > d_mme]
-    if slower:
-        warnings.warn(
-            f"MME is not the bottleneck: {', '.join(sorted(slower))} have a "
-            f"larger per-bearer delay; the single-queue tail model degrades",
-            stacklevel=2)
-    return not slower
-
-
 def constant_delay_K(profiles) -> float:
     """Constant non-MME delay K = sum over X != MME of O_X / C_X.
 
@@ -150,25 +132,31 @@ def _check_load(rho):
                             min_capacity_multiplier=rho if rho >= 1.0 else None)
 
 
-def mme_load(lambda_beta, profile_mme: EntityProfile):
-    """MME service time and load: D = O_MME/C_MME, rho = lambda_beta * D.
+def instance_loads(rates, profiles):
+    """Load rate_X * O_X / C_X of each entity's busiest server instance,
+    from ``rates``, entity name to that instance's request rate.
 
-    The one place a rate and the MME profile make a load, and the one
-    refusal of rho >= 1: the model, the walk, ``simulate --single-job``
-    and the scaling controller all call it.
+    The one refusal of load: a largest load >= 1 is refused, naming its
+    entity, with itself as the least capacity multiplier that restores
+    stability.  Below 1, a load above the MME's warns.
     """
-    if lambda_beta <= 0.0:
-        raise ValueError("lambda_beta must be positive")
-    if profile_mme.entity != ENTITY_MME:
-        raise ConfigurationError(f"expected an MME profile, got {profile_mme.entity}")
-    d_service = profile_mme.per_bearer_delay
-    rho = lambda_beta * d_service
+    loads = {}
+    for name, rate in rates.items():
+        if not 0.0 < rate < math.inf:
+            raise ValueError(f"{name}: rate must be positive and finite, got {rate!r}")
+        loads[name] = rate * profiles[name].per_bearer_delay
+    top = max(loads, key=loads.get)
+    rho = loads[top]
     if rho >= 1.0:
         raise OverloadError(
-            f"MME overloaded: rho={rho:.6g} >= 1 at lambda_beta={lambda_beta:.6g}, "
-            f"D={d_service:.6g}; any capacity multiplier > {rho:.6g} restores "
-            f"stability", min_capacity_multiplier=rho)
-    return d_service, rho
+            f"{top} overloaded: rho={rho:.6g} >= 1 at rate={rates[top]:.6g}, "
+            f"D={profiles[top].per_bearer_delay:.6g}; any capacity multiplier > "
+            f"{rho:.6g} restores stability", min_capacity_multiplier=rho)
+    if loads.get(ENTITY_MME, rho) < rho:
+        warnings.warn(f"MME is not the bottleneck: {top} has the largest per-instance "
+                      f"load, {rho:.6g} against the MME's {loads[ENTITY_MME]:.6g}; the "
+                      f"single-queue tail model degrades", stacklevel=2)
+    return loads
 
 
 def _lobatto(lo, hi, n):
@@ -249,8 +237,8 @@ def build_delay_model(lambda_beta, profiles) -> DelayModelParams:
     numerator and denominator vanish together; at that removable point
     psi is evaluated by averaging the two sides.
     """
-    check_mme_dominance(profiles)
-    d_service, rho = mme_load(lambda_beta, profiles[ENTITY_MME])
+    rho = instance_loads({ENTITY_MME: lambda_beta}, profiles)[ENTITY_MME]
+    d_service = profiles[ENTITY_MME].per_bearer_delay
     k_const = constant_delay_K(profiles)
     gamma = tail_exponent(rho) / d_service
     # near the gamma = lambda_beta crossing the psi numerator and

@@ -41,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .csvio import write_csv
-from .delay import ENTITY_MME, EntityProfile, mme_load
+from .delay import EntityProfile, instance_loads
 from .errors import ConfigurationError
 
 _INF = float("inf")
@@ -363,10 +363,10 @@ def run_bearer_simulation(
     so the profiles alone set every entity's per-bearer work, the MME's
     included.
 
-    Raises :class:`OverloadError` when the template visits the MME and two
-    or more requests load it to rho >= 1 (``delay.mme_load`` at the rate
-    ``n / horizon_s``): the MME queue would then grow for as long as the
-    stream lasts.
+    Raises :class:`OverloadError` before the first event when a server
+    instance that the template visits and two or more requests use has
+    load >= 1 (``delay.instance_loads`` at each entity's busiest instance,
+    ``count / horizon_s``): its queue would grow for as long as the stream.
 
     Returns ``(samples, report)``: a :class:`DelaySampleSet` ordered by
     request index and a :class:`UtilizationReport`.
@@ -382,9 +382,6 @@ def run_bearer_simulation(
         horizon_s = float(arrivals[-1]) if arrivals.size else 0.0
     n_req = int(np.searchsorted(arrivals, horizon_s, side="right"))
     arrivals = arrivals[:n_req]
-
-    if ENTITY_MME in template.entities() and n_req >= 2 and horizon_s > 0.0:
-        mme_load(n_req / horizon_s, profiles[ENTITY_MME])
 
     hops = template.hops
     n_hops = len(hops)
@@ -413,9 +410,13 @@ def run_bearer_simulation(
     servers = []  # (entity, first, instances)
     route = {}
     s_cap = []
+    rates = {}
     for entity in entity_order:
         div = _route_divisor(entity, n_enb, n_sgw)
-        instances, inverse = np.unique(keys % div if div else keys, return_inverse=True)
+        instances, inverse, counts = np.unique(
+            keys % div if div else keys, return_inverse=True, return_counts=True)
+        if counts.max(initial=0) >= 2 and horizon_s > 0.0:  # its busiest instance
+            rates[entity] = int(counts.max()) / horizon_s
         first = len(s_cap)
         if instances.size == 1:
             sids = np.broadcast_to(np.int32(first), (n_req,))
@@ -425,7 +426,9 @@ def run_bearer_simulation(
         route[entity] = memoryview(sids)
         servers.append((entity, first, instances))
         s_cap += [float(profiles[entity].capacity)] * instances.size
-    del keys, inverse, sids
+    del keys, inverse, sids, counts
+    if rates:
+        instance_loads(rates, profiles)
     hop_route = [route[h.entity] for h in hops]
 
     # Per-server PS state, one list slot per server: clock, virtual clock,

@@ -314,14 +314,16 @@ def make_diurnal_trace(base_rate_per_s, shape=DIURNAL_SHAPE_DEFAULT,
     texture of an urban sensor log.  A zero entry leaves its window empty.
     Deterministic for a fixed seed.
     """
-    if not base_rate_per_s > 0.0:
-        raise ValueError("base_rate_per_s must be positive")
+    if not 0.0 < base_rate_per_s < math.inf:
+        raise ValueError(f"base_rate_per_s must be positive and finite, got {base_rate_per_s!r}")
+    length = float(window_length_s)
+    if not 0.0 < length < math.inf:
+        raise ValueError(f"window_length_s must be positive and finite, got {length!r}")
     if not shape:
         raise ValueError("shape must be non-empty")
     if not all(0.0 <= float(rel) < math.inf for rel in shape):
         raise ValueError(f"shape entries must be non-negative and finite, got {shape!r}")
     rng = np.random.default_rng(seed)
-    length = float(window_length_s)
     times = [poisson_arrivals(base_rate_per_s * float(rel), k * length,
                               (k + 1) * length, rng)
              for k, rel in enumerate(shape) if rel > 0.0]

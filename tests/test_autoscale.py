@@ -177,8 +177,18 @@ def test_run_scaling_loop_refuses_a_window_past_max_arrivals(monkeypatch):
     monkeypatch.setattr("miotcore.autoscale.poisson_arrivals", no_draws)
     with pytest.raises(ConfigurationError, match="expects 5000.0 arrivals"):
         run_scaling_loop([(0.0, 40.0), (50.0, 100.0)], PROFILES, POLICY, 50.0)
-    for length in (math.inf, math.nan):
-        with pytest.raises(ConfigurationError, match="more than 4000"):
+
+
+def test_run_scaling_loop_refuses_a_window_length_that_is_not_positive_and_finite(
+        monkeypatch):
+    # 0 used to give a record with a NaN percentile, -5 a math domain error,
+    # NaN and infinity a window that "expects nan arrivals"
+    def no_draws(*args):
+        raise AssertionError("drew arrivals before refusing the window length")
+
+    monkeypatch.setattr("miotcore.autoscale.poisson_arrivals", no_draws)
+    for length in (0.0, -5.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="window_length_s must be positive and finite"):
             run_scaling_loop([(0.0, 40.0)], PROFILES, POLICY, length)
 
 

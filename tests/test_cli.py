@@ -18,7 +18,7 @@ import yaml
 from hypothesis import example, given, strategies as st
 
 from miotcore.cli import OUT_DIR_ENV, main
-from miotcore.config import DEFAULT_ENTITY_PROFILES
+from miotcore.config import DEFAULT_ENTITY_PROFILES, load_scenario
 from miotcore.trace import make_diurnal_trace
 from miotcore.traffic import EventStream
 
@@ -397,8 +397,9 @@ def test_exit_codes(tmp_path, cfg, capsys):
     assert run(["validate-arrivals", "--config", cfg,
                 "--stream", str(tmp_path / "ghost.csv")]) == 3
     # 4: infeasible scenario, with a capacity hint on stderr; one rule,
-    # delay.mme_load, refuses it for the model, the walk and the single-job
-    # pass alike, so neither simulation runs a queue that grows without bound
+    # delay.instance_loads, refuses it for the model, the walk and the
+    # single-job pass alike, so neither simulation runs a queue that grows
+    # without bound
     over_cfg = tmp_path / "over.yaml"
     over_cfg.write_text(yaml.safe_dump(OVERLOADED_SCENARIO))
     capsys.readouterr()
@@ -436,6 +437,40 @@ def test_every_command_reads_one_mme(tmp_path, capsys):
         for label, err in errors.items():
             assert err.startswith("overload: MME overloaded: rho=") == (expected == 4), label
     assert (tmp_path / "predict-3.0" / "model.txt").read_text().startswith("D_s: 0.0012\n")
+
+
+# one group of 10^4 sources behind one eNB, the default of one per group:
+# that eNB carries every request, at 632 /s x 2 ms = 1.26, while the MME is
+# at 0.57
+ONE_GROUP_TRAFFIC = {"period_s": 10.0, "q_total": 10_000, "n_groups": 1, "horizon_s": 20.0}
+
+
+def test_every_command_refuses_an_overloaded_enb(tmp_path, capsys):
+    # the load rule reads every entity's busiest server instance, not only
+    # the MME: the walk from its routed counts, predict and the single-job
+    # pass from the routing's even shares
+    labels = {"simulate": ["simulate"], "simulate --single-job": ["simulate", "--single-job"],
+              "predict": ["predict"]}
+    config = tmp_path / "one-enb.yaml"
+    config.write_text(yaml.safe_dump({"traffic": ONE_GROUP_TRAFFIC}))
+    errors = {}
+    for label, argv in labels.items():
+        assert run(argv + ["--config", str(config), "--out", str(tmp_path / "o")]) == 4, label
+        errors[label] = capsys.readouterr().err
+        assert errors[label].startswith("overload: eNB overloaded: rho="), label
+    # predict refuses the eNB's load at the model's rate, lambda_beta x 2 ms
+    rho = load_scenario(str(config)).lambda_beta() * 0.002
+    assert errors["predict"].startswith(f"overload: eNB overloaded: rho={rho:.6g} >= 1")
+    assert f"capacity multiplier ~ {rho:.3f})" in errors["predict"]
+    # the traffic itself is valid
+    for argv in (["generate"], ["validate-arrivals"]):
+        assert run(argv + ["--config", str(config), "--out", str(tmp_path / "g")]) == 0, argv
+    # two eNBs at 0.63 each run, past the MME's 0.57
+    config.write_text(yaml.safe_dump({"traffic": ONE_GROUP_TRAFFIC, "topology": {"n_enb": 2}}))
+    for label, argv in labels.items():
+        with pytest.warns(UserWarning, match="MME is not the bottleneck: eNB"):
+            code = run(argv + ["--config", str(config), "--out", str(tmp_path / label)])
+        assert code == 0, label
 
 
 def test_every_command_refuses_a_message_count_other_than_the_stock_one(tmp_path, capsys):

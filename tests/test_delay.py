@@ -21,17 +21,17 @@ from miotcore.delay import (
     DelayModelParams,
     EntityProfile,
     build_delay_model,
-    check_mme_dominance,
     constant_delay_K,
     delay_percentile,
     delay_survival,
     g_table_node_rhos,
-    mme_load,
+    instance_loads,
     psi_coefficient,
     save_survival_csv,
     tail_exponent,
 )
 from miotcore._g_table import H
+from miotcore.config import DEFAULT_ENTITY_PROFILES, scenario_from_dict
 from miotcore.errors import ConfigurationError, NumericalError, OverloadError
 from miotcore.simulator import single_job_mode
 
@@ -99,31 +99,52 @@ def test_constant_delay_default_profiles(profiles):
         constant_delay_K({n: p for n, p in profiles.items() if n != "HSS"})
 
 
-def test_mme_load_and_overload(profile_mme):
-    d, rho = mme_load(LAMBDA_BETA, profile_mme)
-    assert d == pytest.approx(D_MME, rel=1e-15)
-    assert rho == pytest.approx(RHO, rel=1e-14)
-    with pytest.raises(OverloadError) as exc_info:
-        mme_load(1200.0, profile_mme)
-    assert exc_info.value.min_capacity_multiplier == pytest.approx(1.08, rel=1e-12)
-    with pytest.raises(ValueError):
-        mme_load(0.0, profile_mme)
-    with pytest.raises(ConfigurationError):
-        mme_load(10.0, EntityProfile("HSS", 1.0, 1000.0))
+def test_instance_loads_and_overload(profiles):
+    loads = instance_loads({"MME": LAMBDA_BETA, "eNB": LAMBDA_BETA / 100}, profiles)
+    assert loads["MME"] == pytest.approx(RHO, rel=1e-14)
+    assert loads["eNB"] == pytest.approx(LAMBDA_BETA / 100 * 2e-3, rel=1e-14)
+    # the largest load is refused, naming its entity, whatever the entity
+    for name, rate, rho in (("MME", 1200.0, 1.08), ("eNB", 750.0, 1.5),
+                            ("UE", 400.0, 1.2)):
+        with pytest.raises(OverloadError, match=f"^{name} overloaded: rho=") as info:
+            instance_loads({"MME": 500.0, name: rate}, profiles)
+        assert info.value.min_capacity_multiplier == pytest.approx(rho, rel=1e-12)
+    for rate in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="HSS: rate"):
+            instance_loads({"MME": 10.0, "HSS": rate}, profiles)
+
+
+def _scenario_loads(**topology):
+    """Per-instance loads of the stock entities at the model's rate, with
+    a slow UE and eNB (25 ms per bearer each) and 100 sources in 1 group."""
+    rows = [{"entity": e, "ops_per_bearer": 25.0 if e in ("UE", "eNB") else p.ops_per_bearer,
+             "capacity": p.capacity} for e, p in DEFAULT_ENTITY_PROFILES.items()]
+    sc = scenario_from_dict({
+        "traffic": {"period_s": 10.0, "q_total": 100, "n_groups": 1},
+        "entities": {"profiles": rows}, "topology": topology})
+    return instance_loads(sc.instance_rates(sc.lambda_beta()), sc.profiles)
 
 
 def test_mme_dominance_warning(profiles):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert check_mme_dominance(profiles) is True
-    slow_hss = {**profiles, "HSS": EntityProfile("HSS", 20.0, 10_000.0)}
-    with pytest.warns(UserWarning, match="HSS"):
-        assert check_mme_dominance(slow_hss) is False
-    # UE and eNB serve per-device shares; a slow UE is not a bottleneck
-    slow_ue = {**profiles, "UE": EntityProfile("UE", 50.0, 1000.0)}
+        instance_loads({name: LAMBDA_BETA for name in ("MME", "HSS", "SGW", "PGW")},
+                       profiles)
+    slow_hss = {**profiles, "HSS": EntityProfile("HSS", 10.0, 10_000.0)}
+    with pytest.warns(UserWarning, match="MME is not the bottleneck: HSS"):
+        instance_loads({"MME": LAMBDA_BETA, "HSS": LAMBDA_BETA}, slow_hss)
+    # a UE serves one device's share, so a slow UE is no bottleneck; an eNB
+    # that serves every device is, and n_enb spreads it
+    with pytest.warns(UserWarning, match="MME is not the bottleneck: eNB") as caught:
+        loads = _scenario_loads(n_enb=1)
+    assert len(caught) == 1
+    assert loads["UE"] == pytest.approx(LAMBDA_BETA / 10_000 * 0.025, rel=1e-12)
+    assert loads["eNB"] == pytest.approx(100 * loads["UE"], rel=1e-12)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert check_mme_dominance(slow_ue) is True
+        loads = _scenario_loads(n_enb=100)
+    assert loads["eNB"] == pytest.approx(loads["UE"], rel=1e-12)
+    assert max(loads, key=loads.get) == "MME"
 
 
 def test_criticality_exponent_against_fine_march():

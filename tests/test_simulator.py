@@ -319,11 +319,13 @@ def test_horizon_cuts_late_arrivals():
 
 
 def test_overload_raises_with_capacity_hint():
+    # ten eNBs share the requests, each at a tenth of the MME's rate and a
+    # load near 0.3, so the MME is the busiest server instance
     n_req = 3000
     stream = poisson_stream(1500.0, n_req, seed=3)
     template = default_bearer_template(DEFAULT_ENTITY_PROFILES)
     with pytest.raises(OverloadError, match="MME overloaded") as info:
-        run_bearer_simulation(stream, template, DEFAULT_ENTITY_PROFILES)
+        run_bearer_simulation(stream, template, DEFAULT_ENTITY_PROFILES, n_enb=10)
     horizon = float(stream.timestamps[-1])
     assert info.value.min_capacity_multiplier == pytest.approx(
         n_req / horizon * D_MME, rel=1e-12)
@@ -331,12 +333,18 @@ def test_overload_raises_with_capacity_hint():
     # it and to 1.35 with 6 extra operations per request in its profile
     stream = poisson_stream(900.0, n_req, seed=3)
     run_bearer_simulation(stream, template, DEFAULT_ENTITY_PROFILES,
-                          horizon_s=n_req / 900.0)
+                          horizon_s=n_req / 900.0, n_enb=10)
     heavy = with_mme_ops(DEFAULT_ENTITY_PROFILES, 6.0)
     with pytest.raises(OverloadError, match="MME overloaded") as info:
         run_bearer_simulation(stream, default_bearer_template(heavy), heavy,
-                              horizon_s=n_req / 900.0)
+                              horizon_s=n_req / 900.0, n_enb=10)
     assert info.value.min_capacity_multiplier == pytest.approx(900.0 * 15.0 / 10_000.0)
+    # one eNB carries all 900 req/s at 2 ms each, load 1.8, while the MME
+    # stays at 0.81
+    with pytest.raises(OverloadError, match="eNB overloaded") as info:
+        run_bearer_simulation(stream, template, DEFAULT_ENTITY_PROFILES,
+                              horizon_s=n_req / 900.0, n_enb=1)
+    assert info.value.min_capacity_multiplier == pytest.approx(900.0 * 2e-3)
 
 
 def test_overload_estimate_spans_the_horizon():

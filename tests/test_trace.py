@@ -385,6 +385,15 @@ def test_make_diurnal_trace_refuses_bad_shape_entries():
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="shape entries must be non-negative and finite"):
             make_diurnal_trace(100.0, shape=(1.0, bad, 1.0), window_length_s=10.0)
+    # so are a base rate and a window length that are not positive and
+    # finite, which used to fail in the draw with OverflowError, "math
+    # domain error" or "cannot convert float NaN to integer"
+    for rate in (0.0, -5.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="base_rate_per_s must be positive and finite"):
+            make_diurnal_trace(rate, shape=(1.0,), window_length_s=10.0)
+    for length in (0.0, -5.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="window_length_s must be positive and finite"):
+            make_diurnal_trace(100.0, shape=(1.0,), window_length_s=length)
     # a zero entry is a quiet window
     stream = make_diurnal_trace(100.0, shape=(1.0, 0.0, 1.0), window_length_s=10.0, seed=1)
     counts = np.histogram(stream.timestamps, bins=[0.0, 10.0, 20.0, 30.0])[0]

@@ -221,9 +221,10 @@ def _drawn_walk(draw):
                          min_size=n, max_size=n))
     ids = draw(st.lists(st.integers(0, 11), min_size=n, max_size=n))
     stream = EventStream(np.cumsum(gaps), ids)
-    # a horizon that keeps the MME below rho 0.5, so the walk refuses nothing
-    d_mme = mme_ops / capacity.get("MME", 1.0)
-    horizon = max(float(stream.timestamps[-1]), 2.0 * n * d_mme)
+    # a horizon that keeps every server instance below rho 0.5, even one
+    # that serves all n requests, so the walk refuses nothing
+    d_max = max(prof.per_bearer_delay for prof in profiles.values())
+    horizon = max(float(stream.timestamps[-1]), 2.0 * n * d_max)
     kwargs = dict(horizon_s=horizon, n_enb=draw(st.integers(1, 3)),
                   n_sgw=draw(st.integers(1, 3)))
     return stream, template, profiles, kwargs
