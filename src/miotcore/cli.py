@@ -12,6 +12,9 @@ Every command is deterministic given (config, seed), writes its outputs
 under one directory, and drops a JSON manifest recording the command, the
 resolved configuration, the seed, and the produced files.  Exit codes:
 0 success, 2 configuration error, 3 I/O error, 4 overload/infeasible.
+A warning, such as a load rule's "MME is not the bottleneck", goes to
+stderr as one ``warning: <message>`` line, from the workers of
+``simulate --jobs`` too.
 """
 
 import argparse
@@ -20,6 +23,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -48,6 +52,12 @@ def _out_dir(args):
     out = args.out or os.environ.get(OUT_DIR_ENV) or "miotcore_out"
     os.makedirs(out, exist_ok=True)
     return out
+
+
+def _one_line_warnings():
+    """Show every warning as one ``warning: <message>`` line on stderr,
+    without the source path and line that Python's default form adds."""
+    warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
 
 
 def _require_config(args):
@@ -169,7 +179,7 @@ def _simulate_one(scenario, rep_ss, single_job):
         template,
         scenario.profiles,
         horizon_s=scenario.horizon_s,
-        n_enb=scenario.effective_n_enb,
+        n_enb=scenario.n_enb,
         n_sgw=scenario.n_sgw,
     )
 
@@ -185,7 +195,7 @@ def cmd_simulate(args):
         # imported here: it costs every command's start-up ~15 ms
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_line_warnings) as pool:
             results = list(
                 pool.map(_simulate_one, [scenario] * len(reps), reps,
                          [args.single_job] * len(reps))
@@ -345,31 +355,35 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        if args.replications < 1 or args.jobs < 1:
-            raise ConfigurationError("--replications and --jobs must be at least 1")
-        return args.func(args)
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except TraceFormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
-    except OverloadError as exc:
-        hint = ""
-        if exc.min_capacity_multiplier is not None:
-            hint = (
-                f" (minimum feasible capacity multiplier "
-                f"~ {exc.min_capacity_multiplier:.3f})"
-            )
-        print(f"overload: {exc}{hint}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
-        print(f"invalid parameter: {exc}", file=sys.stderr)
-        return 2
+    # the one-line form holds while a command runs: a library caller that
+    # only imports the package keeps Python's
+    with warnings.catch_warnings():
+        _one_line_warnings()
+        try:
+            if args.replications < 1 or args.jobs < 1:
+                raise ConfigurationError("--replications and --jobs must be at least 1")
+            return args.func(args)
+        except ConfigurationError as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return 2
+        except TraceFormatError as exc:
+            print(f"input error: {exc}", file=sys.stderr)
+            return 3
+        except OSError as exc:
+            print(f"i/o error: {exc}", file=sys.stderr)
+            return 3
+        except OverloadError as exc:
+            hint = ""
+            if exc.min_capacity_multiplier is not None:
+                hint = (
+                    f" (minimum feasible capacity multiplier "
+                    f"~ {exc.min_capacity_multiplier:.3f})"
+                )
+            print(f"overload: {exc}{hint}", file=sys.stderr)
+            return 4
+        except ValueError as exc:
+            print(f"invalid parameter: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -11,16 +11,17 @@ A scenario file is a nested key/value document with four optional blocks
       alarm_rate_lambda: ...    # omitted one takes that class's default
       regular_rate_epsilon: ...
       tx_probability: ...
-      offsets_s: null           # fixed per-group offsets; default Uniform[0, T)
+      offsets_s: null           # fixed per-group offsets in [0, period_s);
+                                # default Uniform[0, T)
       horizon_s: 1000.0         # default 100 * period_s
     entities:
       capacity_scale: 1.0       # multiplies every capacity below
       profiles:                 # default: the six-entity EPC profile below; a
                                 # list holds one row for each of UE, eNB, MME,
                                 # HSS, SGW and PGW, and no other entity
-        - {entity: MME, ops_per_bearer: 9.0, capacity: 10000.0, messages_per_bearer: 9}
-                                # messages_per_bearer is omitted or the stock
-                                # count, simulator.message_count
+        - {entity: MME, ops_per_bearer: 9.0, capacity: 10000.0}
+                                # a row may also give messages_per_bearer, but
+                                # only the stock count, simulator.message_count
     topology:
       n_enb: null               # default: one per source group; few groups load few eNBs
       n_sgw: 1
@@ -33,13 +34,16 @@ A scenario file is a nested key/value document with four optional blocks
       hysteresis: ...
       scope: ...                # "all" or "mme"
 
-A resolved Scenario keeps its profiles as one dict from entity name to
-EntityProfile, in the file's order, with capacity_scale applied and
-encryption_ops added to the MME's ops_per_bearer, so every command reads
-one MME; every library function that takes ``profiles`` reads such a
-mapping by name.  ``scenario_to_dict`` writes these resolved rows, with
-``topology.encryption_ops: 0.0`` and ``topology.link_latency_s: 0.0``, the
-only latency accepted: no command models link delay.
+A resolved Scenario holds only what some command reads, each value once:
+its profiles are one dict from entity name to EntityProfile, in the file's
+order, with capacity_scale applied and encryption_ops added to the MME's
+ops_per_bearer, so every command reads one MME; every library function
+that takes ``profiles`` reads such a mapping by name.  ``n_enb`` is
+resolved to a count.  ``scenario_to_dict`` writes these resolved values,
+so reading the dict back gives an equal scenario.  It writes none of
+messages_per_bearer, link_latency_s and encryption_ops, which a file may
+still give: the first two only at their one accepted value, the last
+already added to the MME's row.
 """
 
 import math
@@ -55,7 +59,7 @@ from .errors import ConfigurationError
 from .simulator import _route_divisor, message_count
 from .traffic import SourcePopulation, TrafficParams, check_expected_requests
 
-DEFAULT_ENTITY_PROFILES = {e: EntityProfile(e, ops, cap, message_count(e)) for e, ops, cap in (
+DEFAULT_ENTITY_PROFILES = {e: EntityProfile(e, ops, cap) for e, ops, cap in (
     ("UE", 3.0, 1000.0), ("eNB", 2.0, 1000.0), ("MME", 9.0, 10000.0),
     ("HSS", 1.0, 10000.0), ("SGW", 3.0, 10000.0), ("PGW", 1.0, 10000.0))}
 DEFAULT_N_GROUPS = 100
@@ -64,7 +68,8 @@ DEFAULT_N_GROUPS = 100
 class Scenario:
     """Fully resolved scenario: traffic, entity profiles, topology, scaling.
 
-    ``profiles`` already carry ``capacity_scale`` and ``encryption_ops``.
+    ``profiles`` already carry ``capacity_scale`` and ``encryption_ops``,
+    and ``n_enb`` is a count, ``n_groups`` where the file gives none.
     There is no link latency: every command prices a bearer as service and
     queueing alone.
     """
@@ -75,7 +80,7 @@ class Scenario:
     offsets_s: Optional[tuple]
     horizon_s: float
     profiles: dict
-    n_enb: Optional[int]
+    n_enb: int
     n_sgw: int
     policy: ScalingPolicy
 
@@ -83,14 +88,10 @@ class Scenario:
     def group_size(self):
         return self.q_total // self.n_groups
 
-    @property
-    def effective_n_enb(self):
-        return self.n_enb if self.n_enb is not None else self.n_groups
-
     def instance_rates(self, rate):
         """Each entity's share of ``rate`` at its busiest server instance when
         the walk's routing spreads the Q sources evenly: ceil(Q / n) / Q."""
-        q, n_enb = self.q_total, self.effective_n_enb
+        q, n_enb = self.q_total, self.n_enb
         return {name: rate * (math.ceil(q / (_route_divisor(name, n_enb, self.n_sgw) or q)) / q)
                 for name in self.profiles}
 
@@ -212,6 +213,12 @@ def scenario_from_dict(doc):
                 f"traffic.offsets_s: need one offset per group "
                 f"({len(offsets)} given, n_groups={n_groups})"
             )
+        # the range traffic.slot_phases takes, for every command alike
+        outside = [x for x in offsets if not 0.0 <= x < period_s]
+        if outside:
+            raise ConfigurationError(
+                f"traffic.offsets_s: each offset must lie in [0, period_s={period_s!r}), "
+                f"got {outside[0]!r}")
     if not horizon_s > 0.0:
         raise ConfigurationError("traffic.horizon_s: must be positive")
     try:
@@ -251,24 +258,24 @@ def scenario_from_dict(doc):
                 f"entities.profiles: need one profile for each of "
                 f"{', '.join(ENTITY_NAMES)}, got {', '.join(names)}")
         # the walk splits an entity's work over its stock count alone
-        profiles = {}
         for i, (msgs, p) in enumerate(rows):
-            try:
-                profiles[p.entity] = replace(p, messages_per_bearer=message_count(p.entity, msgs))
-            except ConfigurationError as exc:
-                raise ConfigurationError(f"entities.profiles[{i}].{exc}") from exc
+            count = message_count(p.entity)
+            if msgs not in (None, count):
+                raise ConfigurationError(f"entities.profiles[{i}].messages_per_bearer: "
+                                         f"expected {count} at {p.entity}, got {msgs}")
+        profiles = {p.entity: p for _, p in rows}
     try:
         profiles = scaled_profiles(profiles, capacity_scale)
     except ConfigurationError as exc:
         raise ConfigurationError(f"entities.capacity_scale: {exc}") from exc
 
     topo = _block(doc, "topology")
-    n_enb = _take(topo, "n_enb", "topology", convert=_int_strict)
+    n_enb = _take(topo, "n_enb", "topology", default=n_groups, convert=_int_strict)
     n_sgw = _take(topo, "n_sgw", "topology", default=1, convert=_int_strict)
     link_latency_s = _take(topo, "link_latency_s", "topology", default=0.0, convert=_finite)
     encryption_ops = _take(topo, "encryption_ops", "topology", default=0.0, convert=_finite)
     _reject_unknown(topo, "topology")
-    if n_enb is not None and n_enb < 1:
+    if n_enb < 1:
         raise ConfigurationError("topology.n_enb: must be >= 1")
     if n_sgw < 1:
         raise ConfigurationError("topology.n_sgw: must be >= 1")
@@ -324,7 +331,8 @@ def scenario_to_dict(scenario):
     """Plain-dict form of a resolved scenario (manifest serialization).
 
     The profiles are the resolved rows, which already carry capacity_scale
-    and encryption_ops, so reading the dict back gives an equal scenario.
+    and encryption_ops, and n_enb is the resolved count, so reading the
+    dict back gives an equal scenario.
     """
     return {
         "traffic": {**asdict(scenario.params), "q_total": scenario.q_total,
@@ -332,7 +340,6 @@ def scenario_to_dict(scenario):
                     "offsets_s": list(scenario.offsets_s) if scenario.offsets_s else None,
                     "horizon_s": scenario.horizon_s},
         "entities": {"profiles": [asdict(p) for p in scenario.profiles.values()]},
-        "topology": {"n_enb": scenario.n_enb, "n_sgw": scenario.n_sgw,
-                     "link_latency_s": 0.0, "encryption_ops": 0.0},
+        "topology": {"n_enb": scenario.n_enb, "n_sgw": scenario.n_sgw},
         "scaling": {**asdict(scenario.policy), "multipliers": list(scenario.policy.multipliers)},
     }

@@ -38,16 +38,14 @@ class EntityProfile:
     """Per-bearer work and capacity of one EPC entity.
 
     ops_per_bearer and capacity share units (messages or CPU operations);
-    their ratio is the entity's per-bearer delay in seconds.
-    messages_per_bearer is how many messages share that work in the
-    simulator's default template; a scenario file may only give the stock
-    count (``simulator.message_count``).
+    their ratio is the entity's per-bearer delay in seconds.  How the
+    simulator's default template splits that work over messages is its
+    own plan (``simulator.message_count``), not part of the profile.
     """
 
     entity: str
     ops_per_bearer: float
     capacity: float
-    messages_per_bearer: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.ops_per_bearer < math.inf:
@@ -56,9 +54,6 @@ class EntityProfile:
         if not 0.0 < self.capacity < math.inf:
             raise ConfigurationError(
                 f"{self.entity}: capacity must be positive and finite")
-        if self.messages_per_bearer < 1:
-            raise ConfigurationError(
-                f"{self.entity}: messages_per_bearer must be >= 1")
 
     @property
     def per_bearer_delay(self) -> float:

@@ -156,14 +156,10 @@ class ProcedureTemplate:
                 )
 
 
-def message_count(entity, declared=None):
-    """Messages per bearer at ``entity``, its hops in the default plan: the
-    only split the default template makes, so any other ``declared`` is refused."""
-    count = _DEFAULT_HOP_PLAN.count(entity)
-    if declared is not None and declared != count:
-        raise ConfigurationError(
-            f"messages_per_bearer: expected {count} at {entity}, got {declared}")
-    return count
+def message_count(entity):
+    """Messages per bearer at ``entity``: its hops in the default plan, the
+    one split of its work that the default template makes."""
+    return _DEFAULT_HOP_PLAN.count(entity)
 
 
 def default_bearer_template(profiles):
@@ -173,16 +169,12 @@ def default_bearer_template(profiles):
     authentication, session establishment across SGW and PGW, data
     forwarding, release), with the radio-connection release toward the
     device as the final, marked hop.  Each entity's per-bearer operations
-    are split equally over its hops, so per-entity totals match the
-    profiles by construction.  Every profile must declare its entity's
-    ``message_count``.
+    are split equally over its ``message_count`` hops, so per-entity totals
+    match the profiles by construction.
     """
-    hops = []
-    for entity in _DEFAULT_HOP_PLAN:
-        prof = profiles[entity]
-        count = message_count(entity, prof.messages_per_bearer)
-        hops.append(MessageHop(entity, prof.ops_per_bearer / count))
-    return ProcedureTemplate(tuple(hops), marked_index=len(hops) - 1)
+    hops = tuple(MessageHop(entity, profiles[entity].ops_per_bearer / message_count(entity))
+                 for entity in _DEFAULT_HOP_PLAN)
+    return ProcedureTemplate(hops, marked_index=len(hops) - 1)
 
 
 def _quantile_linear(values, p):

@@ -170,14 +170,13 @@ def poisson_arrivals(rate, start_s, end_s, rng):
     return np.concatenate(times)
 
 
-def beta_pmf(n, params):
+def beta_pmf(n, n_slots):
     """Per-slot alarm probability 60*(n*d/T)^2 * (1-n*d/T)^3 * (d/T).
 
-    `params` is a TrafficParams or a bare slot count N (d/T = 1/N either
-    way).  The grid values sum to ~1 over one period, so each source
-    visits Alarm about once every T seconds.
+    ``n_slots`` is the slot count N of one period, so d/T = 1/N.  The grid
+    values sum to ~1 over one period, so each source visits Alarm about
+    once every T seconds.
     """
-    n_slots = params.n_slots if isinstance(params, TrafficParams) else int(params)
     n_arr = np.asarray(n)
     if np.any(n_arr < 0) or np.any(n_arr > n_slots):
         raise ValueError(f"slot index out of [0, {n_slots}]")

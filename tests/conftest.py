@@ -1,7 +1,9 @@
 """Shared fixtures: the stock entity profiles and seeded arrival helpers.
 
 scripts/ goes on the import path, so that tests can take the criticality
-march, the oracle of the g table, from scripts/gen_g_table.py.
+march, the oracle of the g table, from scripts/gen_g_table.py, and so does
+the repository root, so that they can read the benchmark's scenarios from
+perfbench/workloads.py.
 """
 
 import dataclasses
@@ -15,7 +17,8 @@ from hypothesis import settings
 from miotcore.config import DEFAULT_ENTITY_PROFILES
 from miotcore.traffic import EventStream, SourcePopulation
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "scripts"), str(ROOT)]
 
 # Property tests replay the same examples on every run and carry no time
 # limit per example, so a slow or busy host cannot make them flake.

@@ -28,7 +28,7 @@ SMALL = TrafficParams(period_s=10.0, slot_delta_s=0.05)  # 200 slots
 
 
 def _hazard(params):
-    return beta_pmf(np.arange(1, params.n_slots + 1), params)
+    return beta_pmf(np.arange(1, params.n_slots + 1), params.n_slots)
 
 
 def _brute_single_cdf(m_values, k, offset, params, forced_regular=False):

@@ -20,7 +20,7 @@ from miotcore.errors import ConfigurationError
 
 # an MME ten times slower than stock (D = 9 ms) so the interesting decision
 # thresholds sit at cheap-to-solve loads
-PROFILES = {**DEFAULT_ENTITY_PROFILES, "MME": EntityProfile("MME", 9.0, 1000.0, 9)}
+PROFILES = {**DEFAULT_ENTITY_PROFILES, "MME": EntityProfile("MME", 9.0, 1000.0)}
 D = 9.0e-3
 POLICY = ScalingPolicy()  # target 0.1 s at p99, steps 1.0 / 2.0 / 2.5
 

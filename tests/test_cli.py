@@ -19,6 +19,7 @@ from hypothesis import example, given, strategies as st
 
 from miotcore.cli import OUT_DIR_ENV, main
 from miotcore.config import DEFAULT_ENTITY_PROFILES, load_scenario
+from miotcore.simulator import message_count
 from miotcore.trace import make_diurnal_trace
 from miotcore.traffic import EventStream
 
@@ -145,12 +146,14 @@ def test_simulate_parallel_replications_match_serial(tmp_path, cfg):
 
 
 class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records its size, starts no process."""
+    """Stands in for ProcessPoolExecutor: records its size, starts no process,
+    and runs the workers' initializer in this one."""
 
     sizes = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer):
         self.sizes.append(max_workers)
+        initializer()
 
     def __enter__(self):
         return self
@@ -468,9 +471,33 @@ def test_every_command_refuses_an_overloaded_enb(tmp_path, capsys):
     # two eNBs at 0.63 each run, past the MME's 0.57
     config.write_text(yaml.safe_dump({"traffic": ONE_GROUP_TRAFFIC, "topology": {"n_enb": 2}}))
     for label, argv in labels.items():
-        with pytest.warns(UserWarning, match="MME is not the bottleneck: eNB"):
-            code = run(argv + ["--config", str(config), "--out", str(tmp_path / label)])
+        code = run(argv + ["--config", str(config), "--out", str(tmp_path / label)])
         assert code == 0, label
+        assert capsys.readouterr().err.startswith("warning: MME is not the bottleneck: eNB"), label
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict"], ["simulate", "--single-job"], ["simulate"],
+    ["simulate", "--jobs", "2", "--replications", "2"],
+], ids=["predict", "simulate-single-job", "simulate", "simulate-jobs-2"])
+def test_a_command_warns_in_one_line(tmp_path, argv):
+    # one group behind its one eNB loads that eNB past the MME, at 0.025
+    # against 0.011: each command prints the warning as one line, with no
+    # source path or source line, from the pool's workers too
+    config = tmp_path / "one-enb.yaml"
+    config.write_text(yaml.safe_dump({"traffic": {"period_s": 10.0, "q_total": 200,
+                                                  "n_groups": 1, "horizon_s": 20.0}}))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "miotcore.cli", *argv, "--config", str(config),
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stderr.splitlines()
+    assert lines, argv
+    for line in lines:
+        assert line.startswith("warning: MME is not the bottleneck: eNB has the largest "
+                               "per-instance load, "), line
 
 
 def test_every_command_refuses_a_message_count_other_than_the_stock_one(tmp_path, capsys):
@@ -505,14 +532,30 @@ def test_every_command_refuses_a_link_latency_other_than_0(tmp_path, capsys, lat
         assert ("topology.link_latency_s" in err) == (expected == 2), argv
 
 
+def test_every_command_refuses_an_offset_outside_the_period(tmp_path, capsys):
+    # predict used to run on these offsets, and the other commands refused
+    # them only when drawing the stream, without naming the key
+    config = tmp_path / "scenario.yaml"
+    config.write_text(yaml.safe_dump({"traffic": {
+        "period_s": 10.0, "q_total": 10_000, "n_groups": 2, "horizon_s": 20.0,
+        "offsets_s": [15.0, -1.0]}}))
+    trace = _trace_file(tmp_path)
+    for argv in (["generate"], ["validate-arrivals"], ["simulate"], ["simulate", "--single-job"],
+                 ["predict"], ["scale", "--trace", trace, "--window-length", "100"]):
+        assert run(argv + ["--config", str(config), "--out", str(tmp_path / "out")]) == 2, argv
+        assert capsys.readouterr().err == (
+            "configuration error: traffic.offsets_s: each offset must lie in "
+            "[0, period_s=10.0), got 15.0\n"), argv
+    assert not (tmp_path / "out").exists()
+
+
 def test_omitted_message_counts_are_the_stock_ones(tmp_path, monkeypatch):
     # six rows without messages_per_bearer run the default template, with
     # the bytes of the same rows that write the counts out
     monkeypatch.chdir(tmp_path)
     omitted = [{"entity": p.entity, "ops_per_bearer": p.ops_per_bearer, "capacity": p.capacity}
                for p in DEFAULT_ENTITY_PROFILES.values()]
-    written = [{**row, "messages_per_bearer": DEFAULT_ENTITY_PROFILES[row["entity"]]
-                .messages_per_bearer} for row in omitted]
+    written = [{**row, "messages_per_bearer": message_count(row["entity"])} for row in omitted]
     digests = []
     for label, rows in (("written", written), ("omitted", omitted)):
         Path(f"{label}.yaml").write_text(yaml.safe_dump(
@@ -592,7 +635,7 @@ def test_every_command_refuses_a_profile_list_that_is_not_the_six_entities(
     stock = DEFAULT_ENTITY_PROFILES
     doc = {**SMALL_SCENARIO, "entities": {"profiles": [
         {"entity": name, "ops_per_bearer": 1.0, "capacity": 1e4,
-         "messages_per_bearer": stock[name].messages_per_bearer if name in stock else 1}
+         "messages_per_bearer": message_count(name) if name in stock else 1}
         for name in names]}}
     config = tmp_path / "scenario.yaml"
     config.write_text(yaml.safe_dump(doc))
@@ -653,11 +696,14 @@ def _golden_digests(name):
 # by entity name; every artifact, manifests included, must keep its bytes.
 # encrypted-mme was frozen when encryption_ops became MME work that every
 # command reads: its manifests record the MME row at 12 operations per
-# bearer and encryption_ops 0.0
+# bearer.  The manifests alone were re-frozen when they began to record the
+# resolved scenario only: profile rows of entity, ops_per_bearer and
+# capacity, and a topology of n_enb, resolved to one eNB per group here, and
+# n_sgw
 GOLDEN_DIGESTS = {
     "encrypted-mme": {
         "generate/generate_manifest.json":
-            "68014308b0c7b4eb6f661c75f239cc0c3912047b16c17d79ce1f925046e30dcb",
+            "c6bb87c953ec237be5883518cd49c1dc49c0a4d2e8659ad5449118d40de6d203",
         "generate/stream.bin":
             "9d2a0b55b641360a7fc324210caba35ffec9eef18c5188c6411cc26da63b4f33",
         "generate/stream.csv":
@@ -665,23 +711,23 @@ GOLDEN_DIGESTS = {
         "predict/model.txt":
             "8938c3b23245bd4fde9100f89766953d213c2d4900e3b43020b2d549946aea62",
         "predict/predict_manifest.json":
-            "d197d6314f4b05676b43eeb788966a2194ab51ad4bd0f82b80e6a6b38ac704cd",
+            "bd8ef9b741eb0aa0ad3e17a6732a192bfeb0f80f393089d376916f29196401be",
         "predict/survival.csv":
             "0bb5152960263f491dd8d58ed19ffc0567dc04dc7700ca90dca89e4a64e56c6f",
         "scale/decisions.csv":
             "2103a5bbf4b6c954d54be7daa734b170366bf6b1d0ef0ac9e5b0bb72e9686e8c",
         "scale/scale_manifest.json":
-            "b16fc11920ac24eb99c7aa46dfd38e48b6e728d06d7623142535a9eb5a1ae70e",
+            "ae3c1d2ab38a515daadeb1790a153f865831dc9803af689d82abf74d07c99564",
         "scale/trace_windows.csv":
             "cf271c472e8869e184219e15ea201702c5123762b02a13882d8d46fdd29a1d6d",
         "simulate-single-job/delays.csv":
             "10036d305c1394c8f3f5c21fbe27371bd45cb232d77ce62c485173ff5b9d6701",
         "simulate-single-job/simulate_manifest.json":
-            "5a2f7ba43c284ba6d6f2e5522c694d50f06d48e3e9905fb6f1a66551d56e7341",
+            "09f49ac02666f94cb00b3b13c570760c143b52291647c1046f5651283e1f992e",
         "simulate/delays.csv":
             "c72b5b5e13ba7fb0eb54269a3a1c20f9e0cc05591618695c976165530cabc8f0",
         "simulate/simulate_manifest.json":
-            "579ede565d607784fbcb54f1b78ed6e9d5e5707eb9f88c66beed04fa300af753",
+            "336a2ac5b55395c3aac29543d62426a1c64caa0f79366f815018b555aea4973f",
         "simulate/utilization.txt":
             "1fe4839057948d773043e52e97006951f74fead23ab84d1f8b2b3bc35c5caf48",
         "validate-arrivals/arrival_cdf.csv":
@@ -689,11 +735,11 @@ GOLDEN_DIGESTS = {
         "validate-arrivals/ks_report.txt":
             "b029ad77d89b60b1974fcf86ea4179006ffd95c18686f0c5ff4a0e89ee234e40",
         "validate-arrivals/validate-arrivals_manifest.json":
-            "928c0f7f1f7a721a54b3e4d74379cfd877d3523fcca38dd3f7c8f7ad33ce9ba1",
+            "92149fe9f6164d060e8fa2b198da53a4c713db8835c67d3ff811d0cf5435ff7f",
     },
     "reversed-mme-scope": {
         "generate/generate_manifest.json":
-            "c09880291bc4178321c9a88dc21ae4cec65ae5cf99fc14b672cacf91b84ec54e",
+            "b2ce782e535ca972fa2e770343deb6747d1899aa502def8a196ddbcab693999d",
         "generate/stream.bin":
             "9d2a0b55b641360a7fc324210caba35ffec9eef18c5188c6411cc26da63b4f33",
         "generate/stream.csv":
@@ -701,23 +747,23 @@ GOLDEN_DIGESTS = {
         "predict/model.txt":
             "7a3d4713a398a9cf790b84ea1e8674d199861f3936ef47b326c285511b9f2b95",
         "predict/predict_manifest.json":
-            "ba1b9473447dc5b2acbae209dfb424df10e5ce685b678ed49e9b6951404a52b9",
+            "5efe0f3145ffb926101dbc54e6a5fea16d87fbacc2a74b54549c3d2a250c9e84",
         "predict/survival.csv":
             "72744aba8e8455bcdd3c39ca5c0e439697b57968c931fb818ffdb9138f542399",
         "scale/decisions.csv":
             "84027c9e07558ffb0c3e7598a133cbddecf9fe33544ed1d2296e97078e8b1efe",
         "scale/scale_manifest.json":
-            "51595e86604a0f0d62c02d0aa34341cd16bb2674965b8e28255f21ee499cb10e",
+            "1018050d288dfa9e01aeec084295fc8f59b52e71f9966a16c3827f777a12d461",
         "scale/trace_windows.csv":
             "cf271c472e8869e184219e15ea201702c5123762b02a13882d8d46fdd29a1d6d",
         "simulate-single-job/delays.csv":
             "33e363b864c143f90830e5c92e009c35700c010f563f1356dbffffa21882a803",
         "simulate-single-job/simulate_manifest.json":
-            "b9b24308eb09c77ab5f8d6ca8aad7cbf08955e1c93dd3e90f4f3b67f753a80b7",
+            "cf806b74f6b79a087043a96b04b768db72cf6a97f48035a979d9e5006592c64e",
         "simulate/delays.csv":
             "861852651e2640bc1936d233d725663ef5450e2d1b80e438c3992e5ffe3829e7",
         "simulate/simulate_manifest.json":
-            "44e5a44f7513e54c5d27cbd8c41c2ae7302f6fccc616664ee2cbd26f74448af3",
+            "29c64bc31d84b8a5577ef571d98180f461b7aacbb53ad36abe84a7ca43ce633c",
         "simulate/utilization.txt":
             "f29c8450c82035ad19b93bc44bdd34ebf92a58bc743baf0d86ac2eba64ca3957",
         "validate-arrivals/arrival_cdf.csv":
@@ -725,11 +771,11 @@ GOLDEN_DIGESTS = {
         "validate-arrivals/ks_report.txt":
             "b029ad77d89b60b1974fcf86ea4179006ffd95c18686f0c5ff4a0e89ee234e40",
         "validate-arrivals/validate-arrivals_manifest.json":
-            "e2765c3a5821d7b3422e9385c661e4ff645d614c457df9db9070f1bdbb189828",
+            "9b6598067f432bfb578797c065a004a5011ff837cd0032255b6acbdc22aab781",
     },
     "stock-order": {
         "generate/generate_manifest.json":
-            "d06fa23b6c10e11227afda5e7eb50209f5802f64030b3d617c80eb7cd0f308d2",
+            "466f3974de0b0b8e636924e3fab099a6e84eb143c2f611fc1381aaf2800a312c",
         "generate/stream.bin":
             "9d2a0b55b641360a7fc324210caba35ffec9eef18c5188c6411cc26da63b4f33",
         "generate/stream.csv":
@@ -737,23 +783,23 @@ GOLDEN_DIGESTS = {
         "predict/model.txt":
             "618d5ca5472028a0e620d69d413dc6b2ecca746a25e02a4a0d1301d2ae2e504a",
         "predict/predict_manifest.json":
-            "7251a5e6a1536e261199f559e0491485208844a9c3341e7f27a9aaca2bd358b7",
+            "35b4197997897e699611ecf051ea9e5783914dab511c814da681803529106771",
         "predict/survival.csv":
             "0f229ed8fb8576f149e25dec8801179bad08caae94c53a85e5186ba8246a2033",
         "scale/decisions.csv":
             "06bd4d6b8f77a01bcf4d138b030077a0e3a57e1ab6625a0fecaeccbd56c31179",
         "scale/scale_manifest.json":
-            "fd221e62a0e44475bad612c625ae766ad2f9025379cdb7f97fccf6603ef1fb96",
+            "55e0da7c99438163db8790bfcf5ac7ff0c79ba34afd2a4a30fc6fcc6d508155b",
         "scale/trace_windows.csv":
             "cf271c472e8869e184219e15ea201702c5123762b02a13882d8d46fdd29a1d6d",
         "simulate-single-job/delays.csv":
             "a6d1b331814bff4c2cd51f598efe35781eef00160c7e5ff0f2405195d9835c2c",
         "simulate-single-job/simulate_manifest.json":
-            "2cbb873ba4aa742f4cdddda60ad70dcc8f8ebc0ad3a3d08bfb3593f366d93b1e",
+            "ec0501fb983e4a7abb7fad1e0665f396dbae3a457c83a2a7bbe92290126523c5",
         "simulate/delays.csv":
             "c9a71f687fc90dcb27a4b2cdfcc441b6429128ab69eab049a69f008c9a81f9b1",
         "simulate/simulate_manifest.json":
-            "ab8be03df9ff9573b1d7d6b0da447189e1fc335354c09ab77261eca51f077552",
+            "31b65fed99e3fd80a9ed6d8e6ff643dc82f30a4308eb6ec64beeed05362c9a29",
         "simulate/utilization.txt":
             "635b4bb1cf9128c7a82efbd31c901088e4dd0f0894c1a73d52339b13175ddb46",
         "validate-arrivals/arrival_cdf.csv":
@@ -761,7 +807,7 @@ GOLDEN_DIGESTS = {
         "validate-arrivals/ks_report.txt":
             "b029ad77d89b60b1974fcf86ea4179006ffd95c18686f0c5ff4a0e89ee234e40",
         "validate-arrivals/validate-arrivals_manifest.json":
-            "c8fd93041a751c2902e4ecb8537883043b77d59c3633a5d158428fbdfaabc050",
+            "200c84e803758b2685adaae5ac1f2d27b1891d8f4d4549f2fdb092013975e521",
     },
 }
 
@@ -819,7 +865,7 @@ def _scenario(draw):
     profiles = [
         {"entity": p.entity, "ops_per_bearer": draw(_mostly(st.floats(0.1, 10.0))),
          "capacity": draw(_mostly(st.floats(10.0, 2e4))),
-         "messages_per_bearer": p.messages_per_bearer}
+         "messages_per_bearer": message_count(p.entity)}
         for p in DEFAULT_ENTITY_PROFILES.values() if draw(st.integers(0, 23))]
     blocks = {
         "entities": dict(capacity_scale=st.sampled_from([1e-4, 1e-2, 0.5, 1.0, 3.0]),

@@ -18,8 +18,9 @@ from miotcore.config import (
 )
 from miotcore.delay import EntityProfile
 from miotcore.errors import ConfigurationError
-from miotcore.simulator import default_bearer_template
+from miotcore.simulator import default_bearer_template, message_count
 from miotcore.traffic import SourcePopulation, TrafficParams
+from perfbench.workloads import STOCK_WALK
 
 MINIMAL = {"traffic": {"period_s": 10.0, "q_total": 1000}}
 
@@ -32,7 +33,7 @@ FULL = {
     "entities": {"capacity_scale": 1.0,
                  "profiles": [{"entity": p.entity, "ops_per_bearer": p.ops_per_bearer,
                                "capacity": p.capacity,
-                               "messages_per_bearer": p.messages_per_bearer}
+                               "messages_per_bearer": message_count(p.entity)}
                               for p in DEFAULT_ENTITY_PROFILES.values()]},
     "topology": {"n_enb": 2, "n_sgw": 1, "link_latency_s": 0.0,
                  "encryption_ops": 1.0},
@@ -70,8 +71,7 @@ def test_minimal_document_fills_defaults():
     assert sc.offsets_s is None
     assert sc.horizon_s == 1000.0
     assert sc.profiles == DEFAULT_ENTITY_PROFILES
-    assert sc.n_enb is None
-    assert sc.effective_n_enb == DEFAULT_N_GROUPS
+    assert sc.n_enb == DEFAULT_N_GROUPS  # one eNB per group
     assert sc.n_sgw == 1
     assert sc.policy.target_delay_s == 0.1
     assert sc.policy.multipliers == (1.0, 2.0, 2.5)
@@ -195,8 +195,6 @@ def test_capacity_scale_and_custom_profiles():
     assert list(sc.profiles) == ["MME", "UE", "eNB", "HSS", "SGW", "PGW"]  # file order
     assert sc.profiles["MME"].capacity == 10_000.0  # 5000 * 2
     # an omitted count is the stock one, which the default template takes
-    assert sc.profiles["UE"].messages_per_bearer == 3
-    assert sc.profiles["eNB"].messages_per_bearer == 2
     default_bearer_template(sc.profiles)
     with pytest.raises(ConfigurationError, match=r"entities.profiles\[0\]"):
         scenario_from_dict({
@@ -227,15 +225,15 @@ def test_topology_and_scaling_blocks():
                     "scope": "mme"},
     }
     sc = scenario_from_dict(doc)
-    assert sc.n_enb == 4 and sc.effective_n_enb == 4
+    assert sc.n_enb == 4
     assert sc.n_sgw == 2
     # the extra MME work is in the MME's profile, which every command reads
     assert sc.profiles["MME"].ops_per_bearer == 11.0
     assert {name: p for name, p in sc.profiles.items() if name != "MME"} == {
         name: p for name, p in DEFAULT_ENTITY_PROFILES.items() if name != "MME"}
-    assert scenario_to_dict(sc)["topology"]["encryption_ops"] == 0.0
-    # no command models link delay, so only 0 is accepted, and written
-    assert scenario_to_dict(sc)["topology"]["link_latency_s"] == 0.0
+    # the MME's row holds the encryption work; link latency is only ever 0
+    assert scenario_to_dict(sc)["topology"] == {"n_enb": 4, "n_sgw": 2}
+    # no command models link delay, so only 0 is accepted
     with pytest.raises(ConfigurationError,
                        match=r"^topology\.link_latency_s: expected 0, got 0\.001$"):
         scenario_from_dict({"traffic": MINIMAL["traffic"],
@@ -289,19 +287,46 @@ def test_scenario_dict_round_trip():
         "scaling": {"target_delay_s": 0.2},
     }
     sc = scenario_from_dict(doc)
-    again = scenario_from_dict(scenario_to_dict(sc))
-    assert again == sc
-    # the manifest writes the resolved rows: the scaled capacities and the
-    # MME's ops with the encryption work, beside encryption_ops 0.0
+    written = scenario_to_dict(sc)
+    assert scenario_from_dict(written) == sc
+    # the manifest writes resolved values only: the eNB count one per group,
+    # and each profile as its three fields
+    assert written["topology"] == {"n_enb": 10, "n_sgw": 3}
+    assert type(written["topology"]["n_enb"]) is int
+    assert [sorted(row) for row in written["entities"]["profiles"]] == \
+        [["capacity", "entity", "ops_per_bearer"]] * len(DEFAULT_ENTITY_PROFILES)
+    # the scaled capacities and the MME's ops with the encryption work
     doc = {"traffic": doc["traffic"], "entities": {"capacity_scale": 2.0},
            "topology": {"encryption_ops": 2.0}}
     sc = scenario_from_dict(doc)
-    assert sc.profiles["MME"] == EntityProfile("MME", 11.0, 20_000.0, 9)
+    assert sc.profiles["MME"] == EntityProfile("MME", 11.0, 20_000.0)
     written = scenario_to_dict(sc)
-    assert written["topology"]["encryption_ops"] == 0.0
+    assert written["topology"] == {"n_enb": 10, "n_sgw": 1}
     assert scenario_from_dict(written) == sc
     assert scenario_from_dict(scenario_to_dict(scenario_from_dict(FULL))) == \
         scenario_from_dict(FULL)
+
+
+def test_the_benchmark_scenario_reads_back_from_its_manifest():
+    # the benchmark's scenario gives every key a manifest no longer writes: a
+    # message count in each profile row, link_latency_s and encryption_ops
+    doc = STOCK_WALK.scenario()
+    assert all("messages_per_bearer" in row for row in doc["entities"]["profiles"])
+    assert {"link_latency_s", "encryption_ops"} <= set(doc["topology"])
+    sc = scenario_from_dict(doc)
+    assert scenario_from_dict(scenario_to_dict(sc)) == sc
+
+
+@pytest.mark.parametrize("offsets, named", [
+    ([15.0, -1.0], 15.0), ([1.0, -1.0], -1.0), ([1.0, 10.0], 10.0)])
+def test_offsets_outside_the_period_are_refused_at_load(offsets, named):
+    # traffic.slot_phases takes offsets in [0, period_s) only, so config
+    # refuses any other, for every command, under the key's name
+    doc = {"traffic": {"period_s": 10.0, "q_total": 4, "n_groups": 2, "offsets_s": offsets}}
+    with pytest.raises(ConfigurationError, match="^" + re.escape(
+            f"traffic.offsets_s: each offset must lie in [0, period_s=10.0), got {named!r}")
+            + "$"):
+        scenario_from_dict(doc)
 
 
 def test_load_scenario_yaml(tmp_path):

@@ -81,14 +81,12 @@ RHO_STAR = 2.0 - math.sqrt(2.0)
 
 
 def test_entity_profile_validation():
-    good = EntityProfile("MME", 9.0, 10_000.0, 9)
+    good = EntityProfile("MME", 9.0, 10_000.0)
     assert good.per_bearer_delay == pytest.approx(9.0e-4, rel=1e-15)
     with pytest.raises(ConfigurationError):
         EntityProfile("MME", 0.0, 10_000.0)
     with pytest.raises(ConfigurationError):
         EntityProfile("MME", 9.0, 0.0)
-    with pytest.raises(ConfigurationError):
-        EntityProfile("MME", 9.0, 10_000.0, 0)
 
 
 def test_constant_delay_default_profiles(profiles):

@@ -1,6 +1,5 @@
 """Event-driven PS simulator: exact schedules, invariants, procedure walks."""
 
-import dataclasses
 import hashlib
 import tracemalloc
 from types import SimpleNamespace
@@ -48,11 +47,11 @@ def test_template_validate_against_profiles():
     hops = (MessageHop("MME", 4.0), MessageHop("MME", 5.0),
             MessageHop("UE", 3.0))
     template = ProcedureTemplate(hops=hops)
-    profiles = by_name(EntityProfile("MME", 9.0, 10_000.0, 2),
-                       EntityProfile("UE", 3.0, 1000.0, 1))
+    profiles = by_name(EntityProfile("MME", 9.0, 10_000.0),
+                       EntityProfile("UE", 3.0, 1000.0))
     template.validate_against(profiles)
-    short = by_name(EntityProfile("MME", 8.0, 10_000.0, 2),
-                    EntityProfile("UE", 3.0, 1000.0, 1))
+    short = by_name(EntityProfile("MME", 8.0, 10_000.0),
+                    EntityProfile("UE", 3.0, 1000.0))
     with pytest.raises(ConfigurationError):
         template.validate_against(short)
     with pytest.raises(ConfigurationError):
@@ -75,11 +74,22 @@ def test_default_bearer_template_shape():
     assert template.marked_index == template.n_hops - 1
     assert template.hops[template.marked_index].entity == "UE"
     template.validate_against(DEFAULT_ENTITY_PROFILES)
-    # the template takes its split from the one rule config applies too
-    ue = dataclasses.replace(DEFAULT_ENTITY_PROFILES["UE"], messages_per_bearer=2)
-    with pytest.raises(ConfigurationError,
-                       match=r"^messages_per_bearer: expected 3 at UE, got 2$"):
-        default_bearer_template({**DEFAULT_ENTITY_PROFILES, "UE": ue})
+
+
+def test_stock_profiles_built_by_hand_walk_the_default_template():
+    # a profile is work and capacity alone: the template takes each entity's
+    # message count from its own plan, so these six walk as the stock ones
+    profiles = by_name(
+        EntityProfile("UE", 3.0, 1000.0), EntityProfile("eNB", 2.0, 1000.0),
+        EntityProfile("MME", 9.0, 10000.0), EntityProfile("HSS", 1.0, 10000.0),
+        EntityProfile("SGW", 3.0, 10000.0), EntityProfile("PGW", 1.0, 10000.0))
+    template = default_bearer_template(profiles)
+    assert template == default_bearer_template(DEFAULT_ENTITY_PROFILES)
+    samples, _ = run_bearer_simulation(poisson_stream(50.0, 200, seed=1), template,
+                                       profiles, n_enb=10)
+    assert len(samples) == 200
+    # no request is faster than its work alone, K + D = 6.4 ms
+    assert samples.delays_s.min() >= K_CONST + D_MME - 1e-12
 
 
 def _walk(arrivals, hops, capacity, marked_index=None):
@@ -267,7 +277,7 @@ def test_busy_run_invariants():
 def test_one_hop_walk_matches_equal_work_oracle(rho, n_jobs, seed):
     # a one-hop MME template turns the walk into a single M/D/1-PS queue,
     # whose sojourns the equal-work pass computes independently
-    mme = EntityProfile("MME", 9.0, 10_000.0, 1)
+    mme = EntityProfile("MME", 9.0, 10_000.0)
     template = ProcedureTemplate(hops=(MessageHop("MME", 9.0),))
     rate = rho / D_MME
     stream = poisson_stream(rate, n_jobs, seed)

@@ -80,7 +80,7 @@ def test_beta_pmf_is_the_beta_3_4_density_times_the_slot_fraction():
     params = TrafficParams(period_s=10.0, slot_delta_s=1e-3)
     n = np.array([1, 370, 4000, 9999])
     want = stats.beta(3, 4).pdf(n / params.n_slots) / params.n_slots
-    assert np.allclose(beta_pmf(n, params), want, rtol=1e-12, atol=0.0)
+    assert np.allclose(beta_pmf(n, params.n_slots), want, rtol=1e-12, atol=0.0)
     assert beta_pmf(370, 1000) == pytest.approx(stats.beta(3, 4).pdf(0.37) / 1000, rel=1e-12)
 
 
@@ -96,7 +96,7 @@ def test_slot_phases_truncate_and_refuse_offsets_outside_the_period():
 
 def _one_shot_prefix(params):
     """The cumulative hazard P[0..N] as one cumsum over the whole grid."""
-    h = -np.log1p(-beta_pmf(np.arange(1, params.n_slots + 1), params))
+    h = -np.log1p(-beta_pmf(np.arange(1, params.n_slots + 1), params.n_slots))
     return np.concatenate(([0.0], np.cumsum(h)))
 
 
@@ -112,7 +112,7 @@ def test_cumulative_hazard_wraps_the_period_and_is_the_prefix_within_it():
     y = np.arange(params.n_slots)
     # within one period H is the prefix itself, bit for bit
     assert cumulative_hazard(y, table).tobytes() == prefix[:-1].tobytes()
-    h = -np.log1p(-beta_pmf(np.arange(1, params.n_slots + 1), params))
+    h = -np.log1p(-beta_pmf(np.arange(1, params.n_slots + 1), params.n_slots))
     direct = np.cumsum(np.tile(h, 3))  # hazard of slots 1..y over 3 periods
     for a, b in ((0, 7), (150, 260), (199, 401), (37, 600)):
         assert cumulative_hazard(b, table) - cumulative_hazard(a, table) == \
