@@ -56,8 +56,10 @@ def _out_dir(args):
 
 def _one_line_warnings():
     """Show every warning as one ``warning: <message>`` line on stderr,
-    without the source path and line that Python's default form adds."""
-    warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+    without the source path and line that Python's default form adds.  The
+    line goes out in one write, so pool workers sharing an unbuffered
+    stderr cannot split it."""
+    warnings.showwarning = lambda message, *_: sys.stderr.write(f"warning: {message}\n")
 
 
 def _require_config(args):

@@ -7,12 +7,9 @@ construction -- the server's virtual clock advances at rate C/k, and a
 job of size ``work`` entering at virtual time V finishes at virtual time
 V + work -- so completion instants carry no time-discretization error.
 
-A bearer request walks an ordered list of message hops.  Hop n+1 enters
-its entity's server the moment hop n completes, except for one optional
-"marked" hop (the radio-connection release toward the device) which is
-dispatched concurrently when its predecessor completes; the request is
-complete when both the sequential chain and the marked hop have
-finished.
+A bearer request walks an ordered list of message hops, one chain:
+hop n+1 enters its entity's server the moment hop n completes, and the
+request is complete when its last hop is.
 
 The event core merges two sources in time order: request arrivals,
 read by a pointer into the sorted stream (an arrival wins every time
@@ -36,7 +33,6 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Optional
 
 import numpy as np
 
@@ -89,18 +85,9 @@ class MessageHop:
 
 @dataclass(frozen=True)
 class ProcedureTemplate:
-    """Ordered message hops of one bearer instantiation.
-
-    ``marked_index`` names the single out-of-band hop that does not block
-    the sequential chain: it is dispatched when its predecessor in the
-    ordered list completes, runs concurrently with the remainder of the
-    chain, and only the request completion time waits for it.  It must
-    have a predecessor (``1 <= marked_index``), so every request enters
-    the walk at hop 0, on the chain.
-    """
+    """Ordered message hops of one bearer instantiation, walked in order."""
 
     hops: tuple
-    marked_index: Optional[int] = None
 
     def __post_init__(self):
         hops = tuple(self.hops)
@@ -110,13 +97,6 @@ class ProcedureTemplate:
         for hop in hops:
             if not isinstance(hop, MessageHop):
                 raise ConfigurationError("template hops must be MessageHop instances")
-        if self.marked_index is not None:
-            idx = int(self.marked_index)
-            if not 1 <= idx < len(hops):
-                raise ConfigurationError(
-                    f"marked_index {self.marked_index} out of range for {len(hops)} hops"
-                )
-            object.__setattr__(self, "marked_index", idx)
 
     @property
     def n_hops(self):
@@ -168,13 +148,13 @@ def default_bearer_template(profiles):
     The hop order follows the control-plane procedure (attach and
     authentication, session establishment across SGW and PGW, data
     forwarding, release), with the radio-connection release toward the
-    device as the final, marked hop.  Each entity's per-bearer operations
+    device as the last hop.  Each entity's per-bearer operations
     are split equally over its ``message_count`` hops, so per-entity totals
     match the profiles by construction.
     """
     hops = tuple(MessageHop(entity, profiles[entity].ops_per_bearer / message_count(entity))
                  for entity in _DEFAULT_HOP_PLAN)
-    return ProcedureTemplate(hops, marked_index=len(hops) - 1)
+    return ProcedureTemplate(hops)
 
 
 def _quantile_linear(values, p):
@@ -208,9 +188,7 @@ class DelaySampleSet:
 
     Request i is row i of the arrays ``arrivals_s``, ``completions_s`` and
     ``delays_s``.  ``breakdown`` maps entity name to a column of the time
-    each request spent being served (or queued) there; for the marked
-    out-of-band hop only the span extending beyond both the sequential
-    chain and the hop's own dispatch is attributed, so a request's
+    each request spent being served (or queued) there, so a request's
     breakdown sums to its delay.
     """
 
@@ -340,10 +318,10 @@ def run_bearer_simulation(
     """Simulate every bearer request in ``stream`` walking ``template``.
 
     Each hop is a job on its entity's PS server; hop n+1 is dispatched the
-    instant hop n completes, and the marked hop (if any) is dispatched
-    concurrently when its template predecessor completes.  Requests arriving
-    after ``horizon_s`` are ignored; everything dispatched runs to
-    completion, and utilization is busy time divided by ``horizon_s``.
+    instant hop n completes, and a request completes with its last hop.
+    Requests arriving after ``horizon_s`` are ignored; everything
+    dispatched runs to completion, and utilization is busy time divided by
+    ``horizon_s``.
 
     Fan-out: requests are routed to ``n_enb`` eNB instances and ``n_sgw``
     SGW instances by source id (by request index when the stream carries no
@@ -376,18 +354,11 @@ def run_bearer_simulation(
     arrivals = arrivals[:n_req]
 
     hops = template.hops
-    n_hops = len(hops)
-    marked = template.marked_index
+    last = len(hops) - 1
     works = [float(h.work) for h in hops]
     entity_order = template.entities()
     col_of = {name: j for j, name in enumerate(entity_order)}
     n_cols = len(entity_order)
-
-    chain = [i for i in range(n_hops) if i != marked]
-    next_hop = [-1] * n_hops
-    for pos in range(len(chain) - 1):
-        next_hop[chain[pos]] = chain[pos + 1]
-    marked_trigger = None if marked is None else marked - 1
 
     # Every request walks every hop, so the server instances are known up
     # front.  Each entity's servers take consecutive ids from ``first``, in
@@ -439,13 +410,11 @@ def run_bearer_simulation(
     s_jobs = [None] * n_srv
     s_entry = [None] * n_srv  # the server's queue entry while it is busy
 
-    # per-request scratch state, flat: the current chain hop's dispatch,
-    # the later of the chain's end and the marked hop's dispatch (all the
-    # results need of either), and the marked hop's end.  The breakdown is
-    # column-major, one n_req-long run per entity, so each column is a view.
-    seq_start = array("d", [0.0]) * n_req
-    late = array("d", [0.0]) * n_req
-    marked_end = array("d", [0.0]) * n_req
+    # per-request state, flat: the current hop's dispatch and the request's
+    # completion.  The breakdown is column-major, one n_req-long run per
+    # entity, so each column is a view.
+    hop_start = array("d", [0.0]) * n_req
+    completed = array("d", [0.0]) * n_req
     breakdown = array("d", [0.0]) * (n_cols * n_req)
     hop_at = [col_of[h.entity] * n_req for h in hops]  # a hop's column start
 
@@ -481,10 +450,7 @@ def run_bearer_simulation(
             vf = virtual + work
             s_jobs[sid] = [(vf, n, req, hop, work)]
             t_next = t + (vf - virtual) / s_cap[sid]
-        if hop != marked:
-            seq_start[req] = t
-        elif t > late[req]:
-            late[req] = t
+        hop_start[req] = t
         entry = s_entry[sid]
         if entry is None:
             s_entry[sid] = entry = [t_next, n, sid]
@@ -493,13 +459,6 @@ def run_bearer_simulation(
             entry[0] = t_next
             entry[1] = n
             heapify(events)
-
-    # what a completed chain hop dispatches: the marked hop if it is the
-    # trigger, then its successor in the chain
-    successors = [
-        ((marked,) if hop == marked_trigger else ()) + ((nxt,) if nxt >= 0 else ())
-        for hop, nxt in enumerate(next_hop)
-    ]
 
     arr = array("d", arrivals.tobytes())
     arr.append(_INF)
@@ -510,7 +469,7 @@ def run_bearer_simulation(
         if t <= entry[0]:
             if t == _INF:
                 break
-            dispatch(t, i, 0)  # hop 0 is never the marked hop
+            dispatch(t, i, 0)
             i += 1
             continue
         heappop(events)
@@ -545,14 +504,11 @@ def run_bearer_simulation(
         s_v[sid] = done[-1][0]
         for _vf, _n, req, hop, work in done:
             s_served[sid] += work
-            if hop == marked:
-                marked_end[req] = t
-                continue
-            breakdown[hop_at[hop] + req] += t - seq_start[req]
-            for nxt in successors[hop]:
-                dispatch(t, req, nxt)
-            if next_hop[hop] < 0 and t > late[req]:
-                late[req] = t
+            breakdown[hop_at[hop] + req] += t - hop_start[req]
+            if hop < last:
+                dispatch(t, req, hop + 1)
+            else:
+                completed[req] = t
         if jobs and s_entry[sid] is None:
             # jobs are left and no successor re-entered the server: queue
             # it again, after its successors, as their tickets come first
@@ -563,25 +519,16 @@ def run_bearer_simulation(
             heappush(events, entry)
 
     # Only the per-request times and the server accounting outlive the
-    # loop: the routes, job heaps, queue entries, arrival copy and chain
-    # hop starts go before the samples are built.
-    del dispatch, route, hop_route, s_jobs, s_entry, s_t, s_v, events, arr, seq_start
-    completions = np.frombuffer(late, dtype=float)
+    # loop: the routes, job heaps, queue entries, arrival copy and hop
+    # starts go before the samples are built.
+    del dispatch, route, hop_route, s_jobs, s_entry, s_t, s_v, events, arr, hop_start
     breakdown = np.frombuffer(breakdown, dtype=float).reshape(n_cols, n_req)
-    if marked is not None:
-        marked_end = np.frombuffer(marked_end, dtype=float)
-        # the marked entity gets only its span beyond both the chain and its
-        # own dispatch
-        breakdown[col_of[hops[marked].entity]] += np.maximum(0.0, marked_end - completions)
-        # a hop ends after its dispatch, so this is max(chain end, marked end)
-        np.maximum(completions, marked_end, out=completions)
-
     samples = DelaySampleSet(
         arrivals_s=arrivals,
-        completions_s=completions,
+        completions_s=np.frombuffer(completed, dtype=float),
         breakdown={name: breakdown[j] for name, j in col_of.items()},
     )
-    del breakdown, late, marked_end
+    del breakdown, completed
 
     groups = []
     for entity, first, instances in sorted(servers, key=lambda srv: srv[0]):

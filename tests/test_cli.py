@@ -10,14 +10,16 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import yaml
 from hypothesis import example, given, strategies as st
 
-from miotcore.cli import OUT_DIR_ENV, main
+from miotcore.cli import OUT_DIR_ENV, _one_line_warnings, main
 from miotcore.config import DEFAULT_ENTITY_PROFILES, load_scenario
 from miotcore.simulator import message_count
 from miotcore.trace import make_diurnal_trace
@@ -498,6 +500,19 @@ def test_a_command_warns_in_one_line(tmp_path, argv):
     for line in lines:
         assert line.startswith("warning: MME is not the bottleneck: eNB has the largest "
                                "per-instance load, "), line
+
+
+def test_a_warning_goes_to_stderr_in_one_write(monkeypatch):
+    # pool workers share one unbuffered stderr, where a line written in two
+    # calls, text then newline, can interleave with another worker's line
+    writes = []
+    monkeypatch.setattr(sys, "stderr", SimpleNamespace(write=writes.append))
+    with warnings.catch_warnings():
+        _one_line_warnings()
+        warnings.simplefilter("always")
+        warnings.warn("A")
+        warnings.warn("B")
+    assert writes == ["warning: A\n", "warning: B\n"]
 
 
 def test_every_command_refuses_a_message_count_other_than_the_stock_one(tmp_path, capsys):

@@ -34,10 +34,9 @@ def test_message_hop_and_template_validation():
         MessageHop("MME", 0.0)
     with pytest.raises(ConfigurationError):
         ProcedureTemplate(hops=())
-    hops = (MessageHop("MME", 1.0), MessageHop("UE", 2.0))
     with pytest.raises(ConfigurationError):
-        ProcedureTemplate(hops=hops, marked_index=2)
-    template = ProcedureTemplate(hops=hops, marked_index=1)
+        ProcedureTemplate(hops=("MME",))
+    template = ProcedureTemplate(hops=(MessageHop("MME", 1.0), MessageHop("UE", 2.0)))
     assert template.n_hops == 2
     assert template.entities() == ("MME", "UE")
     assert template.work_by_entity() == {"MME": 1.0, "UE": 2.0}
@@ -70,9 +69,8 @@ def test_default_bearer_template_shape():
     for prof in DEFAULT_ENTITY_PROFILES.values():
         assert template.work_by_entity()[prof.entity] == pytest.approx(
             prof.ops_per_bearer, rel=1e-12)
-    # the trailing connection-release message runs off the response path
-    assert template.marked_index == template.n_hops - 1
-    assert template.hops[template.marked_index].entity == "UE"
+    # the walk ends with the connection release toward the device
+    assert template.hops[-1].entity == "UE"
     template.validate_against(DEFAULT_ENTITY_PROFILES)
 
 
@@ -92,13 +90,13 @@ def test_stock_profiles_built_by_hand_walk_the_default_template():
     assert samples.delays_s.min() >= K_CONST + D_MME - 1e-12
 
 
-def _walk(arrivals, hops, capacity, marked_index=None):
+def _walk(arrivals, hops, capacity):
     """Walk one request per arrival time, each from its own device, through
     ``hops`` with entity capacities ``capacity``.
 
     Returns the request completion times and the MME server's stats.
     """
-    template = ProcedureTemplate(hops=hops, marked_index=marked_index)
+    template = ProcedureTemplate(hops=hops)
     profiles = {name: EntityProfile(name, work, capacity[name])
                 for name, work in template.work_by_entity().items()}
     samples, report = run_bearer_simulation(
@@ -107,12 +105,11 @@ def _walk(arrivals, hops, capacity, marked_index=None):
     return samples.completions_s.tolist(), mme
 
 
-# A request's first hop, at a UE of capacity 1e300, ends 1e-300 s after it
-# arrives, which vanishes against the MME's times.  It then dispatches the
-# marked MME hop a (work 1) and the chain's MME hop b (work 2) at the same
-# instant, so two unequal jobs enter the MME server together.
-_FORK = (MessageHop("UE", 1.0), MessageHop("MME", 1.0), MessageHop("MME", 2.0))
-_FORK_CAPACITY = {"UE": 1e300, "MME": 1.0}
+# Each request visits the MME twice, hop a (work 1) then hop b (work 2), at
+# capacity 1, so staggered requests put jobs of unequal work on the server
+# at once: one request's b beside a later request's a.
+_TWO_VISITS = (MessageHop("MME", 1.0), MessageHop("MME", 2.0))
+_MME_AT_1 = {"MME": 1.0}
 
 
 def test_ps_single_job_completes_at_work_over_capacity():
@@ -128,24 +125,32 @@ def test_ps_two_equal_jobs_share_equally():
 
 
 def test_ps_unequal_jobs_work_conserving_schedule():
-    # jobs a and b of work w and 2w at capacity C=1: the short job finishes
-    # at 2w (each got w of service), and work conservation pins the long
-    # job's finish at the total work 3w; the request ends with b, and the
-    # job-seconds are the two sojourns
-    done, mme = _walk([0.0], _FORK, _FORK_CAPACITY, marked_index=1)
-    assert done == [3.0]
-    assert (mme.busy_s, mme.job_seconds, mme.served_work) == (3.0, 2.0 + 3.0, 3.0)
+    # request 0's a runs alone until 1 s, when its b (work 2) and request
+    # 1's a (work 1) enter together, in either order of the tie.  Two-way
+    # sharing ends the short job after 2 s, at 3, with 1 unit of b left;
+    # request 1's b (work 2) then shares with it, which ends request 0 at
+    # 3 + 2 = 5, and request 1's b serves its last unit alone until 6.
+    # Work conservation pins the last finish at the total work, 6; the
+    # job-seconds are the four sojourns, 1 + 4 + 2 + 3
+    done, mme = _walk([0.0, 1.0], _TWO_VISITS, _MME_AT_1)
+    assert done == [5.0, 6.0]
+    assert (mme.busy_s, mme.job_seconds, mme.served_work) == (6.0, 1.0 + 4.0 + 2.0 + 3.0, 6.0)
 
 
 def test_ps_partial_advance_residuals_are_fair():
-    # when the second request forks c (work 1) and d (work 2) onto the MME
-    # at 1 s, a has 0.5 left and b 1.5: four-way sharing ends a at 3.0,
-    # three-way sharing c at 4.5, then b at 5.5, and d serves its last
-    # half unit alone until 6.0
-    done, mme = _walk([0.0, 1.0], _FORK, _FORK_CAPACITY, marked_index=1)
-    assert done == [5.5, 6.0]
-    assert (mme.busy_s, mme.served_work) == (6.0, 6.0)
-    assert mme.job_seconds == 3.0 + 5.5 + (4.5 - 1.0) + (6.0 - 1.0)
+    # requests 0, 1 and 2 arrive at 0, 0.5 and 1 s.  At 1 s request 0's a
+    # has had 0.5 + 0.25 of service and request 1's a 0.25, so three-way
+    # sharing of residuals 0.25, 0.75 and 1 ends 0's a at 1 + 0.75 = 1.75.
+    # Its b (work 2) joins 1's a (0.5 left) and 2's a (0.75 left): 1's a
+    # ends at 1.75 + 1.5 = 3.25, and 1's b joins 2's a (0.25 left) and 0's
+    # b (1.5 left): 2's a ends at 3.25 + 0.75 = 4.  Then 0's b (1.25 left),
+    # 1's b (1.75 left) and 2's b (2) share: 0's b ends at 4 + 3.75 = 7.75,
+    # 1's b after 0.5 more at half rate, at 8.75, and 2's b alone at 9
+    done, mme = _walk([0.0, 0.5, 1.0], _TWO_VISITS, _MME_AT_1)
+    assert done == [7.75, 8.75, 9.0]
+    assert (mme.busy_s, mme.served_work) == (9.0, 9.0)
+    # the six sojourns, a's then b's
+    assert mme.job_seconds == 1.75 + 2.75 + 3.0 + 6.0 + 5.5 + 5.0
 
 
 def test_ps_staggered_arrival_schedule():
@@ -184,30 +189,6 @@ def test_idle_request_takes_constant_plus_service_time():
     for prof in DEFAULT_ENTITY_PROFILES.values():
         assert samples.breakdown[prof.entity][0] == pytest.approx(
             prof.ops_per_bearer / prof.capacity, abs=1e-12)
-
-
-def test_marked_hop_runs_concurrently_with_response_path():
-    profiles = by_name(EntityProfile("MME", 1.0, 1.0), EntityProfile("HSS", 1.0, 1.0),
-                       EntityProfile("PGW", 5.0, 1.0))
-    hops = (MessageHop("MME", 1.0), MessageHop("HSS", 1.0), MessageHop("PGW", 5.0))
-    serial = ProcedureTemplate(hops=hops)
-    fork_after_first = ProcedureTemplate(
-        hops=(MessageHop("MME", 1.0), MessageHop("PGW", 5.0),
-              MessageHop("HSS", 1.0)),
-        marked_index=1)
-    stream = EventStream(np.array([0.0]))
-    flat, _ = run_bearer_simulation(stream, serial, profiles, horizon_s=1.0)
-    assert flat.delays_s[0] == pytest.approx(7.0, abs=1e-12)
-    # the 5 s hop is dispatched when the MME hop ends at 1 s, overlapping
-    # the 1 s HSS hop: the request is done when the slower branch is
-    forked, _ = run_bearer_simulation(
-        stream, fork_after_first, profiles, horizon_s=1.0)
-    assert forked.delays_s[0] == pytest.approx(6.0, abs=1e-12)
-    total = sum(cols[0] for cols in forked.breakdown.values())
-    assert total == pytest.approx(6.0, abs=1e-12)
-    # a marked hop needs a predecessor to dispatch it
-    with pytest.raises(ConfigurationError):
-        ProcedureTemplate(hops=fork_after_first.hops, marked_index=0)
 
 
 def test_encryption_ops_adds_mme_work():

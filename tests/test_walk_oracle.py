@@ -9,8 +9,8 @@ Three independent views of ``run_bearer_simulation`` on the default
 * a reference walker written from the processor-sharing definition alone
   (no heap, no idle fast path, no pending-entry map), which must agree
   with the walk bit for bit on contended eNB, SGW and MME servers, with
-  extra MME work and the marked hop, on the default template and on
-  templates Hypothesis draws;
+  extra MME work, on the default template and on templates Hypothesis
+  draws;
 * a golden digest of a walk over a generated stream, which pins how the
   walk orders events that fall at the same instant.
 """
@@ -54,8 +54,8 @@ def reference_walk(stream, template, profiles, n_enb=1, n_sgw=1):
     Each server is ``[t_now, virtual, jobs, scheduled]`` with ``jobs``
     mapping a job to its virtual finish, updated only at that server's own
     arrivals and completions.  The next event is found by scanning, every
-    step.  A completed hop admits its successors at once.  Events at one
-    instant run in the walk's order: a request arrival first, then the
+    step.  A completed hop admits the request's next hop at once.  Events at
+    one instant run in the walk's order: a request arrival first, then the
     server completion scheduled first, a server's completion counting as
     scheduled at its latest admission or, when jobs outlast a completion,
     after that completion's successors.  A server completes every job due
@@ -64,19 +64,15 @@ def reference_walk(stream, template, profiles, n_enb=1, n_sgw=1):
     """
     capacity = {name: p.capacity for name, p in profiles.items()}
     hops = template.hops
-    marked = template.marked_index
     works = [h.work for h in hops]
-    chain = [i for i in range(len(hops)) if i != marked]
     columns = template.entities()
     col = [columns.index(h.entity) for h in hops]
 
     arrivals = stream.timestamps
     n = len(arrivals)
     keys = list(range(n)) if stream.source_ids is None else stream.source_ids.tolist()
-    seq_start = [0.0] * n
-    marked_start = [0.0] * n
-    chain_end = [0.0] * n
-    marked_end = [0.0] * n
+    hop_start = [0.0] * n
+    completions = [0.0] * n
     breakdown = [[0.0] * len(columns) for _ in range(n)]
     servers = {}  # (entity, instance) -> [t_now, virtual, {job: virtual finish}, scheduled]
     order = itertools.count()
@@ -90,10 +86,7 @@ def reference_walk(stream, template, profiles, n_enb=1, n_sgw=1):
             virtual += (t - t_now) * capacity[entity] / len(jobs)
         jobs[(req, hop)] = virtual + works[hop]
         srv[0], srv[1], srv[3] = t, virtual, next(order)
-        if hop == marked:
-            marked_start[req] = t
-        else:
-            seq_start[req] = t
+        hop_start[req] = t
 
     def next_completion(name, srv):
         t_now, virtual, jobs, _ = srv
@@ -109,7 +102,7 @@ def reference_walk(stream, template, profiles, n_enb=1, n_sgw=1):
         if t_arr == t == _INF:
             break
         if t_arr <= t:
-            admit(t_arr, i, chain[0])
+            admit(t_arr, i, 0)
             i += 1
             continue
         done = []
@@ -121,30 +114,16 @@ def reference_walk(stream, template, profiles, n_enb=1, n_sgw=1):
             done.append(job)
         event[3] = None
         for req, hop in done:
-            if hop == marked:
-                marked_end[req] = t
-                continue
-            breakdown[req][col[hop]] += t - seq_start[req]
-            pos = chain.index(hop)
-            nexts = [marked] if marked is not None and hop == marked - 1 else []
-            if pos + 1 < len(chain):
-                nexts.append(chain[pos + 1])
+            breakdown[req][col[hop]] += t - hop_start[req]
+            if hop + 1 < len(hops):
+                admit(t, req, hop + 1)
             else:
-                chain_end[req] = t
-            for nxt in nexts:
-                admit(t, req, nxt)
+                completions[req] = t
         if event[2] and event[3] is None:
             event[3] = next(order)
 
-    chain_end = np.array(chain_end)
     breakdown = np.array(breakdown).reshape(n, len(columns))
-    completions = chain_end
-    if marked is not None:
-        marked_end = np.array(marked_end)
-        completions = np.maximum(chain_end, marked_end)
-        extra = np.maximum(0.0, marked_end - np.maximum(chain_end, np.array(marked_start)))
-        breakdown[:, col[marked]] += extra
-    return completions, {name: breakdown[:, j].copy() for j, name in enumerate(columns)}
+    return np.array(completions), {name: breakdown[:, j].copy() for j, name in enumerate(columns)}
 
 
 def _with_capacity(profiles, capacities):
@@ -209,8 +188,7 @@ def _drawn_walk(draw):
     # splits them; every other hop's work is its own
     works = [mme_ops / entities.count(e) if e == "MME"
              else draw(st.sampled_from([0.5, 1.0, 2.0, 3.0])) for e in entities]
-    marked = draw(st.none() | st.integers(1, len(entities) - 1)) if len(entities) > 1 else None
-    template = ProcedureTemplate(tuple(map(MessageHop, entities, works)), marked)
+    template = ProcedureTemplate(tuple(map(MessageHop, entities, works)))
     capacity = {e: draw(st.sampled_from([500.0, 2000.0, 10_000.0])) for e in set(entities)}
     profiles = {e: EntityProfile(e, mme_ops if e == "MME" else total, capacity[e])
                 for e, total in template.work_by_entity().items()}
