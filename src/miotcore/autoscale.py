@@ -3,6 +3,8 @@
 The controller watches the bearer-request rate, predicts the delay
 percentile from the analytic model at each available capacity multiplier,
 and picks the smallest multiplier whose prediction meets the target.  A
+multiplier that overloads any entity's busiest server instance, by the
+rule ``predict`` applies over the routing's shares, is infeasible.  A
 hysteresis band (a fraction of the target) makes scale-down decisions
 sticky so the controller does not flap on a noisy rate series.  The
 closed loop replays a measured rate series window by window: decide from
@@ -10,6 +12,7 @@ the model, then simulate the window and record the empirical percentile.
 """
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,8 +33,8 @@ from .traffic import EventStream, poisson_arrivals
 # each one costs a few float64 slots in the draw and the single-job pass
 MAX_WINDOW_ARRIVALS = 10**7
 
-# the MME load from which the controller calls a multiplier infeasible: past
-# it the mean sojourn exceeds 200 deterministic service times
+# the busiest-instance load, of any entity, from which the controller calls a
+# multiplier infeasible: past it a PS mean sojourn, D/(1-rho), exceeds 200 D
 MAX_FEASIBLE_LOAD = 0.995
 
 
@@ -40,7 +43,7 @@ class ScalingPolicy:
     """Scaling targets and the capacity steps available to the controller.
 
     ``scope`` names the entities whose capacity a multiplier scales:
-    "all" scales every entity together, "mme" the MME alone.
+    "all" scales every entity together, "mme" the MME alone, bottleneck or not.
     ``hysteresis`` is the fraction of the target by which a smaller
     multiplier must beat the target before the controller scales down.
     """
@@ -95,32 +98,33 @@ def scaled_profiles(profiles, multiplier, policy=None):
             for name, prof in profiles.items()}
 
 
-def predict_percentile(lambda_beta, multiplier, profiles, policy):
+def predict_percentile(lambda_beta, multiplier, profiles, policy, shares):
     """Model-predicted delay percentile with capacities scaled by ``multiplier``.
 
-    Returns the analytic percentile in seconds, or ``math.inf`` as the
-    infeasibility signal when the MME is overloaded at this multiplier --
-    including loads of MAX_FEASIBLE_LOAD and above.  That bound is the
-    controller's policy, not a limit of the model, which answers at every
-    load below 1.
+    ``shares`` maps each entity to its busiest instance's share of the rate,
+    ``Scenario.instance_rates(1.0)``.  Returns the percentile in seconds, or
+    ``math.inf`` as the infeasibility signal when ``instance_loads`` refuses
+    those rates or their largest load is MAX_FEASIBLE_LOAD or above: the
+    controller's policy, not a limit of the model, which answers below 1.
     """
     profs = scaled_profiles(profiles, multiplier, policy)
     try:
-        rho = instance_loads({ENTITY_MME: lambda_beta}, profs)[ENTITY_MME]
+        loads = instance_loads({n: lambda_beta * s for n, s in shares.items()}, profs)
     except OverloadError:
         return math.inf
-    if rho >= MAX_FEASIBLE_LOAD:
+    if max(loads.values()) >= MAX_FEASIBLE_LOAD:
         return math.inf
     return delay_percentile(policy.percentile, build_delay_model(lambda_beta, profs))
 
 
-def choose_multiplier(lambda_beta, profiles, policy, previous=None):
+def choose_multiplier(lambda_beta, profiles, policy, shares, previous=None):
     """Smallest listed multiplier whose predicted percentile meets the target.
 
-    With a ``previous`` decision, any candidate smaller than the previous
-    multiplier must beat ``target * (1 - hysteresis)``, so the controller
-    scales down only once the load has genuinely receded.  When no
-    multiplier is feasible the largest is returned with ``feasible=False``.
+    Each is priced by ``predict_percentile`` over ``shares``.  With a
+    ``previous`` decision, a candidate smaller than the previous multiplier
+    must beat ``target * (1 - hysteresis)``, so the controller scales down
+    only once the load has genuinely receded.  When no multiplier is
+    feasible the largest is returned with ``feasible=False``.
     """
     prev_mult = previous.multiplier if previous is not None else None
     feasible = False
@@ -128,7 +132,7 @@ def choose_multiplier(lambda_beta, profiles, policy, previous=None):
         limit = policy.target_delay_s
         if prev_mult is not None and mult < prev_mult:
             limit *= 1.0 - policy.hysteresis
-        predicted = predict_percentile(lambda_beta, mult, profiles, policy)
+        predicted = predict_percentile(lambda_beta, mult, profiles, policy, shares)
         if predicted <= limit:
             feasible = True
             break
@@ -150,21 +154,21 @@ class LoopRecord:
     empirical_percentile_s: float
 
 
-def run_scaling_loop(rate_series, profiles, policy, window_length_s, seed=0):
+def run_scaling_loop(rate_series, profiles, policy, shares, window_length_s, seed=0):
     """Replay a rate series through the controller, simulating each window.
 
     ``rate_series`` is an ordered list of (window_start_s, rate) pairs,
     each window ``window_length_s`` long.  Per window the controller
-    decides a multiplier from the analytic model (with hysteresis against
-    the previous decision), then the window is simulated in single-job
-    mode at that multiplier -- Poisson arrivals at the measured rate over
-    the window length, job size O_MME at the scaled capacity plus the
-    scaled constant offset -- and the empirical delay percentile is
-    recorded.  Windows start from an empty queue (capacity changes take
-    effect at window boundaries with no switchover cost).  Deterministic
-    for fixed (series, seed).  A window expecting more than
-    MAX_WINDOW_ARRIVALS arrivals raises ConfigurationError before any
-    window is drawn.
+    decides a multiplier over ``shares``, with hysteresis against the
+    previous decision, then the window is simulated in single-job mode at
+    that multiplier -- Poisson arrivals at the rate over the window, job
+    size O_MME at the scaled capacity plus the scaled constant offset --
+    and the empirical percentile is recorded: an audit of the MME alone,
+    so an overload elsewhere shows only in ``feasible``.  The decisions'
+    first warning is shown once.  Windows start empty (capacity changes
+    take effect at window boundaries at no cost).  Deterministic for fixed
+    (series, seed).  A window expecting more than MAX_WINDOW_ARRIVALS
+    arrivals raises ConfigurationError before any window is drawn.
     """
     series = [(float(s), float(r)) for s, r in rate_series]
     if not series:
@@ -184,11 +188,19 @@ def run_scaling_loop(rate_series, profiles, policy, window_length_s, seed=0):
                 f"({rate!r}/s over {length!r} s), more than {MAX_WINDOW_ARRIVALS}"
             )
 
+    # each window and multiplier priced past the MME warns, its loads in the text
+    decisions, previous = [], None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for _, rate in series:
+            previous = choose_multiplier(rate, profiles, policy, shares, previous)
+            decisions.append(previous)
+    if caught:
+        warnings.warn(caught[0].message, stacklevel=2)
+
     child_seeds = np.random.SeedSequence(seed).spawn(len(series))
     records = []
-    previous = None
-    for (start, rate), child in zip(series, child_seeds):
-        decision = choose_multiplier(rate, profiles, policy, previous=previous)
+    for (start, rate), child, decision in zip(series, child_seeds, decisions):
         profs = scaled_profiles(profiles, decision.multiplier, policy)
         mme = profs[ENTITY_MME]
         offset = constant_delay_K(profs)
@@ -200,7 +212,6 @@ def run_scaling_loop(rate_series, profiles, policy, window_length_s, seed=0):
         else:
             empirical = math.nan
         records.append(LoopRecord(start, decision, empirical))
-        previous = decision
     return records
 
 

@@ -275,6 +275,7 @@ def cmd_scale(args):
         series,
         scenario.profiles,
         scenario.policy,
+        scenario.instance_rates(1.0),
         window_length_s=args.window_length,
         seed=args.seed,
     )
@@ -291,11 +292,12 @@ def cmd_scale(args):
         else:
             mark = "OVER TARGET"
         feas = "" if rec.decision.feasible else " (infeasible)"
+        times = (rec.decision.predicted_delay_s, rec.empirical_percentile_s)
+        predicted, empirical = (f"{x:.6f}s" if math.isfinite(x) else str(x) for x in times)
         print(
             f"window t={rec.window_start_s:>10.1f}s rate={rec.decision.lambda_beta:9.3f}/s "
             f"multiplier={rec.decision.multiplier:3.1f}{feas} "
-            f"predicted={rec.decision.predicted_delay_s:.6f}s "
-            f"empirical={rec.empirical_percentile_s:.6f}s [{mark}]"
+            f"predicted={predicted} empirical={empirical} [{mark}]"
         )
     _write_manifest(
         args, "scale", scenario, [windows_path, log_path],

@@ -132,8 +132,8 @@ def instance_loads(rates, profiles):
     from ``rates``, entity name to that instance's request rate.
 
     The one refusal of load: a largest load >= 1 is refused, naming its
-    entity, with itself as the least capacity multiplier that restores
-    stability.  Below 1, a load above the MME's warns.
+    entity, with itself as the least multiplier that restores stability.
+    Below 1, a load above the MME's warns; the scaling loop shows it once.
     """
     loads = {}
     for name, rate in rates.items():

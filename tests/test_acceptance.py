@@ -174,8 +174,11 @@ def test_criterion_7_controller_holds_target_on_rising_ramp():
               for i, q in enumerate(q_ramp)]
     policy = ScalingPolicy()  # 0.1 s target at p99, steps 1.0 / 2.0 / 2.5
     limit = policy.target_delay_s * 1.15
+    # the stock routing's busiest-instance shares: one device of 10^4, one
+    # eNB of 100 and one instance of each other entity
+    shares = {**dict.fromkeys(DEFAULT_ENTITY_PROFILES, 1.0), "UE": 1e-4, "eNB": 0.01}
 
-    records = run_scaling_loop(series, DEFAULT_ENTITY_PROFILES, policy, 40.0, seed=7)
+    records = run_scaling_loop(series, DEFAULT_ENTITY_PROFILES, policy, shares, 40.0, seed=7)
     mults = [r.decision.multiplier for r in records]
     assert all(a <= b for a, b in zip(mults, mults[1:])), mults
     assert set(mults) == {1.0, 2.0, 2.5}, mults
@@ -185,7 +188,7 @@ def test_criterion_7_controller_holds_target_on_rising_ramp():
 
     # the fixed unit-capacity baseline loses the high-load windows
     baseline = ScalingPolicy(multipliers=(1.0,))
-    fixed = run_scaling_loop(series, DEFAULT_ENTITY_PROFILES, baseline, 40.0, seed=7)
+    fixed = run_scaling_loop(series, DEFAULT_ENTITY_PROFILES, baseline, shares, 40.0, seed=7)
     worst_fixed = max(r.empirical_percentile_s for r in fixed)
     assert worst_fixed > limit, worst_fixed
     assert not all(r.decision.feasible for r in fixed)

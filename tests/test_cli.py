@@ -239,7 +239,61 @@ def test_scale_labels_window_without_arrivals(tmp_path, cfg, capsys):
     row = (out / "decisions.csv").read_text().splitlines()[1].split(",")
     assert row[4] == "nan"
     printed = capsys.readouterr().out
-    assert "[no data]" in printed and "OVER TARGET" not in printed
+    assert "empirical=nan [no data]" in printed and "OVER TARGET" not in printed
+
+
+# the stock scenario with the SGW at capacity 2000, 1.5 ms a bearer, scaling
+# the MME alone: past about 667 /s the SGW overloads at every multiplier
+SGW_SCENARIO = {
+    "traffic": {"period_s": 10.0, "q_total": 10_000, "horizon_s": 200.0},
+    "entities": {"profiles": [
+        {"entity": p.entity, "ops_per_bearer": p.ops_per_bearer,
+         "capacity": 2000.0 if p.entity == "SGW" else p.capacity}
+        for p in DEFAULT_ENTITY_PROFILES.values()]},
+    "scaling": {"scope": "mme", "target_delay_s": 0.1}}
+
+
+def test_scale_prices_every_entity_as_predict_does(tmp_path, capsys):
+    # the windows at t = 40-70 s fit 954, 1258, 1069 and 772 /s, which load
+    # the SGW to 1.43-1.89: predict exits 4 at such a rate, and the
+    # controller calls every multiplier infeasible there; the MME-only
+    # replay cannot see it, so each such window still reads [ok]
+    config = tmp_path / "sgw.yaml"
+    config.write_text(yaml.safe_dump(SGW_SCENARIO))
+    trace = tmp_path / "trace.csv"
+    make_diurnal_trace(632.0, window_length_s=10.0, seed=1).save_csv(trace)
+    out = tmp_path / "scale"
+    assert run(["scale", "--config", str(config), "--out", str(out), "--trace", str(trace),
+                "--window-length", "10"]) == 0
+    rows = [row.split(",") for row in (out / "decisions.csv").read_text().splitlines()[1:]]
+    assert [(r[0], r[2], r[3], r[5]) for r in rows[4:]] == [
+        (t, "2.5", "inf", "0") for t in ("40.0", "50.0", "60.0", "70.0")]
+    assert [r[5] for r in rows[:4]] == ["1"] * 4
+    printed, err = capsys.readouterr()
+    assert printed.splitlines()[1:] == [
+        "window t=       0.0s rate=  124.449/s multiplier=1.0 predicted=0.008871s "
+        "empirical=0.008877s [ok]",
+        "window t=      10.0s rate=  229.082/s multiplier=1.0 predicted=0.009513s "
+        "empirical=0.009428s [ok]",
+        "window t=      20.0s rate=  372.330/s multiplier=1.0 predicted=0.010585s "
+        "empirical=0.010834s [ok]",
+        "window t=      30.0s rate=  641.320/s multiplier=1.0 predicted=0.014194s "
+        "empirical=0.013926s [ok]",
+        "window t=      40.0s rate=  954.323/s multiplier=2.5 (infeasible) predicted=inf "
+        "empirical=0.008295s [ok]",
+        "window t=      50.0s rate= 1257.632/s multiplier=2.5 (infeasible) predicted=inf "
+        "empirical=0.008664s [ok]",
+        "window t=      60.0s rate= 1068.802/s multiplier=2.5 (infeasible) predicted=inf "
+        "empirical=0.008710s [ok]",
+        "window t=      70.0s rate=  771.936/s multiplier=2.5 (infeasible) predicted=inf "
+        "empirical=0.008189s [ok]"]
+    # the SGW tops the MME at every window and multiplier priced: one line
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning: MME is not the bottleneck: SGW")
+    config.write_text(yaml.safe_dump({**SGW_SCENARIO, "traffic": {
+        "period_s": 10.0, "q_total": 15_100, "horizon_s": 200.0}}))
+    assert run(["predict", "--config", str(config), "--out", str(tmp_path / "p")]) == 4
+    assert capsys.readouterr().err.startswith("overload: SGW overloaded: rho=1.43")
 
 
 @pytest.mark.parametrize("last_s", ["1e308", "150.0"])
@@ -476,6 +530,22 @@ def test_every_command_refuses_an_overloaded_enb(tmp_path, capsys):
         code = run(argv + ["--config", str(config), "--out", str(tmp_path / label)])
         assert code == 0, label
         assert capsys.readouterr().err.startswith("warning: MME is not the bottleneck: eNB"), label
+
+
+def test_scale_sizes_the_busiest_enb(tmp_path, capsys):
+    # one group of 10^4 sources behind its one default eNB: at multiplier 1
+    # that eNB runs at 1.28, so the controller picks 2.0 in every window
+    config = tmp_path / "one-enb.yaml"
+    config.write_text(yaml.safe_dump({"traffic": ONE_GROUP_TRAFFIC, "scaling": {"scope": "all"}}))
+    trace = tmp_path / "trace.csv"
+    make_diurnal_trace(632.0, shape=(1.0, 1.0), window_length_s=10.0, seed=3).save_csv(trace)
+    out = tmp_path / "scale"
+    assert run(["scale", "--config", str(config), "--out", str(out), "--trace", str(trace),
+                "--window-length", "10"]) == 0
+    rows = [row.split(",") for row in (out / "decisions.csv").read_text().splitlines()[1:]]
+    assert [(r[2], r[5]) for r in rows] == [("2.0", "1")] * 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: MME is not the bottleneck: eNB")
 
 
 @pytest.mark.parametrize("argv", [
