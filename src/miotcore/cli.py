@@ -285,18 +285,19 @@ def cmd_scale(args):
     save_decision_log(log_path, records)
     target = scenario.policy.target_delay_s
     for rec in records:
-        if math.isnan(rec.empirical_percentile_s):
+        if not rec.decision.feasible:
+            mark = "infeasible"  # no multiplier meets the target, whatever the replay
+        elif math.isnan(rec.empirical_percentile_s):
             mark = "no data"  # no arrivals were drawn in this window
         elif rec.empirical_percentile_s <= target:
             mark = "ok"
         else:
             mark = "OVER TARGET"
-        feas = "" if rec.decision.feasible else " (infeasible)"
         times = (rec.decision.predicted_delay_s, rec.empirical_percentile_s)
         predicted, empirical = (f"{x:.6f}s" if math.isfinite(x) else str(x) for x in times)
         print(
             f"window t={rec.window_start_s:>10.1f}s rate={rec.decision.lambda_beta:9.3f}/s "
-            f"multiplier={rec.decision.multiplier:3.1f}{feas} "
+            f"multiplier={rec.decision.multiplier:3.1f} "
             f"predicted={predicted} empirical={empirical} [{mark}]"
         )
     _write_manifest(

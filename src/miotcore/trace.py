@@ -326,5 +326,5 @@ def make_diurnal_trace(base_rate_per_s, shape=DIURNAL_SHAPE_DEFAULT,
     rng = np.random.default_rng(seed)
     times = [poisson_arrivals(base_rate_per_s * float(rel), k * length,
                               (k + 1) * length, rng)
-             for k, rel in enumerate(shape) if rel > 0.0]
-    return EventStream(np.concatenate(times) if times else np.empty(0), None)
+             for k, rel in enumerate(shape)]
+    return EventStream(np.concatenate(times), None)

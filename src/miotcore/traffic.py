@@ -4,7 +4,9 @@ Each source idles in a Regular state and occasionally jumps to an Alarm
 state; the per-slot transition probability follows the sampled Beta(3,4)
 shape over a period of T seconds, so every source visits Alarm roughly
 once per period.  On each Alarm visit the source emits a bearer request
-with a fixed probability and is back in Regular one slot later.
+with a fixed probability and is back in Regular one slot later.  Every
+request time is a whole number of slots; at a regular rate epsilon the Q
+sources add one Poisson stream at Q * epsilon with uniform sources.
 """
 
 import math
@@ -25,7 +27,7 @@ MAX_SLOTS = 10**7
 
 # the most requests a generation call may expect, Q * (p * H / T + epsilon * H):
 # the stream is a float64 time and an int64 source id per request, 160 MB at
-# this size (its merge holds about twice that), a single-job pass over it 16
+# this size (its merge holds 1.5 times that), a single-job pass over it 16
 # bytes a request beside the times (sojourn and completion), 160 MB, and a
 # walk of it about 88 bytes a request beside its per-server state (80 of
 # per-request arrays, 8 of int32 routes to the UE and eNB servers), 0.9 GB
@@ -153,8 +155,10 @@ def poisson_arrivals(rate, start_s, end_s, rng):
     """Poisson arrival times at ``rate`` over [start_s, end_s), sorted.
 
     Gaps are drawn in chunks sized to cover the expected count with a
-    six-sigma margin, so one draw usually suffices.
+    six-sigma margin, so one draw usually suffices; a zero rate draws none.
     """
+    if rate == 0.0:
+        return np.empty(0)
     times = []
     t = start_s
     mean_n = rate * (end_s - start_s)
@@ -326,9 +330,11 @@ def generate_requests(population: SourcePopulation, params: TrafficParams,
 
     Every source alternates Regular/Alarm per the slot hazard; an alarm at
     slot s forces Regular at s+1, so the next alarm is at s+2 or later.
-    Each alarm emits one request with probability tx_probability.  The
-    merged stream is sorted by (time, source id) and is a pure function of
-    (population, params, horizon, seed).  Raises ValueError, before any
+    Each alarm emits one request with probability tx_probability; a
+    regular rate epsilon adds one Poisson(Q * epsilon) stream of uniform
+    sources on the slot grid.  The requests, keyed slot * Q + source and
+    sorted in place, come out in (time, source id) order, a pure function
+    of (population, params, horizon, seed).  Raises ValueError, before any
     draw, when more than MAX_EXPECTED_REQUESTS requests or MAX_ALARM_DRAWS
     alarm draws are expected.
     """
@@ -346,36 +352,29 @@ def generate_requests(population: SourcePopulation, params: TrafficParams,
     base = cumulative_hazard(phase, table)
     alive = np.ones(q_total, dtype=bool)
 
-    times, ids = [], []
+    # key = step * Q + source, step the request's slot from 0: Q * H / T <=
+    # MAX_ALARM_DRAWS and T / delta <= MAX_SLOTS keep it below about 2e14
+    keys = []
     while alive.any():
         idx = np.flatnonzero(alive)
         wait = rng.exponential(size=idx.size)
         y_alarm = _slots_from_targets(table, base[idx] + wait)
-        t_alarm = (y_alarm - phase[idx]) * delta
-        expired = t_alarm > horizon_s
+        steps = y_alarm - phase[idx]
+        expired = steps * delta > horizon_s
         alive[idx[expired]] = False
         live = ~expired
-        if not live.any():
-            continue
-        y_live = y_alarm[live]
-        emit = rng.random(size=len(y_live)) < params.tx_probability
-        times.append(t_alarm[live][emit])
-        ids.append(idx[live][emit])
+        idx, y_alarm, steps = idx[live], y_alarm[live], steps[live]
+        emit = rng.random(size=idx.size) < params.tx_probability
+        keys.append(steps[emit] * q_total + idx[emit])
         # forced Regular at the slot after the alarm: hazard resumes at +2
-        base[idx[live]] = cumulative_hazard(y_live + 1, table)
+        base[idx] = cumulative_hazard(y_alarm + 1, table)
     del table  # released before the merge: the alarm draws are done
 
-    if params.regular_rate_epsilon > 0.0:
-        counts = rng.poisson(params.regular_rate_epsilon * horizon_s, size=q_total)
-        total = int(counts.sum())
-        times.append(rng.uniform(0.0, horizon_s, size=total))
-        ids.append(np.repeat(np.arange(q_total), counts))
-
-    t_all = np.concatenate(times) if times else np.empty(0)
-    id_all = np.concatenate(ids) if ids else np.empty(0, dtype=np.int64)
-    del times, ids
-    # reassigned one at a time, so at most one array is held in both orders
-    order = np.lexsort((id_all, t_all))
-    t_all = t_all[order]
-    id_all = id_all[order]
-    return EventStream(t_all, id_all)
+    # Q Poisson(epsilon) sources are one Poisson(Q * epsilon) stream whose
+    # sources are i.i.d. uniform; its times are floored onto the slot grid
+    t = poisson_arrivals(q_total * params.regular_rate_epsilon, 0.0, horizon_s, rng)
+    keys.append((t / delta).astype(np.int64) * q_total + rng.integers(q_total, size=t.size))
+    key = np.concatenate(keys)
+    del keys, t
+    key.sort()  # step * delta rises with step: this is (time, source) order
+    return EventStream((key // q_total) * delta, key % q_total)

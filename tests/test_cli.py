@@ -257,7 +257,8 @@ def test_scale_prices_every_entity_as_predict_does(tmp_path, capsys):
     # the windows at t = 40-70 s fit 954, 1258, 1069 and 772 /s, which load
     # the SGW to 1.43-1.89: predict exits 4 at such a rate, and the
     # controller calls every multiplier infeasible there; the MME-only
-    # replay cannot see it, so each such window still reads [ok]
+    # replay cannot see it and meets the target, yet each such window
+    # reads [infeasible], not [ok]
     config = tmp_path / "sgw.yaml"
     config.write_text(yaml.safe_dump(SGW_SCENARIO))
     trace = tmp_path / "trace.csv"
@@ -279,14 +280,14 @@ def test_scale_prices_every_entity_as_predict_does(tmp_path, capsys):
         "empirical=0.010834s [ok]",
         "window t=      30.0s rate=  641.320/s multiplier=1.0 predicted=0.014194s "
         "empirical=0.013926s [ok]",
-        "window t=      40.0s rate=  954.323/s multiplier=2.5 (infeasible) predicted=inf "
-        "empirical=0.008295s [ok]",
-        "window t=      50.0s rate= 1257.632/s multiplier=2.5 (infeasible) predicted=inf "
-        "empirical=0.008664s [ok]",
-        "window t=      60.0s rate= 1068.802/s multiplier=2.5 (infeasible) predicted=inf "
-        "empirical=0.008710s [ok]",
-        "window t=      70.0s rate=  771.936/s multiplier=2.5 (infeasible) predicted=inf "
-        "empirical=0.008189s [ok]"]
+        "window t=      40.0s rate=  954.323/s multiplier=2.5 predicted=inf "
+        "empirical=0.008295s [infeasible]",
+        "window t=      50.0s rate= 1257.632/s multiplier=2.5 predicted=inf "
+        "empirical=0.008664s [infeasible]",
+        "window t=      60.0s rate= 1068.802/s multiplier=2.5 predicted=inf "
+        "empirical=0.008710s [infeasible]",
+        "window t=      70.0s rate=  771.936/s multiplier=2.5 predicted=inf "
+        "empirical=0.008189s [infeasible]"]
     # the SGW tops the MME at every window and multiplier priced: one line
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("warning: MME is not the bottleneck: SGW")

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import stats
 
 from conftest import drawn_population
@@ -265,14 +266,48 @@ def test_slots_from_targets_equals_the_unsorted_search():
 
 def test_generate_requests_matches_its_golden_digest():
     # sha256 of the timestamps then the source ids, frozen from the
-    # generator whose alarm search ran one unsorted np.searchsorted a round
+    # generator that draws the regular-rate requests as one Poisson stream
+    # at Q * epsilon on the slot grid
     params = TrafficParams(period_s=2.0, slot_delta_s=1e-4, regular_rate_epsilon=0.05)
     population = SourcePopulation(5, 8, offsets_s=tuple(0.25 * i for i in range(8)))
     stream = generate_requests(population, params, 20.0, seed=11)
-    assert len(stream) == 321
+    assert len(stream) == 335
     digest = hashlib.sha256(stream.timestamps.tobytes() + stream.source_ids.tobytes())
     assert digest.hexdigest() == (
-        "0959b0c69e4f6860926b058dc9609527c3055f12e8dab92314a7bdd32a86e860")
+        "7ba558181e1777280687a542a3618a96c24720f53c4bf87294865902da586369")
+
+
+def test_generate_requests_without_regular_rate_matches_its_golden_digest():
+    # the same run at epsilon = 0, frozen from the generator that merged
+    # float times and ids with np.lexsort: the alarm-only stream keeps its
+    # bytes through the int64 key sort
+    params = TrafficParams(period_s=2.0, slot_delta_s=1e-4)
+    population = SourcePopulation(5, 8, offsets_s=tuple(0.25 * i for i in range(8)))
+    stream = generate_requests(population, params, 20.0, seed=11)
+    assert len(stream) == 284
+    digest = hashlib.sha256(stream.timestamps.tobytes() + stream.source_ids.tobytes())
+    assert digest.hexdigest() == (
+        "a33196af15c4e2941bb993015ec8fbd66b9969d557765896adc2a42c512a7545")
+
+
+@given(group_size=st.integers(1, 20),
+       offsets_s=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=6),
+       epsilon=st.one_of(st.just(0.0), st.floats(0.01, 0.5)),
+       delta=st.sampled_from([1e-3, 1e-4]),
+       horizon_s=st.floats(1.0, 5.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_generate_requests_sorts_by_time_then_source_on_the_slot_grid(
+        group_size, offsets_s, epsilon, delta, horizon_s, seed):
+    # alarm and regular-rate requests alike sit on whole slots of a 1 s
+    # period, ordered by (time, source id)
+    params = TrafficParams(period_s=1.0, slot_delta_s=delta, regular_rate_epsilon=epsilon)
+    population = SourcePopulation(group_size, len(offsets_s), tuple(offsets_s))
+    stream = generate_requests(population, params, horizon_s, seed)
+    t, ids = stream.timestamps, stream.source_ids
+    assert np.array_equal(np.lexsort((ids, t)), np.arange(len(t)))
+    assert np.array_equal(t, np.rint(t / delta).astype(np.int64) * delta)
+    assert np.all((ids >= 0) & (ids < population.q_total))
+    assert np.all((t >= 0.0) & (t <= horizon_s))
 
 
 def test_generate_requests_refuses_too_many_expected_requests(monkeypatch):
