@@ -2,12 +2,13 @@
 
 Starting from the generator's own slot hazard (traffic.slot_phases,
 traffic.hazard_table and traffic.cumulative_hazard), this module
-evaluates the exact conditional CDF of the lag to the next alarm, per
-source and for the merged system, and the exponential closed form of the
-inter-request law, plus Kolmogorov-Smirnov tooling to compare models
-against sampled gaps.  tests/test_arrivals.py checks the exact system law
-against generate_requests streams at finite Q; the Erlang-mixture law
-that the closed form sums lives in the tests, as their oracle.
+evaluates one exact law, the conditional CDF of the lag to the next
+alarm of a source population (a single device is a population of one
+source), and the exponential closed form of the inter-request law, plus
+Kolmogorov-Smirnov tooling to compare models against sampled gaps.
+tests/test_arrivals.py checks the exact law against generate_requests
+streams at finite Q; the Erlang-mixture law that the closed form sums
+lives in the tests, as their oracle.
 
 Everything here is numpy and the standard library only; scipy serves
 the tests alone, as the oracle of the Erlang CDF and the KS statistic.
@@ -17,13 +18,7 @@ import math
 
 import numpy as np
 
-from .traffic import (
-    TX_PROBABILITY_DEFAULT,
-    TrafficParams,
-    cumulative_hazard,
-    hazard_table,
-    slot_phases,
-)
+from .traffic import TrafficParams, cumulative_hazard, hazard_table, slot_phases
 
 # asymptotic two-sided KS critical values need a healthy sample
 KS_MIN_SAMPLES = 50
@@ -37,8 +32,7 @@ KS_CRITICAL_C = 1.6276236115189504
 _KS_CHUNK = 1 << 14
 
 
-def bearer_request_rate(q_total, period_s,
-                        tx_probability=TX_PROBABILITY_DEFAULT) -> float:
+def bearer_request_rate(q_total, period_s, tx_probability) -> float:
     """Merged request rate lambda_beta = Q * tx_probability / T."""
     if q_total < 1 or period_s <= 0.0:
         raise ValueError("need q_total >= 1 and period_s > 0")
@@ -64,32 +58,6 @@ def _survival_exponent(m, start_slot, table):
             - cumulative_hazard(start_slot, table))
 
 
-def falpha_q_discrete(m, k, offset, params: TrafficParams,
-                      forced_regular=False):
-    """Exact CDF of the first-alarm lag for one source.
-
-    P(alpha_q <= m) = 1 - prod_{j=1..m} (1 - f(mod(s+j, N))) with
-    s = mod(k + offset, N); evaluated through the cumulative hazard so
-    grids of m cost one lookup each.  The offset is in slots and must lie
-    in [0, N), as slot_phases makes it.  With forced_regular=True the
-    slot right after the transmission cannot alarm and the product
-    starts at j = 2.
-    """
-    m_arr = _as_lags(m)
-    if not 0 <= k < params.n_slots:
-        raise ValueError(f"slot k out of [0, {params.n_slots})")
-    if not 0 <= offset < params.n_slots:
-        raise ValueError(f"offset out of [0, {params.n_slots}) slots")
-    table = hazard_table(params)
-    s = (int(k) + int(offset)) % params.n_slots
-    if forced_regular:
-        expo = _survival_exponent(m_arr - 1, s + 1, table)
-    else:
-        expo = _survival_exponent(m_arr, s, table)
-    out = -np.expm1(-expo)
-    return float(out) if np.ndim(m) == 0 else out
-
-
 def falpha_system_discrete(m, k, population, params: TrafficParams,
                            transmitter_group=None):
     """Exact CDF of the merged first-alarm lag across all Q sources.
@@ -98,19 +66,21 @@ def falpha_system_discrete(m, k, population, params: TrafficParams,
     1 - prod_q (1 - F_q(m | s_q(k, w_q))); sources of a group share an
     offset so each group contributes its survival to the group_size
     power.  If transmitter_group is given, one source of that group is
-    treated as the transmitter whose next slot is forced Regular.
+    treated as the transmitter whose next slot is forced Regular.  A
+    one-source population, SourcePopulation(1, 1, (w,)), gives that one
+    device's law, and with transmitter_group=0 its law after a transmission.
     """
     m_arr = _as_lags(m)
     if not 0 <= k < params.n_slots:
         raise ValueError(f"slot k out of [0, {params.n_slots})")
     offs = slot_phases(population.offsets_s, params)
     table = hazard_table(params)
+    count = population.group_size
     total = np.zeros(m_arr.shape, dtype=np.float64)
     for g, off in enumerate(offs):
         s = (int(k) + int(off)) % params.n_slots
         expo = _survival_exponent(m_arr, s, table)
-        count = population.group_size
-        if transmitter_group is not None and g == transmitter_group:
+        if g == transmitter_group:
             forced = _survival_exponent(m_arr - 1, s + 1, table)
             total = total + forced + (count - 1) * expo
         else:

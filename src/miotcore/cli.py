@@ -118,7 +118,10 @@ def cmd_generate(args):
         stream.save_csv(csv_path)
         stream.save_binary(bin_path)
         outputs += [csv_path, bin_path]
-        rate = stream.mean_rate() if len(stream) >= 2 else float("nan")
+        try:
+            rate = stream.mean_rate()
+        except ValueError:  # fewer than 2 requests, or all in one slot
+            rate = float("nan")
         print(
             f"replication {i}: {len(stream)} requests over {scenario.horizon_s} s "
             f"(empirical rate {rate:.4f} /s, model rate {scenario.lambda_beta():.4f} /s)"

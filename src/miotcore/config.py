@@ -13,7 +13,7 @@ A scenario file is a nested key/value document with four optional blocks
       tx_probability: ...
       offsets_s: null           # fixed per-group offsets in [0, period_s);
                                 # default Uniform[0, T)
-      horizon_s: 1000.0         # default 100 * period_s
+      horizon_s: 1000.0         # default 100 * period_s; at least period_s
     entities:
       capacity_scale: 1.0       # multiplies every capacity below
       profiles:                 # default: the six-entity EPC profile below; a
@@ -219,8 +219,11 @@ def scenario_from_dict(doc):
             raise ConfigurationError(
                 f"traffic.offsets_s: each offset must lie in [0, period_s={period_s!r}), "
                 f"got {outside[0]!r}")
-    if not horizon_s > 0.0:
-        raise ConfigurationError("traffic.horizon_s: must be positive")
+    # the generator's own floor, for every command alike
+    if not horizon_s >= period_s:
+        raise ConfigurationError(
+            f"traffic.horizon_s: must be at least period_s={period_s!r}, "
+            f"got {horizon_s!r}")
     try:
         check_expected_requests(q_total, params, horizon_s)
     except ValueError as exc:

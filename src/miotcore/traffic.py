@@ -18,9 +18,6 @@ import numpy as np
 
 from .csvio import write_csv
 
-# P(at least one packet during an alarm visit) for unit per-slot packet rate
-TX_PROBABILITY_DEFAULT = 1.0 - math.exp(-1.0)
-
 # the finest slot grid a parameter set may ask for: its cumulative hazard
 # table is one float64 per _STRIDE slots, 20 MB at this size
 MAX_SLOTS = 10**7
@@ -133,8 +130,9 @@ class EventStream:
         return np.diff(self.timestamps)
 
     def mean_rate(self) -> float:
-        if len(self) < 2:
-            raise ValueError("need >= 2 events for a rate")
+        """(n - 1) gaps over the observed span, which must be positive."""
+        if len(self) < 2 or self.timestamps[-1] == self.timestamps[0]:
+            raise ValueError("need >= 2 events over a positive span for a rate")
         return (len(self) - 1) / (self.timestamps[-1] - self.timestamps[0])
 
     def save_csv(self, path):

@@ -1,4 +1,5 @@
-"""Shared fixtures: the stock entity profiles and seeded arrival helpers.
+"""Shared fixtures: the stock entity profiles, seeded arrival helpers and
+the first-alarm law of one device.
 
 scripts/ goes on the import path, so that tests can take the criticality
 march, the oracle of the g table, from scripts/gen_g_table.py, and so does
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from miotcore.arrivals import falpha_system_discrete
 from miotcore.config import DEFAULT_ENTITY_PROFILES
 from miotcore.traffic import EventStream, SourcePopulation
 
@@ -56,6 +58,19 @@ def drawn_population(group_size, n_groups, period_s, rng):
     seed draws the offsets and then the stream from one generator."""
     offsets = rng.uniform(0.0, period_s, n_groups)
     return SourcePopulation(group_size, n_groups, tuple(float(x) for x in offsets))
+
+
+def one_device_law(m, k, offset, params, forced=False):
+    """The exact first-alarm law of one device whose phase is ``offset`` slots.
+
+    The device is a one-source population.  Its offset in seconds lies
+    mid-slot, because slot_phases truncates.  With ``forced`` the slot
+    right after slot k + offset cannot alarm: the device has just
+    transmitted.
+    """
+    population = SourcePopulation(1, 1, ((offset + 0.5) * params.slot_delta_s,))
+    return falpha_system_discrete(m, k, population, params,
+                                  transmitter_group=0 if forced else None)
 
 
 def poisson_stream(rate_per_s, n_events, seed, source_ids=None):

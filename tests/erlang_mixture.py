@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from miotcore.traffic import TX_PROBABILITY_DEFAULT
+from miotcore.traffic import TrafficParams
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,7 @@ class ErlangMixture:
     """
 
     stage_rate: float
-    success_probability: float = TX_PROBABILITY_DEFAULT
+    success_probability: float = TrafficParams().tx_probability
     z_max: int = 100
 
     def __post_init__(self):

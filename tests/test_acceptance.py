@@ -21,12 +21,11 @@ simulator, and the controller to each other:
 
 import numpy as np
 
-from conftest import drawn_population, poisson_stream
+from conftest import drawn_population, one_device_law, poisson_stream
 from erlang_mixture import ErlangMixture, fbeta_mixture
 from miotcore.arrivals import (
     bearer_request_rate,
     exponential_cdf,
-    falpha_q_discrete,
     ks_critical_value,
     ks_distance,
 )
@@ -60,7 +59,7 @@ def test_criterion_1_merged_gaps_are_exponential():
         stream = generate_requests(pop, params, horizon, rng)
         gaps = stream.gaps()
         assert gaps.size >= 100_000
-        lam = bearer_request_rate(pop.q_total, PERIOD_S)
+        lam = bearer_request_rate(pop.q_total, PERIOD_S, params.tx_probability)
         ks = ks_distance(gaps, lambda x: exponential_cdf(lam, x))
         assert ks <= bound, (n_groups, ks)
         print(f"CRITERION 1 PASS: {n_groups} groups x 50 sources, "
@@ -72,8 +71,8 @@ def test_criterion_2_erlang_mixture_matches_closed_form():
     """Budget: well under a second."""
     q_total = 10_000
     lam_alpha = q_total / PERIOD_S
-    lam_beta = bearer_request_rate(q_total, PERIOD_S)
     mix = ErlangMixture(stage_rate=lam_alpha, z_max=100)
+    lam_beta = bearer_request_rate(q_total, PERIOD_S, mix.success_probability)
     tau = np.linspace(0.0, 10.0 / lam_beta, 1000)
     gap = np.max(np.abs(fbeta_mixture(tau, mix) - exponential_cdf(lam_beta, tau)))
     assert gap <= 1e-9
@@ -93,8 +92,8 @@ def test_criterion_3_forced_slot_perturbs_cdf_by_at_most_peak_hazard():
         sup = 0.0
         # probe the quietest and the densest reference slots
         for k in (0, int(0.4 * n_slots) - 1):
-            plain = falpha_q_discrete(m, k, 0, params)
-            forced = falpha_q_discrete(m, k, 0, params, forced_regular=True)
+            plain = one_device_law(m, k, 0, params)
+            forced = one_device_law(m, k, 0, params, forced=True)
             sup = max(sup, float(np.max(np.abs(plain - forced))))
         assert sup <= 2.0 * f_max, n_slots
         sups.append(sup)
@@ -170,7 +169,8 @@ def test_criterion_6_fanout_leaves_percentiles_unchanged():
 def test_criterion_7_controller_holds_target_on_rising_ramp():
     """Budget: under five minutes; ~5 s of solves plus window sims."""
     q_ramp = [8000, 12000, 16000, 20000, 26000, 32000, 38000, 42000]
-    series = [(40.0 * i, bearer_request_rate(q, PERIOD_S))
+    p = TrafficParams().tx_probability
+    series = [(40.0 * i, bearer_request_rate(q, PERIOD_S, p))
               for i, q in enumerate(q_ramp)]
     policy = ScalingPolicy()  # 0.1 s target at p99, steps 1.0 / 2.0 / 2.5
     limit = policy.target_delay_s * 1.15

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy import special, stats
 
+from conftest import one_device_law
 from erlang_mixture import ErlangMixture, fbeta_mixture
 from miotcore import arrivals
 from miotcore.arrivals import (
@@ -15,7 +16,6 @@ from miotcore.arrivals import (
     KS_MIN_SAMPLES,
     bearer_request_rate,
     exponential_cdf,
-    falpha_q_discrete,
     falpha_system_discrete,
     ks_critical_value,
     ks_distance,
@@ -31,14 +31,14 @@ def _hazard(params):
     return beta_pmf(np.arange(1, params.n_slots + 1), params.n_slots)
 
 
-def _brute_single_cdf(m_values, k, offset, params, forced_regular=False):
+def _brute_single_cdf(m_values, k, offset, params, forced=False):
     """Direct product over slots: P(alpha <= m) = 1 - prod (1 - f)."""
     f = _hazard(params)
     n = params.n_slots
     s = (k + offset) % n
     out = []
     for m in m_values:
-        start = 2 if forced_regular else 1
+        start = 2 if forced else 1
         surv = 1.0
         for j in range(start, m + 1):
             surv *= 1.0 - f[(s + j - 1) % n]
@@ -48,60 +48,60 @@ def _brute_single_cdf(m_values, k, offset, params, forced_regular=False):
 
 def test_bearer_request_rate_values():
     # lambda_beta = Q (1 - e^-1) / T
-    assert bearer_request_rate(10_000, 10.0) == pytest.approx(
+    p = TrafficParams().tx_probability
+    assert bearer_request_rate(10_000, 10.0, p) == pytest.approx(
         632.1205588285577, rel=1e-13)
-    assert bearer_request_rate(15_000, 10.0) == pytest.approx(
+    assert bearer_request_rate(15_000, 10.0, p) == pytest.approx(
         948.1808382428365, rel=1e-13)
     assert bearer_request_rate(100, 10.0, tx_probability=0.5) == 5.0
     with pytest.raises(ValueError):
-        bearer_request_rate(0, 10.0)
+        bearer_request_rate(0, 10.0, p)
     with pytest.raises(ValueError):
-        bearer_request_rate(10, 0.0)
+        bearer_request_rate(10, 0.0, p)
 
 
-def test_falpha_q_discrete_matches_direct_product():
+def test_one_device_law_matches_direct_product():
     m_values = [1, 2, 3, 10, 37, 80, 120, 199, 200, 350]
     for k, offset in [(0, 0), (5, 0), (0, 63), (57, 120)]:
-        direct = _brute_single_cdf(m_values, k, offset, SMALL)
-        fast = falpha_q_discrete(np.array(m_values), k, offset, SMALL)
-        assert np.allclose(fast, direct, rtol=0.0, atol=1e-12)
-        forced = falpha_q_discrete(
-            np.array(m_values), k, offset, SMALL, forced_regular=True)
-        direct_f = _brute_single_cdf(m_values, k, offset, SMALL,
-                                     forced_regular=True)
-        assert np.allclose(forced, direct_f, rtol=0.0, atol=1e-12)
+        for forced in (False, True):
+            fast = one_device_law(np.array(m_values), k, offset, SMALL, forced)
+            direct = _brute_single_cdf(m_values, k, offset, SMALL, forced)
+            assert np.allclose(fast, direct, rtol=0.0, atol=1e-12)
 
 
-def test_falpha_q_discrete_properties():
+def test_one_device_law_properties():
     m = np.arange(1, 3 * SMALL.n_slots)
-    cdf = falpha_q_discrete(m, 17, 0, SMALL)
+    cdf = one_device_law(m, 17, 0, SMALL)
     assert np.all(np.diff(cdf) >= 0.0)
     assert np.all((cdf >= 0.0) & (cdf <= 1.0))
     # one expected alarm per period: three periods out the CDF is ~ 1 - e^-3
     assert cdf[-1] > 0.93
-    assert falpha_q_discrete(1, 17, 0, SMALL) == pytest.approx(
+    assert one_device_law(1, 17, 0, SMALL) == pytest.approx(
         _hazard(SMALL)[18 - 1], rel=1e-12)
     with pytest.raises(ValueError):
-        falpha_q_discrete(0, 0, 0, SMALL)
+        one_device_law(0, 0, 0, SMALL)
     with pytest.raises(ValueError):
-        falpha_q_discrete(np.array([1.5]), 0, 0, SMALL)
+        one_device_law(np.array([1.5]), 0, 0, SMALL)
     with pytest.raises(ValueError):
-        falpha_q_discrete(1, SMALL.n_slots, 0, SMALL)
+        one_device_law(1, SMALL.n_slots, 0, SMALL)
 
 
-def test_forced_regular_identity_and_bound():
-    # F - F_forced = f(s+1) (1 - F_forced): the forced variant only removes
-    # the very first slot's hazard
+def _assert_forced_slot_identity(plain, forced, first_hazard):
+    # F - F_forced = f(s+1) (1 - F_forced): forcing the transmitter's next
+    # slot Regular only removes that slot's hazard
+    identity = first_hazard * (1.0 - forced)
+    assert np.allclose(plain - forced, identity, rtol=0.0, atol=1e-12)
+    assert np.all(plain - forced >= -1e-15)
+    assert np.max(plain - forced) <= 2.0 * _hazard(SMALL).max()
+
+
+def test_forced_slot_identity_and_bound():
     f = _hazard(SMALL)
     m = np.arange(1, 2 * SMALL.n_slots)
     for k in (0, 79, 150):
-        s = k % SMALL.n_slots
-        plain = falpha_q_discrete(m, k, 0, SMALL)
-        forced = falpha_q_discrete(m, k, 0, SMALL, forced_regular=True)
-        identity = f[(s + 1) - 1] * (1.0 - forced)
-        assert np.allclose(plain - forced, identity, rtol=0.0, atol=1e-12)
-        assert np.all(plain - forced >= -1e-15)
-        assert np.max(plain - forced) <= 2.0 * f.max()
+        _assert_forced_slot_identity(one_device_law(m, k, 0, SMALL),
+                                     one_device_law(m, k, 0, SMALL, forced=True),
+                                     f[k % SMALL.n_slots])
 
 
 def test_falpha_system_matches_direct_product():
@@ -117,17 +117,21 @@ def test_falpha_system_matches_direct_product():
         fast = falpha_system_discrete(m, k, pop, SMALL)
         assert np.allclose(fast, 1.0 - direct_surv, rtol=0.0, atol=1e-12)
         # the merged first alarm is no later than any single source's
-        single = falpha_q_discrete(m, k, offs_slots[0], SMALL)
+        single = one_device_law(m, k, offs_slots[0], SMALL)
         assert np.all(fast >= single - 1e-15)
 
 
 def test_falpha_system_transmitter_group_is_forced():
+    # the one-device identity holds for the merged law too, with s + 1 the
+    # slot after the transmitter group's own phase
     pop = SourcePopulation(group_size=3, n_groups=2, offsets_s=(0.0, 5.0))
+    f = _hazard(SMALL)
     m = np.arange(1, 300)
-    plain = falpha_system_discrete(m, 10, pop, SMALL)
-    forced = falpha_system_discrete(m, 10, pop, SMALL, transmitter_group=0)
-    assert np.all(plain - forced >= -1e-15)
-    assert np.max(plain - forced) <= 2.0 * _hazard(SMALL).max()
+    for k in (10, 150):
+        plain = falpha_system_discrete(m, k, pop, SMALL)
+        for g, off in enumerate((0, 100)):
+            forced = falpha_system_discrete(m, k, pop, SMALL, transmitter_group=g)
+            _assert_forced_slot_identity(plain, forced, f[(k + off) % SMALL.n_slots])
 
 
 def test_offsets_outside_the_period_are_refused():
@@ -145,22 +149,22 @@ def test_offsets_outside_the_period_are_refused():
 
 
 def test_single_source_offsets_outside_the_grid_are_refused():
-    # the one-source law takes its offset in slots: N + 5 and -195 are
-    # errors on the 200-slot grid, not slot 5 again
+    # N + 5, -195, N and -1 slots are errors on the 200-slot grid, not
+    # slot 5 again, for the device's plain and forced laws alike: the
+    # population refuses a negative offset, the law one past the period
     m = np.arange(1, 50)
     for bad in (SMALL.n_slots + 5, -195, SMALL.n_slots, -1):
         for forced in (False, True):
-            with pytest.raises(ValueError, match=r"offset out of \[0, 200\) slots"):
-                falpha_q_discrete(m, 0, bad, SMALL, forced_regular=forced)
+            with pytest.raises(ValueError, match="offsets must "):
+                one_device_law(m, 0, bad, SMALL, forced)
     # in range the laws are bit for bit those computed before offsets were
-    # checked
+    # checked, when a separate one-source law took its offset in slots
     m = np.arange(1, 3 * SMALL.n_slots)
     digest = hashlib.sha256()
     for k in (0, 17, 199):
         for offset in (0, 5, 120, 199):
             for forced in (False, True):
-                digest.update(falpha_q_discrete(
-                    m, k, offset, SMALL, forced_regular=forced).tobytes())
+                digest.update(one_device_law(m, k, offset, SMALL, forced).tobytes())
     assert digest.hexdigest() == (
         "cc56ae1893e1f6b4962e837c33cf6d50887a1170d0491e731b2908561d086f7e")
 
@@ -275,7 +279,7 @@ def test_fbeta_mixture_equals_closed_form():
     q_total, period = 10_000, 10.0
     lam_alpha = q_total / period
     mix = ErlangMixture(stage_rate=lam_alpha)
-    lam_beta = bearer_request_rate(q_total, period)
+    lam_beta = bearer_request_rate(q_total, period, mix.success_probability)
     tau = np.linspace(0.0, 10.0 / lam_beta, 101)
     got = fbeta_mixture(tau, mix)
     want = exponential_cdf(lam_beta, tau)

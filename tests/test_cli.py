@@ -62,6 +62,26 @@ def test_generate_writes_stream_and_manifest(tmp_path, cfg, capsys):
     assert header == "timestamp_s,source_id"
 
 
+def test_generate_prints_nan_for_requests_in_one_slot(tmp_path):
+    # both requests of this run fall in the slot at 1.2 s: a span of 0 s has
+    # no empirical rate, so it prints nan, and no numpy warning
+    config = tmp_path / "one-slot.yaml"
+    config.write_text(yaml.safe_dump({"traffic": {
+        "period_s": 10.0, "q_total": 2, "n_groups": 1, "slot_delta_s": 0.1,
+        "tx_probability": 1.0, "horizon_s": 10.0}}))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "miotcore.cli", "generate", "--config", str(config),
+         "--out", str(tmp_path / "out"), "--seed", "1298"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert done.stdout == ("replication 0: 2 requests over 10.0 s "
+                           "(empirical rate nan /s, model rate 0.2000 /s)\n")
+    assert (tmp_path / "out" / "stream.csv").read_text().splitlines()[1:] == [
+        "1.2000000000000002,0", "1.2000000000000002,1"]
+
+
 def test_generate_is_deterministic_per_seed(tmp_path, cfg):
     a, b, c = (tmp_path / d for d in ("a", "b", "c"))
     assert run(["generate", "--config", cfg, "--out", str(a), "--seed", "9"]) == 0
@@ -632,6 +652,22 @@ def test_every_command_refuses_an_offset_outside_the_period(tmp_path, capsys):
         assert capsys.readouterr().err == (
             "configuration error: traffic.offsets_s: each offset must lie in "
             "[0, period_s=10.0), got 15.0\n"), argv
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_command_refuses_a_horizon_shorter_than_the_period(tmp_path, capsys):
+    # the generator needs one period; every command, predict included,
+    # refuses a shorter horizon when it loads the scenario, and names the key
+    config = tmp_path / "scenario.yaml"
+    config.write_text(yaml.safe_dump({"traffic": {
+        "period_s": 10.0, "q_total": 200, "n_groups": 10, "horizon_s": 5.0}}))
+    trace = _trace_file(tmp_path)
+    for argv in (["generate"], ["validate-arrivals"], ["simulate"], ["simulate", "--single-job"],
+                 ["predict"], ["scale", "--trace", trace, "--window-length", "100"]):
+        assert run(argv + ["--config", str(config), "--out", str(tmp_path / "out")]) == 2, argv
+        assert capsys.readouterr().err == (
+            "configuration error: traffic.horizon_s: must be at least "
+            "period_s=10.0, got 5.0\n"), argv
     assert not (tmp_path / "out").exists()
 
 

@@ -18,10 +18,9 @@ USER_TREES = ("src", "perfbench", "scripts")
 
 # public names only tests read, each with the reason it stays in the package
 TEST_ONLY = {
-    "falpha_q_discrete": "exact one-source first-alarm law, the generator's "
-                         "differential oracle at finite Q",
-    "falpha_system_discrete": "exact merged first-alarm law, the generator's "
-                              "differential oracle at finite Q",
+    "falpha_system_discrete": "exact first-alarm law of a source population, one "
+                              "device included, the generator's differential "
+                              "oracle at finite Q",
 }
 
 

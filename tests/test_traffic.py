@@ -458,6 +458,10 @@ def test_event_stream_validation_and_roundtrips(tmp_path):
     assert np.array_equal(stream.gaps(), np.array([0.75, 0.0, 1.75]))
     # (n - 1) gaps over the observed span of 2.5 s
     assert stream.mean_rate() == pytest.approx(3 / 2.5)
+    # one event, or two in one slot, span no time and have no rate
+    for times in ([1.25], [1.25, 1.25]):
+        with pytest.raises(ValueError, match="need >= 2 events over a positive span"):
+            EventStream(np.array(times)).mean_rate()
 
     # the binary form carries timestamps only: a little-endian u64 count,
     # then that many little-endian f64 seconds
