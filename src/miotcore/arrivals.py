@@ -69,6 +69,7 @@ def falpha_system_discrete(m, k, population, params: TrafficParams,
     treated as the transmitter whose next slot is forced Regular.  A
     one-source population, SourcePopulation(1, 1, (w,)), gives that one
     device's law, and with transmitter_group=0 its law after a transmission.
+    It is a first-alarm law: a regular rate epsilon is not in it.
     """
     m_arr = _as_lags(m)
     if not 0 <= k < params.n_slots:

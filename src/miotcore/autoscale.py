@@ -7,15 +7,14 @@ multiplier that overloads any entity's busiest server instance, by the
 rule ``predict`` applies over the routing's shares, is infeasible.  A
 hysteresis band (a fraction of the target) makes scale-down decisions
 sticky so the controller does not flap on a noisy rate series.  The
-closed loop replays a measured rate series window by window: decide from
-the model, then simulate the window and record the empirical percentile.
+closed loop walks a trace's fitted windows: decide from the model at the
+window's fitted rate, then replay the window's own requests at the chosen
+capacity and record the empirical percentile.
 """
 
 import math
 import warnings
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .csvio import write_csv
 from .delay import (
@@ -27,11 +26,7 @@ from .delay import (
 )
 from .errors import ConfigurationError, OverloadError
 from .simulator import single_job_mode
-from .traffic import EventStream, poisson_arrivals
-
-# the most arrivals a replay window may expect (rate * window length);
-# each one costs a few float64 slots in the draw and the single-job pass
-MAX_WINDOW_ARRIVALS = 10**7
+from .traffic import EventStream
 
 # the busiest-instance load, of any entity, from which the controller calls a
 # multiplier infeasible: past it a PS mean sojourn, D/(1-rho), exceeds 200 D
@@ -154,64 +149,42 @@ class LoopRecord:
     empirical_percentile_s: float
 
 
-def run_scaling_loop(rate_series, profiles, policy, shares, window_length_s, seed=0):
-    """Replay a rate series through the controller, simulating each window.
+def run_scaling_loop(windows, profiles, policy, shares):
+    """Replay a trace's fitted windows through the controller.
 
-    ``rate_series`` is an ordered list of (window_start_s, rate) pairs,
-    each window ``window_length_s`` long.  Per window the controller
-    decides a multiplier over ``shares``, with hysteresis against the
-    previous decision, then the window is simulated in single-job mode at
-    that multiplier -- Poisson arrivals at the rate over the window, job
-    size O_MME at the scaled capacity plus the scaled constant offset --
-    and the empirical percentile is recorded: an audit of the MME alone,
-    so an overload elsewhere shows only in ``feasible``.  The decisions'
-    first warning is shown once.  Windows start empty (capacity changes
-    take effect at window boundaries at no cost).  Deterministic for fixed
-    (series, seed).  A window expecting more than MAX_WINDOW_ARRIVALS
-    arrivals raises ConfigurationError before any window is drawn.
+    ``windows`` are ``trace.window_and_fit``'s, in order; a window without a
+    fitted rate (fewer than 2 requests over a positive span) is skipped.
+    Per window the controller decides a multiplier from ``rate_hat`` over
+    ``shares``, with hysteresis against the previous decision, then the
+    window's own requests, timed from its start, pass in single-job mode at
+    that multiplier -- job size O_MME at the scaled capacity plus the scaled
+    constant offset -- and the empirical percentile is recorded: an audit of
+    the MME alone, so an overload elsewhere shows only in ``feasible``.  The
+    decisions' first warning is shown once.  Windows start empty (capacity
+    changes take effect at window boundaries at no cost).  Raises
+    ConfigurationError when no window has a fitted rate.
     """
-    series = [(float(s), float(r)) for s, r in rate_series]
-    if not series:
-        raise ValueError("rate series must be non-empty")
-    starts = [s for s, _ in series]
-    if any(b <= a for a, b in zip(starts, starts[1:])):
-        raise ValueError("window starts must be strictly increasing")
-    length = float(window_length_s)
-    if not 0.0 < length < math.inf:
-        raise ValueError(f"window_length_s must be positive and finite, got {length!r}")
-    for start, rate in series:
-        if not rate > 0.0:
-            raise ValueError(f"window at {start!r} has non-positive rate {rate!r}")
-        if not rate * length <= MAX_WINDOW_ARRIVALS:
-            raise ConfigurationError(
-                f"window at {start!r} expects {rate * length!r} arrivals "
-                f"({rate!r}/s over {length!r} s), more than {MAX_WINDOW_ARRIVALS}"
-            )
+    fitted = [win for win in windows if win.rate_hat is not None]
+    if not fitted:
+        raise ConfigurationError("trace yields no windows with a fitted rate; nothing to replay")
 
     # each window and multiplier priced past the MME warns, its loads in the text
     decisions, previous = [], None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for _, rate in series:
-            previous = choose_multiplier(rate, profiles, policy, shares, previous)
+        for win in fitted:
+            previous = choose_multiplier(win.rate_hat, profiles, policy, shares, previous)
             decisions.append(previous)
     if caught:
         warnings.warn(caught[0].message, stacklevel=2)
 
-    child_seeds = np.random.SeedSequence(seed).spawn(len(series))
     records = []
-    for (start, rate), child, decision in zip(series, child_seeds, decisions):
+    for win, decision in zip(fitted, decisions):
         profs = scaled_profiles(profiles, decision.multiplier, policy)
-        mme = profs[ENTITY_MME]
-        offset = constant_delay_K(profs)
-        rng = np.random.default_rng(child)
-        arrivals = poisson_arrivals(rate, 0.0, length, rng)
-        if arrivals.size:
-            samples = single_job_mode(EventStream(arrivals, None), mme, offset)
-            empirical = samples.delay_percentile(policy.percentile)
-        else:
-            empirical = math.nan
-        records.append(LoopRecord(start, decision, empirical))
+        samples = single_job_mode(EventStream(win.timestamps - win.start_s),
+                                  profs[ENTITY_MME], constant_delay_K(profs))
+        records.append(LoopRecord(win.start_s, decision,
+                                  samples.delay_percentile(policy.percentile)))
     return records
 
 

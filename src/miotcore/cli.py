@@ -42,7 +42,7 @@ from .delay import (
 )
 from .errors import ConfigurationError, OverloadError, TraceFormatError
 from .simulator import default_bearer_template, run_bearer_simulation, single_job_mode
-from .trace import parse_trace, replay_rate_series, save_window_report, window_and_fit
+from .trace import parse_trace, save_window_report, window_and_fit
 from .traffic import generate_requests
 
 OUT_DIR_ENV = "MIOTCORE_OUT_DIR"
@@ -269,19 +269,8 @@ def cmd_scale(args):
     stream, report = parse_trace(args.trace)
     print(f"parsed {args.trace}: {report.text()}")
     windows = window_and_fit(stream, args.window_length)
-    series = replay_rate_series(windows)
-    if not series:
-        raise ConfigurationError(
-            "trace yields no windows with a fitted rate; nothing to replay"
-        )
-    records = run_scaling_loop(
-        series,
-        scenario.profiles,
-        scenario.policy,
-        scenario.instance_rates(1.0),
-        window_length_s=args.window_length,
-        seed=args.seed,
-    )
+    records = run_scaling_loop(windows, scenario.profiles, scenario.policy,
+                               scenario.instance_rates(1.0))
     windows_path = os.path.join(out, "trace_windows.csv")
     save_window_report(windows_path, windows)
     log_path = os.path.join(out, "decisions.csv")
@@ -290,8 +279,6 @@ def cmd_scale(args):
     for rec in records:
         if not rec.decision.feasible:
             mark = "infeasible"  # no multiplier meets the target, whatever the replay
-        elif math.isnan(rec.empirical_percentile_s):
-            mark = "no data"  # no arrivals were drawn in this window
         elif rec.empirical_percentile_s <= target:
             mark = "ok"
         else:

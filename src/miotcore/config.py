@@ -96,10 +96,11 @@ class Scenario:
                 for name in self.profiles}
 
     def lambda_beta(self):
-        """Merged bearer-request rate Q * tx_probability / T."""
-        return bearer_request_rate(
-            self.q_total, self.params.period_s, self.params.tx_probability
-        )
+        """Merged bearer-request rate Q * (tx_probability / T + epsilon): the
+        alarm stream's plus the regular stream's, a sum of Poisson streams."""
+        return (bearer_request_rate(self.q_total, self.params.period_s,
+                                    self.params.tx_probability)
+                + self.q_total * self.params.regular_rate_epsilon)
 
     def population(self, rng):
         """Source population with per-group offsets (sampled if not fixed).

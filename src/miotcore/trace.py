@@ -5,8 +5,8 @@ optional ``source_id`` column).  The pipeline turns it into a sorted
 EventStream, partitions time into fixed-length windows, fits an
 exponential inter-arrival model per window by maximum likelihood
 (lambda_hat = (n-1) / sum of within-window gaps), scores each fit with the
-Kolmogorov-Smirnov statistic, and exports an ordered rate series that the
-capacity-scaling loop can replay.
+Kolmogorov-Smirnov statistic.  The capacity-scaling loop prices each
+window at its fitted rate and replays the window's own requests.
 """
 
 import csv
@@ -273,20 +273,6 @@ def window_and_fit(stream, window_length_s):
         hi = np.searchsorted(ts, end, side="left")
         windows.append(_fit_window(start, end, ts[lo:hi]))
     return windows
-
-
-def replay_rate_series(windows):
-    """Ordered (window_start_s, rate_hat) pairs for the scaling loop.
-
-    Windows without a fitted rate (fewer than 2 events) are skipped.
-    """
-    if not windows:
-        raise ValueError("need at least one window")
-    series = []
-    for w in sorted(windows, key=lambda w: w.start_s):
-        if w.rate_hat is not None:
-            series.append((w.start_s, w.rate_hat))
-    return series
 
 
 def save_window_report(path, windows):

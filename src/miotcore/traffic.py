@@ -93,15 +93,13 @@ class SourcePopulation:
 
     group_size: int
     n_groups: int
-    offsets_s: tuple  # one per group, seconds in [0, T)
+    offsets_s: tuple  # one per group, seconds in [0, T): slot_phases refuses any other
 
     def __post_init__(self):
         if self.group_size < 1 or self.n_groups < 1:
             raise ValueError("group_size and n_groups must be >= 1")
         if len(self.offsets_s) != self.n_groups:
             raise ValueError("need one offset per group")
-        if not all(0.0 <= w < math.inf for w in self.offsets_s):
-            raise ValueError("offsets must be non-negative and finite")
 
     @property
     def q_total(self) -> int:

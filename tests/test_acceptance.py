@@ -167,18 +167,19 @@ def test_criterion_6_fanout_leaves_percentiles_unchanged():
 
 
 def test_criterion_7_controller_holds_target_on_rising_ramp():
-    """Budget: under five minutes; ~5 s of solves plus window sims."""
+    """Budget: under five minutes; ~5 s of solves plus window replays."""
     q_ramp = [8000, 12000, 16000, 20000, 26000, 32000, 38000, 42000]
     p = TrafficParams().tx_probability
-    series = [(40.0 * i, bearer_request_rate(q, PERIOD_S, p))
-              for i, q in enumerate(q_ramp)]
+    # window i holds Poisson requests at Q_i * p / T over [40 i, 40 (i + 1))
+    trace = make_diurnal_trace(bearer_request_rate(1, PERIOD_S, p), q_ramp, 40.0, seed=7)
+    windows = window_and_fit(trace, 40.0)
     policy = ScalingPolicy()  # 0.1 s target at p99, steps 1.0 / 2.0 / 2.5
     limit = policy.target_delay_s * 1.15
     # the stock routing's busiest-instance shares: one device of 10^4, one
     # eNB of 100 and one instance of each other entity
     shares = {**dict.fromkeys(DEFAULT_ENTITY_PROFILES, 1.0), "UE": 1e-4, "eNB": 0.01}
 
-    records = run_scaling_loop(series, DEFAULT_ENTITY_PROFILES, policy, shares, 40.0, seed=7)
+    records = run_scaling_loop(windows, DEFAULT_ENTITY_PROFILES, policy, shares)
     mults = [r.decision.multiplier for r in records]
     assert all(a <= b for a, b in zip(mults, mults[1:])), mults
     assert set(mults) == {1.0, 2.0, 2.5}, mults
@@ -188,7 +189,7 @@ def test_criterion_7_controller_holds_target_on_rising_ramp():
 
     # the fixed unit-capacity baseline loses the high-load windows
     baseline = ScalingPolicy(multipliers=(1.0,))
-    fixed = run_scaling_loop(series, DEFAULT_ENTITY_PROFILES, baseline, shares, 40.0, seed=7)
+    fixed = run_scaling_loop(windows, DEFAULT_ENTITY_PROFILES, baseline, shares)
     worst_fixed = max(r.empirical_percentile_s for r in fixed)
     assert worst_fixed > limit, worst_fixed
     assert not all(r.decision.feasible for r in fixed)

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,6 +27,8 @@ from miotcore.delay import (
     instance_loads,
 )
 from miotcore.errors import ConfigurationError, NumericalError, OverloadError
+from miotcore.trace import make_diurnal_trace, window_and_fit
+from miotcore.traffic import EventStream
 
 # an MME ten times slower than stock (D = 9 ms) so the interesting decision
 # thresholds sit at cheap-to-solve loads
@@ -201,30 +204,48 @@ def test_scale_down_hysteresis_prevents_flapping():
     assert up.multiplier == 2.0
 
 
+def _windows(shape, length=50.0, seed=5):
+    """Fitted windows of a diurnal trace at ``shape`` requests/s per window."""
+    return window_and_fit(make_diurnal_trace(1.0, shape, length, seed), length)
+
+
 def test_run_scaling_loop_records_and_determinism():
-    series = [(0.0, 40.0), (50.0, 100.0), (100.0, 40.0)]
-    records = run_scaling_loop(series, PROFILES, POLICY, SHARES, 50.0, seed=5)
+    # the empty third window has no fitted rate: it is skipped
+    windows = _windows((40.0, 100.0, 0.0, 40.0))
+    records = run_scaling_loop(windows, PROFILES, POLICY, SHARES)
     assert [r.decision.multiplier for r in records] == [1.0, 2.0, 1.0]
-    assert [r.window_start_s for r in records] == [0.0, 50.0, 100.0]
+    assert [r.window_start_s for r in records] == [0.0, 50.0, 150.0]
+    fitted = [w for w in windows if w.rate_hat is not None]
+    assert [r.decision.lambda_beta for r in records] == [w.rate_hat for w in fitted]
     for rec in records:
-        assert rec.decision.lambda_beta in (40.0, 100.0)
         assert math.isfinite(rec.empirical_percentile_s)
         assert rec.empirical_percentile_s < POLICY.target_delay_s
-    again = run_scaling_loop(series, PROFILES, POLICY, SHARES, 50.0, seed=5)
+    # a pure function of the windows: no draw, no seed
+    again = run_scaling_loop(windows, PROFILES, POLICY, SHARES)
     assert [r.empirical_percentile_s for r in again] == \
         [r.empirical_percentile_s for r in records]
-    other = run_scaling_loop(series, PROFILES, POLICY, SHARES, 50.0, seed=6)
-    assert [r.empirical_percentile_s for r in other] != \
-        [r.empirical_percentile_s for r in records]
 
 
-def test_run_scaling_loop_draws_are_pinned():
-    # exact values pin the replay's Poisson draws: a change in how a
-    # window is sampled shows here before it moves any artifact
-    records = run_scaling_loop([(0.0, 40.0), (50.0, 100.0), (100.0, 40.0)],
-                               PROFILES, POLICY, SHARES, 50.0, seed=5)
-    assert [r.empirical_percentile_s for r in records] == [
-        0.04417925695050522, 0.029439114642914196, 0.043452028477574345]
+def test_run_scaling_loop_replays_each_windows_own_requests():
+    # a fixed trace whose replay has a closed form.  Window 0: a request
+    # every 25 ms, 40/s, so each one finds the MME idle: D + K.  Window 1:
+    # bursts of 5 simultaneous requests every 50 ms, about 100/s, at
+    # multiplier 2: the burst shares the server, all 5 finish at 5 D/2,
+    # and the next burst finds it idle.  Window 2 holds one request, no fit.
+    # A Poisson replay at window 1's rate would give no such 5-job plateau.
+    even = 0.025 * np.arange(2000)
+    bursts = 50.0 + np.repeat(0.05 * np.arange(1000), 5)
+    stream = EventStream(np.concatenate([even, bursts, [125.0]]))
+    windows = window_and_fit(stream, 50.0)
+    assert [w.n_events for w in windows] == [2000, 5000, 1]
+    records = run_scaling_loop(windows, PROFILES, POLICY, SHARES)
+    assert [r.window_start_s for r in records] == [0.0, 50.0]
+    assert [r.decision.multiplier for r in records] == [1.0, 2.0]
+    k_unit = constant_delay_K(PROFILES)
+    k_double = constant_delay_K(scaled_profiles(PROFILES, 2.0))
+    assert records[0].empirical_percentile_s == pytest.approx(D + k_unit, rel=1e-12)
+    assert records[1].empirical_percentile_s == pytest.approx(
+        5 * D / 2 + k_double, rel=1e-12)
 
 
 def test_run_scaling_loop_warns_once_a_call():
@@ -232,10 +253,10 @@ def test_run_scaling_loop_warns_once_a_call():
     # multiplier priced; the loop shows the first of those warnings alone,
     # on the line that called it
     profiles = {**PROFILES, "SGW": EntityProfile("SGW", 3.0, 3.0 / 9.5e-3)}
+    windows = _windows((40.0, 100.0, 40.0))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        records = run_scaling_loop([(0.0, 40.0), (50.0, 100.0), (100.0, 40.0)],
-                                   profiles, POLICY, SHARES, 50.0, seed=5)
+        records = run_scaling_loop(windows, profiles, POLICY, SHARES)
     assert [r.decision.multiplier for r in records] == [1.0, 2.0, 1.0]
     assert [str(w.message).split(",")[0] for w in caught] == [
         "MME is not the bottleneck: SGW has the largest per-instance load"]
@@ -243,41 +264,13 @@ def test_run_scaling_loop_warns_once_a_call():
 
 
 def test_run_scaling_loop_input_validation():
-    with pytest.raises(ValueError):
-        run_scaling_loop([], PROFILES, POLICY, SHARES, 10.0)
-    with pytest.raises(ValueError):
-        run_scaling_loop([(0.0, 10.0), (0.0, 12.0)], PROFILES, POLICY, SHARES, 10.0)
-    with pytest.raises(ValueError):
-        run_scaling_loop([(0.0, -1.0)], PROFILES, POLICY, SHARES, window_length_s=10.0)
-    single = run_scaling_loop([(0.0, 40.0)], PROFILES, POLICY, SHARES,
-                              window_length_s=30.0, seed=1)
+    # no window with a fitted rate: nothing to replay
+    for windows in ([], window_and_fit(EventStream([3.0]), 10.0),
+                    window_and_fit(EventStream([3.0, 3.0]), 10.0)):
+        with pytest.raises(ConfigurationError, match="no windows with a fitted rate"):
+            run_scaling_loop(windows, PROFILES, POLICY, SHARES)
+    single = run_scaling_loop(_windows((40.0,), length=30.0), PROFILES, POLICY, SHARES)
     assert len(single) == 1
-
-
-def test_run_scaling_loop_refuses_a_window_past_max_arrivals(monkeypatch):
-    # the second window expects 100/s * 50 s = 5000 arrivals; it is refused
-    # before the first window draws any
-    monkeypatch.setattr("miotcore.autoscale.MAX_WINDOW_ARRIVALS", 4000)
-
-    def no_draws(*args):
-        raise AssertionError("drew arrivals before refusing the window")
-
-    monkeypatch.setattr("miotcore.autoscale.poisson_arrivals", no_draws)
-    with pytest.raises(ConfigurationError, match="expects 5000.0 arrivals"):
-        run_scaling_loop([(0.0, 40.0), (50.0, 100.0)], PROFILES, POLICY, SHARES, 50.0)
-
-
-def test_run_scaling_loop_refuses_a_window_length_that_is_not_positive_and_finite(
-        monkeypatch):
-    # 0 used to give a record with a NaN percentile, -5 a math domain error,
-    # NaN and infinity a window that "expects nan arrivals"
-    def no_draws(*args):
-        raise AssertionError("drew arrivals before refusing the window length")
-
-    monkeypatch.setattr("miotcore.autoscale.poisson_arrivals", no_draws)
-    for length in (0.0, -5.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="window_length_s must be positive and finite"):
-            run_scaling_loop([(0.0, 40.0)], PROFILES, POLICY, SHARES, length)
 
 
 def test_save_decision_log(tmp_path):

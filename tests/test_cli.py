@@ -248,18 +248,48 @@ def test_scale_replays_trace(tmp_path, cfg, capsys):
     assert "multiplier=1.0" in printed and "[ok]" in printed
 
 
-def test_scale_labels_window_without_arrivals(tmp_path, cfg, capsys):
-    # two events 99 s apart fit a rate of 1/99 per s; at seed 0 the
-    # window's Poisson draw is empty, so there is no empirical percentile
-    trace = tmp_path / "trace.csv"
-    EventStream(np.array([0.0, 99.0])).save_csv(trace)
+# one group of 10^4 sources, all at one offset, behind 2 eNBs: each
+# period's requests arrive in one Beta(3, 4)-shaped wave
+ONE_GROUP_SCENARIO = {
+    "traffic": {"period_s": 10.0, "q_total": 10_000, "n_groups": 1, "horizon_s": 40.0},
+    "topology": {"n_enb": 2}}
+
+
+def test_scale_sees_the_trace_cluster(tmp_path, capsys):
+    # each 10 s window fits about 632 /s, where the model predicts a p99 of
+    # about 13 ms at multiplier 1; the window's own requests come in one
+    # wave and take several times the 0.1 s target.  A Poisson replay at the
+    # fitted rate would read about 12.5 ms [ok] in every window
+    config = tmp_path / "one_group.yaml"
+    config.write_text(yaml.safe_dump(ONE_GROUP_SCENARIO))
+    assert run(["generate", "--config", str(config), "--seed", "1",
+                "--out", str(tmp_path / "gen")]) == 0
     out = tmp_path / "scale"
-    assert run(["scale", "--config", cfg, "--out", str(out), "--seed", "0",
-                "--trace", str(trace), "--window-length", "100"]) == 0
-    row = (out / "decisions.csv").read_text().splitlines()[1].split(",")
-    assert row[4] == "nan"
-    printed = capsys.readouterr().out
-    assert "empirical=nan [no data]" in printed and "OVER TARGET" not in printed
+    assert run(["scale", "--config", str(config), "--out", str(out), "--window-length", "10",
+                "--trace", str(tmp_path / "gen" / "stream.csv")]) == 0
+    rows = [row.split(",") for row in (out / "decisions.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 4
+    for row in rows:
+        assert (row[2], row[5]) == ("1.0", "1")
+        assert float(row[3]) < 0.1 < float(row[4])
+    printed = capsys.readouterr().out.splitlines()[2:]
+    assert len(printed) == 4 and all(line.endswith("[OVER TARGET]") for line in printed)
+
+
+def test_scale_refuses_a_trace_with_no_fitted_window(tmp_path, cfg, capsys):
+    # one request, and two at one instant: no window has a rate to price
+    for i, times in enumerate(([3.0], [3.0, 3.0])):
+        trace = tmp_path / f"trace{i}.csv"
+        EventStream(np.array(times)).save_csv(trace)
+        out = tmp_path / f"scale{i}"
+        capsys.readouterr()
+        assert run(["scale", "--config", cfg, "--out", str(out), "--trace", str(trace),
+                    "--window-length", "100"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("configuration error: trace yields no windows with a fitted rate; "
+                       "nothing to replay\n")
+        assert not (out / "trace_windows.csv").exists()
+        assert not (out / "decisions.csv").exists()
 
 
 # the stock scenario with the SGW at capacity 2000, 1.5 ms a bearer, scaling
@@ -293,21 +323,21 @@ def test_scale_prices_every_entity_as_predict_does(tmp_path, capsys):
     printed, err = capsys.readouterr()
     assert printed.splitlines()[1:] == [
         "window t=       0.0s rate=  124.449/s multiplier=1.0 predicted=0.008871s "
-        "empirical=0.008877s [ok]",
+        "empirical=0.008955s [ok]",
         "window t=      10.0s rate=  229.082/s multiplier=1.0 predicted=0.009513s "
-        "empirical=0.009428s [ok]",
+        "empirical=0.009265s [ok]",
         "window t=      20.0s rate=  372.330/s multiplier=1.0 predicted=0.010585s "
-        "empirical=0.010834s [ok]",
+        "empirical=0.011414s [ok]",
         "window t=      30.0s rate=  641.320/s multiplier=1.0 predicted=0.014194s "
-        "empirical=0.013926s [ok]",
+        "empirical=0.015319s [ok]",
         "window t=      40.0s rate=  954.323/s multiplier=2.5 predicted=inf "
-        "empirical=0.008295s [infeasible]",
+        "empirical=0.008172s [infeasible]",
         "window t=      50.0s rate= 1257.632/s multiplier=2.5 predicted=inf "
-        "empirical=0.008664s [infeasible]",
+        "empirical=0.008977s [infeasible]",
         "window t=      60.0s rate= 1068.802/s multiplier=2.5 predicted=inf "
-        "empirical=0.008710s [infeasible]",
+        "empirical=0.008328s [infeasible]",
         "window t=      70.0s rate=  771.936/s multiplier=2.5 predicted=inf "
-        "empirical=0.008189s [infeasible]"]
+        "empirical=0.008102s [infeasible]"]
     # the SGW tops the MME at every window and multiplier priced: one line
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("warning: MME is not the bottleneck: SGW")
@@ -329,22 +359,6 @@ def test_scale_refuses_a_trace_span_of_too_many_windows(tmp_path, cfg, capsys, l
                 "--window-length", "1e-3"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "windows" in err
-    assert err.count("\n") == 1 and "Traceback" not in err
-    assert not (out / "trace_windows.csv").exists()
-    assert not (out / "decisions.csv").exists()
-
-
-def test_scale_refuses_a_window_of_too_many_arrivals(tmp_path, cfg, capsys, monkeypatch):
-    # about 2 requests/s over 100 s windows: 200 expected arrivals, past a
-    # cap of 100, so exit 2 before any window is replayed or written
-    monkeypatch.setattr("miotcore.autoscale.MAX_WINDOW_ARRIVALS", 100)
-    trace = tmp_path / "trace.csv"
-    EventStream(0.5 * np.arange(1, 200)).save_csv(trace)
-    out = tmp_path / "scale"
-    assert run(["scale", "--config", cfg, "--out", str(out), "--trace", str(trace),
-                "--window-length", "100"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error:") and "more than 100" in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (out / "trace_windows.csv").exists()
     assert not (out / "decisions.csv").exists()
@@ -458,6 +472,24 @@ def test_source_id_outside_int64_is_a_malformed_row(tmp_path, cfg, capsys):
                  ["scale", "--trace", str(trace), "--window-length", "100"]):
         assert run(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert "valid=199 malformed_rejected=1" in capsys.readouterr().out
+
+
+# 10^4 sources at a regular rate of 0.05 /s add 500 /s to the alarms'
+# 632.1 /s: the MME's load is 1.02 over the model and the stream alike
+REGULAR_STREAM_SCENARIO = {"traffic": {"period_s": 10.0, "q_total": 10_000,
+                                       "horizon_s": 20.0, "regular_rate_epsilon": 0.05}}
+
+
+def test_predict_prices_the_regular_stream(tmp_path, capsys):
+    config = tmp_path / "regular.yaml"
+    config.write_text(yaml.safe_dump(REGULAR_STREAM_SCENARIO))
+    errors = []
+    for argv in (["predict"], ["simulate", "--single-job"]):
+        assert run(argv + ["--config", str(config), "--seed", "1",
+                           "--out", str(tmp_path / "out")]) == 4
+        errors.append(capsys.readouterr().err)
+    assert errors[0].startswith("overload: MME overloaded: rho=1.01891 >= 1 at rate=1132.12")
+    assert errors[1].startswith("overload: MME overloaded: rho=1.02091 >= 1 at rate=1134.35")
 
 
 def test_exit_codes(tmp_path, cfg, capsys):
@@ -821,7 +853,8 @@ def _golden_digests(name):
 # bearer.  The manifests alone were re-frozen when they began to record the
 # resolved scenario only: profile rows of entity, ops_per_bearer and
 # capacity, and a topology of n_enb, resolved to one eNB per group here, and
-# n_sgw
+# n_sgw.  The decision logs alone were re-frozen when scale began to replay
+# each window's own requests in place of Poisson draws at its fitted rate
 GOLDEN_DIGESTS = {
     "encrypted-mme": {
         "generate/generate_manifest.json":
@@ -837,7 +870,7 @@ GOLDEN_DIGESTS = {
         "predict/survival.csv":
             "0bb5152960263f491dd8d58ed19ffc0567dc04dc7700ca90dca89e4a64e56c6f",
         "scale/decisions.csv":
-            "2103a5bbf4b6c954d54be7daa734b170366bf6b1d0ef0ac9e5b0bb72e9686e8c",
+            "b73b232b510dba6f3cf4bbcf2211e3f8c282200be0d7ed05778b862524c63d10",
         "scale/scale_manifest.json":
             "ae3c1d2ab38a515daadeb1790a153f865831dc9803af689d82abf74d07c99564",
         "scale/trace_windows.csv":
@@ -873,7 +906,7 @@ GOLDEN_DIGESTS = {
         "predict/survival.csv":
             "72744aba8e8455bcdd3c39ca5c0e439697b57968c931fb818ffdb9138f542399",
         "scale/decisions.csv":
-            "84027c9e07558ffb0c3e7598a133cbddecf9fe33544ed1d2296e97078e8b1efe",
+            "a4c37011f6d1c58e4ff4f87e1267016f95282f66cd02567652ff471a5a9787c4",
         "scale/scale_manifest.json":
             "1018050d288dfa9e01aeec084295fc8f59b52e71f9966a16c3827f777a12d461",
         "scale/trace_windows.csv":
@@ -909,7 +942,7 @@ GOLDEN_DIGESTS = {
         "predict/survival.csv":
             "0f229ed8fb8576f149e25dec8801179bad08caae94c53a85e5186ba8246a2033",
         "scale/decisions.csv":
-            "06bd4d6b8f77a01bcf4d138b030077a0e3a57e1ab6625a0fecaeccbd56c31179",
+            "4ca7c0e6a3da9169b9e13d1e7f61a95160a41659f8a575eab48a394245d3cf2e",
         "scale/scale_manifest.json":
             "55e0da7c99438163db8790bfcf5ac7ff0c79ba34afd2a4a30fc6fcc6d508155b",
         "scale/trace_windows.csv":

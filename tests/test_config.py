@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, strategies as st
 
 from miotcore.autoscale import ScalingPolicy
 from miotcore.config import (
@@ -19,7 +20,7 @@ from miotcore.config import (
 from miotcore.delay import EntityProfile
 from miotcore.errors import ConfigurationError
 from miotcore.simulator import default_bearer_template, message_count
-from miotcore.traffic import SourcePopulation, TrafficParams
+from miotcore.traffic import SourcePopulation, TrafficParams, generate_requests
 from perfbench.workloads import STOCK_WALK
 
 MINIMAL = {"traffic": {"period_s": 10.0, "q_total": 1000}}
@@ -76,6 +77,32 @@ def test_minimal_document_fills_defaults():
     assert sc.policy.target_delay_s == 0.1
     assert sc.policy.multipliers == (1.0, 2.0, 2.5)
     assert sc.lambda_beta() == pytest.approx(63.21205588285577, rel=1e-13)
+
+
+@given(group_size=st.integers(1, 100), n_groups=st.integers(1, 4),
+       periods=st.integers(1, 4), period_s=st.sampled_from([1.0, 10.0]),
+       tx_probability=st.floats(0.2, 1.0), regular_per_period=st.floats(0.1, 2.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_generated_count_matches_lambda_beta(group_size, n_groups, periods, period_s,
+                                             tx_probability, regular_per_period, seed):
+    # over whole periods each source alarms in each slot n with the
+    # probability f(n) of the Beta pmf, whose N slots sum to 1 within 2 / N,
+    # and transmits with probability p; the regular stream is Poisson at
+    # Q * epsilon.  So the count's mean is lambda_beta * H, up to that
+    # Riemann term per source and period, and its variance is at most the
+    # mean: five Poisson sigmas bound it
+    q_total = group_size * n_groups
+    n_slots = 1000
+    sc = scenario_from_dict({"traffic": {
+        "period_s": period_s, "q_total": q_total, "n_groups": n_groups,
+        "slot_delta_s": period_s / n_slots, "tx_probability": tx_probability,
+        "regular_rate_epsilon": regular_per_period / period_s,
+        "horizon_s": periods * period_s}})
+    rng = np.random.default_rng(seed)
+    stream = generate_requests(sc.population(rng), sc.params, sc.horizon_s, rng)
+    mean = sc.lambda_beta() * sc.horizon_s
+    bound = 5.0 * math.sqrt(mean) + q_total * periods * 2.0 / n_slots
+    assert abs(len(stream) - mean) <= bound, (len(stream), mean, bound)
 
 
 def test_population_offsets_drawn_or_fixed():
@@ -139,24 +166,30 @@ def test_non_finite_float_is_refused(path, value):
 
 
 # library callers that skip scenario_from_dict reach these checks directly;
-# each used to let NaN through, as every comparison with NaN is false
-@pytest.mark.parametrize("build, error", [
-    (lambda: EntityProfile("MME", math.nan, 1e4), ConfigurationError),
-    (lambda: EntityProfile("MME", math.inf, 1e4), ConfigurationError),
-    (lambda: EntityProfile("MME", 9.0, math.nan), ConfigurationError),
-    (lambda: EntityProfile("MME", 9.0, math.inf), ConfigurationError),
-    (lambda: ScalingPolicy(multipliers=(1.0, math.nan)), ConfigurationError),
-    (lambda: ScalingPolicy(multipliers=(1.0, math.inf)), ConfigurationError),
-    (lambda: ScalingPolicy(target_delay_s=math.inf), ConfigurationError),
-    (lambda: TrafficParams(regular_rate_epsilon=math.nan), ValueError),
-    (lambda: TrafficParams(regular_rate_epsilon=math.inf), ValueError),
-    (lambda: SourcePopulation(1, 2, offsets_s=(1.0, math.nan)), ValueError),
-    (lambda: SourcePopulation(1, 2, offsets_s=(1.0, math.inf)), ValueError),
+# each used to let NaN through, as every comparison with NaN is false.  An
+# offset is refused where it is read, by traffic.slot_phases
+_OUTSIDE = r"offsets must lie in \[0, period_s\)"
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: EntityProfile("MME", math.nan, 1e4), ConfigurationError, "finite"),
+    (lambda: EntityProfile("MME", math.inf, 1e4), ConfigurationError, "finite"),
+    (lambda: EntityProfile("MME", 9.0, math.nan), ConfigurationError, "finite"),
+    (lambda: EntityProfile("MME", 9.0, math.inf), ConfigurationError, "finite"),
+    (lambda: ScalingPolicy(multipliers=(1.0, math.nan)), ConfigurationError, "finite"),
+    (lambda: ScalingPolicy(multipliers=(1.0, math.inf)), ConfigurationError, "finite"),
+    (lambda: ScalingPolicy(target_delay_s=math.inf), ConfigurationError, "finite"),
+    (lambda: TrafficParams(regular_rate_epsilon=math.nan), ValueError, "finite"),
+    (lambda: TrafficParams(regular_rate_epsilon=math.inf), ValueError, "finite"),
+    (lambda: generate_requests(SourcePopulation(1, 2, offsets_s=(1.0, math.nan)),
+                               TrafficParams(), 10.0, seed=0), ValueError, _OUTSIDE),
+    (lambda: generate_requests(SourcePopulation(1, 2, offsets_s=(1.0, math.inf)),
+                               TrafficParams(), 10.0, seed=0), ValueError, _OUTSIDE),
 ], ids=["ops-nan", "ops-inf", "capacity-nan", "capacity-inf", "multiplier-nan",
         "multiplier-inf", "target-inf", "epsilon-nan", "epsilon-inf",
         "offset-nan", "offset-inf"])
-def test_library_constructor_refuses_non_finite(build, error):
-    with pytest.raises(error, match="finite"):
+def test_library_constructor_refuses_non_finite(build, error, match):
+    with pytest.raises(error, match=match):
         build()
 
 

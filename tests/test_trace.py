@@ -15,7 +15,6 @@ from miotcore.trace import (
     _duplicate_count,
     make_diurnal_trace,
     parse_trace,
-    replay_rate_series,
     save_window_report,
     window_and_fit,
 )
@@ -284,8 +283,9 @@ def test_window_and_fit_flags_and_gaps():
     assert windows[1].rate_hat is None and windows[1].ks_statistic is None
     assert all(w.ks_pass is None for w in windows)  # all below 50 events
     assert windows[2].rate_hat == pytest.approx(1.0 / 0.1, rel=1e-9)
-    with pytest.raises(ValueError):
-        window_and_fit(EventStream(ts), 0.0)
+    for length in (0.0, -5.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="window_length_s must be positive and finite"):
+            window_and_fit(EventStream(ts), length)
     assert window_and_fit(EventStream(np.array([])), 10.0) == []
 
 
@@ -314,18 +314,6 @@ def test_rate_fit_is_exactly_scale_equivariant():
             continue
         assert b.rate_hat == a.rate_hat / 2.0  # exact, not approx
         assert b.ks_statistic == a.ks_statistic
-
-
-def test_replay_rate_series_orders_and_skips():
-    w = [
-        TraceWindow(10.0, 20.0, np.array([11.0, 12.0]), 1.0, 0.5),
-        TraceWindow(0.0, 10.0, np.array([1.0, 3.0]), 0.5, 0.5),
-        TraceWindow(20.0, 30.0, np.array([]), None, None),
-    ]
-    series = replay_rate_series(w)
-    assert series == [(0.0, 0.5), (10.0, 1.0)]
-    with pytest.raises(ValueError):
-        replay_rate_series([])
 
 
 def test_save_window_report_columns(tmp_path):

@@ -55,8 +55,10 @@ def test_population_validation():
         SourcePopulation(group_size=0, n_groups=10, offsets_s=(0.0,) * 10)
     with pytest.raises(ValueError):
         SourcePopulation(group_size=50, n_groups=2, offsets_s=(0.0,))
-    with pytest.raises(ValueError):
-        SourcePopulation(group_size=50, n_groups=1, offsets_s=(-1.0,))
+    # an offset outside [0, T) is refused where it is read, by slot_phases
+    early = SourcePopulation(group_size=50, n_groups=1, offsets_s=(-1.0,))
+    with pytest.raises(ValueError, match="offsets must lie in"):
+        generate_requests(early, TrafficParams(), 10.0, seed=0)
 
 
 def test_beta_pmf_values_and_normalization():
