@@ -8,9 +8,12 @@ Subcommands:
     predict             analytic delay model summary and percentile
     scale               closed-loop capacity scaling over a trace
 
-Every command is deterministic given (config, seed), writes its outputs
-under one directory, and drops a JSON manifest recording the command, the
-resolved configuration, the seed, and the produced files.  Exit codes:
+Every command is deterministic given (config, seed) and writes its outputs
+under one directory.  ``main`` loads the scenario, runs the command, and
+once the command's artifacts are written records them in one
+``<command>_manifest.json``: the command, the resolved configuration with
+the command's own options under ``cli``, the seed, and the produced
+files.  A command that exits non-zero writes no manifest.  Exit codes:
 0 success, 2 configuration error, 3 I/O error, 4 overload/infeasible.
 A warning, such as a load rule's "MME is not the bottleneck", goes to
 stderr as one ``warning: <message>`` line, from the workers of
@@ -62,29 +65,22 @@ def _one_line_warnings():
     warnings.showwarning = lambda message, *_: sys.stderr.write(f"warning: {message}\n")
 
 
-def _require_config(args):
-    if not args.config:
-        raise ConfigurationError("--config PATH is required for this command")
-    return load_scenario(args.config)
-
-
-def _write_manifest(args, command, scenario, outputs, extra=None):
+def _write_manifest(args, scenario, outputs, extra):
     """Write the provenance record of a command next to its outputs."""
-    config = scenario_to_dict(scenario) if scenario is not None else {}
+    config = scenario_to_dict(scenario)
     if extra:
         config["cli"] = extra
     doc = {
-        "command": command,
+        "command": args.command,
         "config": config,
         "seed": args.seed,
         "artifact_version": __version__,
         "outputs": sorted(os.path.basename(p) for p in outputs),
     }
-    path = os.path.join(_out_dir(args), f"{command}_manifest.json")
+    path = os.path.join(_out_dir(args), f"{args.command}_manifest.json")
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
 def _replication_stream(scenario, rep_ss):
@@ -98,21 +94,21 @@ def _replication_stream(scenario, rep_ss):
     return generate_requests(population, scenario.params, scenario.horizon_s, gen_ss)
 
 
-def _replication_streams(scenario, seed, replications):
-    """One generated EventStream per replication, deterministically seeded."""
-    for rep_ss in np.random.SeedSequence(seed).spawn(replications):
-        yield _replication_stream(scenario, rep_ss)
+def _replication_seeds(args):
+    """The child seed of each replication.  Child i does not depend on
+    --replications, so replication 0 is the same stream in every command."""
+    return np.random.SeedSequence(args.seed).spawn(args.replications)
 
 
 def _suffix(i, n):
     return "" if n == 1 else f"_r{i}"
 
 
-def cmd_generate(args):
-    scenario = _require_config(args)
+def cmd_generate(args, scenario):
     out = _out_dir(args)
     outputs = []
-    for i, stream in enumerate(_replication_streams(scenario, args.seed, args.replications)):
+    for i, rep_ss in enumerate(_replication_seeds(args)):
+        stream = _replication_stream(scenario, rep_ss)
         csv_path = os.path.join(out, f"stream{_suffix(i, args.replications)}.csv")
         bin_path = os.path.join(out, f"stream{_suffix(i, args.replications)}.bin")
         stream.save_csv(csv_path)
@@ -126,21 +122,19 @@ def cmd_generate(args):
             f"replication {i}: {len(stream)} requests over {scenario.horizon_s} s "
             f"(empirical rate {rate:.4f} /s, model rate {scenario.lambda_beta():.4f} /s)"
         )
-    outputs.append(_write_manifest(args, "generate", scenario, outputs))
-    return 0
+    return outputs, None
 
 
 def _empirical_cdf(sorted_values, grid):
     return np.searchsorted(sorted_values, grid, side="right") / sorted_values.size
 
 
-def cmd_validate_arrivals(args):
-    scenario = _require_config(args)
+def cmd_validate_arrivals(args, scenario):
     if args.stream:
         stream, report = parse_trace(args.stream)
         print(f"parsed {args.stream}: {report.text()}")
     else:
-        stream = next(iter(_replication_streams(scenario, args.seed, 1)))
+        stream = _replication_stream(scenario, _replication_seeds(args)[0])
     gaps = stream.gaps()
     gaps.sort()
     if gaps.size < 2:
@@ -161,9 +155,7 @@ def cmd_validate_arrivals(args):
     with open(report_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print("\n".join(lines))
-    extra = {"stream": args.stream} if args.stream else None
-    _write_manifest(args, "validate-arrivals", scenario, [curve_path, report_path], extra)
-    return 0
+    return [curve_path, report_path], {"stream": args.stream} if args.stream else None
 
 
 def _simulate_one(scenario, rep_ss, single_job):
@@ -189,10 +181,9 @@ def _simulate_one(scenario, rep_ss, single_job):
     )
 
 
-def cmd_simulate(args):
-    scenario = _require_config(args)
+def cmd_simulate(args, scenario):
     out = _out_dir(args)
-    reps = list(np.random.SeedSequence(args.seed).spawn(args.replications))
+    reps = _replication_seeds(args)
     # a pool starts all its workers at once: no more than there is work
     # for, nor than there are CPUs this process may run on
     workers = min(args.jobs, args.replications, len(os.sched_getaffinity(0)))
@@ -228,15 +219,10 @@ def cmd_simulate(args):
             )
         else:
             print(f"replication {i}: no requests within the horizon")
-    outputs.append(
-        _write_manifest(args, "simulate", scenario,
-                        outputs, {"single_job": bool(args.single_job)})
-    )
-    return 0
+    return outputs, {"single_job": bool(args.single_job)}
 
 
-def cmd_predict(args):
-    scenario = _require_config(args)
+def cmd_predict(args, scenario):
     out = _out_dir(args)
     lam = scenario.lambda_beta()
     instance_loads(scenario.instance_rates(lam), scenario.profiles)
@@ -256,13 +242,10 @@ def cmd_predict(args):
     grid = np.linspace(model.K, hi, 512)
     survival_path = os.path.join(out, "survival.csv")
     save_survival_csv(survival_path, model, grid)
-    _write_manifest(args, "predict", scenario, [model_path, survival_path],
-                    {"percentile": args.percentile})
-    return 0
+    return [model_path, survival_path], {"percentile": args.percentile}
 
 
-def cmd_scale(args):
-    scenario = _require_config(args)
+def cmd_scale(args, scenario):
     if not args.trace:
         raise ConfigurationError("--trace PATH is required for the scale command")
     out = _out_dir(args)
@@ -290,11 +273,7 @@ def cmd_scale(args):
             f"multiplier={rec.decision.multiplier:3.1f} "
             f"predicted={predicted} empirical={empirical} [{mark}]"
         )
-    _write_manifest(
-        args, "scale", scenario, [windows_path, log_path],
-        {"trace": args.trace, "window_length_s": args.window_length},
-    )
-    return 0
+    return [windows_path, log_path], {"trace": args.trace, "window_length_s": args.window_length}
 
 
 def _build_parser():
@@ -357,7 +336,12 @@ def main(argv=None):
         try:
             if args.replications < 1 or args.jobs < 1:
                 raise ConfigurationError("--replications and --jobs must be at least 1")
-            return args.func(args)
+            if not args.config:
+                raise ConfigurationError("--config PATH is required for this command")
+            scenario = load_scenario(args.config)
+            outputs, extra = args.func(args, scenario)
+            _write_manifest(args, scenario, outputs, extra)
+            return 0
         except ConfigurationError as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             return 2

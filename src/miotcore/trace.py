@@ -239,6 +239,22 @@ def _fit_window(start, end, ts):
     )
 
 
+def _window_index(t, length):
+    """The k with k*length <= t < (k+1)*length, the bounds computed as the
+    windows compute them, or inf where t / length overflows.
+    ``floor(t / length)`` alone can be one off: 1.7 / 0.1 == 17.0, while
+    17 * 0.1 > 1.7."""
+    q = t / length
+    if not math.isfinite(q):
+        return math.inf
+    k = math.floor(q)
+    if k * length > t:
+        return k - 1
+    if (k + 1) * length <= t:
+        return k + 1
+    return k
+
+
 def window_and_fit(stream, window_length_s):
     """Partition a stream into fixed windows and fit Exp gaps per window.
 
@@ -256,15 +272,14 @@ def window_and_fit(stream, window_length_s):
     if ts.size == 0:
         return []
     length = float(window_length_s)
-    first = float(ts[0]) / length
-    last = float(ts[-1]) / length
-    if not math.isfinite(last) or math.floor(last) - math.floor(first) >= MAX_WINDOWS:
+    first, last = float(ts[0]), float(ts[-1])
+    k0 = _window_index(first, length)
+    k1 = _window_index(last, length)
+    if not k1 - k0 < MAX_WINDOWS:  # inf - inf is nan
         raise ConfigurationError(
             f"window length {length!r} s splits the trace span "
-            f"[{float(ts[0])!r}, {float(ts[-1])!r}] s into more than {MAX_WINDOWS} windows"
+            f"[{first!r}, {last!r}] s into more than {MAX_WINDOWS} windows"
         )
-    k0 = math.floor(first)
-    k1 = math.floor(last)
     windows = []
     for k in range(k0, k1 + 1):
         start = k * length

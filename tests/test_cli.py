@@ -116,6 +116,19 @@ def test_validate_arrivals_generated_stream(tmp_path, cfg):
     assert (out / "validate-arrivals_manifest.json").exists()
 
 
+def test_validate_arrivals_tests_the_first_generated_replication(tmp_path, cfg):
+    # one seeding path: replication 0 is the same stream in every command,
+    # whatever --replications is
+    gen, own, parsed = (tmp_path / d for d in ("gen", "own", "parsed"))
+    assert run(["generate", "--config", cfg, "--out", str(gen), "--seed", "3",
+                "--replications", "2"]) == 0
+    assert run(["validate-arrivals", "--config", cfg, "--out", str(own), "--seed", "3"]) == 0
+    assert run(["validate-arrivals", "--config", cfg, "--out", str(parsed),
+                "--stream", str(gen / "stream_r0.csv")]) == 0
+    for name in ("ks_report.txt", "arrival_cdf.csv"):
+        assert (own / name).read_bytes() == (parsed / name).read_bytes()
+
+
 def test_validate_arrivals_rejects_periodic_stream(tmp_path, cfg):
     # 200 equally spaced requests: nothing like the exponential model
     trace = tmp_path / "periodic.csv"
@@ -163,7 +176,7 @@ def test_simulate_parallel_replications_match_serial(tmp_path, cfg):
             "--single-job"]
     assert run(base + ["--out", str(serial)]) == 0
     assert run(base + ["--out", str(parallel), "--jobs", "2"]) == 0
-    for name in ("delays_r0.csv", "delays_r1.csv"):
+    for name in ("delays_r0.csv", "delays_r1.csv", "simulate_manifest.json"):
         assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
 

@@ -1,11 +1,12 @@
 """Trace ingestion: CSV parsing, windowed exponential fits, rate replay."""
 
 import math
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from miotcore import trace
 from miotcore.arrivals import KS_MIN_SAMPLES, ks_critical_value
@@ -297,6 +298,20 @@ def test_window_and_fit_refuses_more_than_max_windows(monkeypatch):
     # 1e308 s in 1 ms windows: the count itself overflows to inf
     with pytest.raises(ConfigurationError):
         window_and_fit(EventStream(np.array([1.0, 1e308])), 1e-3)
+
+
+@settings(max_examples=200)
+@given(times=st.lists(st.decimals(min_value=0, max_value=20, places=2), min_size=1, max_size=8),
+       length=st.decimals(min_value="0.05", max_value=5, places=2))
+@example(times=[Decimal("1.7"), Decimal("2.2")], length=Decimal("0.1"))
+@example(times=[Decimal("0.0"), Decimal("4.3")], length=Decimal("0.1"))
+def test_window_counts_sum_to_the_stream_length(times, length):
+    # 1.7 / 0.1 is 17.0, but window 17 starts at 1.7000000000000002; and
+    # 4.3 / 0.1 is 42.99999999999999, but window 42 ends at 4.3
+    ts = np.array(sorted(float(t) for t in times))
+    windows = window_and_fit(EventStream(ts), float(length))
+    assert sum(w.n_events for w in windows) == ts.size
+    assert windows[0].n_events and windows[-1].n_events
 
 
 def test_rate_fit_is_exactly_scale_equivariant():
