@@ -20,7 +20,6 @@ from .csvio import write_csv
 from .delay import (
     ENTITY_MME,
     build_delay_model,
-    constant_delay_K,
     delay_percentile,
     instance_loads,
 )
@@ -157,8 +156,8 @@ def run_scaling_loop(windows, profiles, policy, shares):
     Per window the controller decides a multiplier from ``rate_hat`` over
     ``shares``, with hysteresis against the previous decision, then the
     window's own requests, timed from its start, pass in single-job mode at
-    that multiplier -- job size O_MME at the scaled capacity plus the scaled
-    constant offset -- and the empirical percentile is recorded: an audit of
+    that multiplier -- ``single_job_mode`` over the profiles the policy's
+    scope scales -- and the empirical percentile is recorded: an audit of
     the MME alone, so an overload elsewhere shows only in ``feasible``.  The
     decisions' first warning is shown once.  Windows start empty (capacity
     changes take effect at window boundaries at no cost).  Raises
@@ -180,9 +179,8 @@ def run_scaling_loop(windows, profiles, policy, shares):
 
     records = []
     for win, decision in zip(fitted, decisions):
-        profs = scaled_profiles(profiles, decision.multiplier, policy)
         samples = single_job_mode(EventStream(win.timestamps - win.start_s),
-                                  profs[ENTITY_MME], constant_delay_K(profs))
+                                  scaled_profiles(profiles, decision.multiplier, policy))
         records.append(LoopRecord(win.start_s, decision,
                                   samples.delay_percentile(policy.percentile)))
     return records

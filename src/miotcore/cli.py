@@ -36,9 +36,7 @@ from .autoscale import run_scaling_loop, save_decision_log
 from .config import load_scenario, scenario_to_dict
 from .csvio import write_csv
 from .delay import (
-    ENTITY_MME,
     build_delay_model,
-    constant_delay_K,
     delay_percentile,
     instance_loads,
     save_survival_csv,
@@ -94,10 +92,11 @@ def _replication_stream(scenario, rep_ss):
     return generate_requests(population, scenario.params, scenario.horizon_s, gen_ss)
 
 
-def _replication_seeds(args):
-    """The child seed of each replication.  Child i does not depend on
-    --replications, so replication 0 is the same stream in every command."""
-    return np.random.SeedSequence(args.seed).spawn(args.replications)
+def _replication_seeds(args, count=None):
+    """The child seeds of the first ``count`` replications, all of
+    --replications by default.  Child i does not depend on the count, so
+    replication 0 is the same stream in every command."""
+    return np.random.SeedSequence(args.seed).spawn(count or args.replications)
 
 
 def _suffix(i, n):
@@ -134,7 +133,7 @@ def cmd_validate_arrivals(args, scenario):
         stream, report = parse_trace(args.stream)
         print(f"parsed {args.stream}: {report.text()}")
     else:
-        stream = _replication_stream(scenario, _replication_seeds(args)[0])
+        stream = _replication_stream(scenario, _replication_seeds(args, 1)[0])
     gaps = stream.gaps()
     gaps.sort()
     if gaps.size < 2:
@@ -167,9 +166,7 @@ def _simulate_one(scenario, rep_ss, single_job):
         if len(stream) >= 2:
             instance_loads(scenario.instance_rates(len(stream) / scenario.horizon_s),
                            scenario.profiles)
-        samples = single_job_mode(stream, scenario.profiles[ENTITY_MME],
-                                  constant_delay_K(scenario.profiles))
-        return samples, None
+        return single_job_mode(stream, scenario.profiles), None
     template = default_bearer_template(scenario.profiles)
     return run_bearer_simulation(
         stream,

@@ -37,7 +37,7 @@ from heapq import heapify, heappop, heappush
 import numpy as np
 
 from .csvio import write_csv
-from .delay import EntityProfile, instance_loads
+from .delay import ENTITY_MME, constant_delay_K, instance_loads
 from .errors import ConfigurationError
 
 _INF = float("inf")
@@ -576,29 +576,24 @@ def _ps_sojourns_equal_work(arrivals, service_s):
     return sojourns
 
 
-def single_job_mode(stream, profile_mme, constant_delay_s):
+def single_job_mode(stream, profiles):
     """Simulate each bearer request as one deterministic job at the MME.
 
     The request's delay is its sojourn in an M/D/1-PS queue with job size
-    ``profile_mme.ops_per_bearer`` at capacity ``profile_mme.capacity``,
-    plus the constant non-MME contribution ``constant_delay_s``.  This is
-    the exact stochastic counterpart of the analytic delay model, useful to
-    separate tail-approximation error from the single-job modeling step.
+    ``profiles["MME"].per_bearer_delay`` plus the constant non-MME delay
+    ``constant_delay_K(profiles)``, the reduction ``build_delay_model``
+    makes.  This is the exact stochastic counterpart of the analytic delay
+    model, useful to separate tail-approximation error from the single-job
+    modeling step.
 
     Returns a :class:`DelaySampleSet` with breakdown columns ``MME`` (the
     sojourn) and ``other`` (the constant offset).
     """
-    if not isinstance(profile_mme, EntityProfile):
-        raise ConfigurationError("profile_mme must be an EntityProfile")
-    if constant_delay_s < 0.0:
-        raise ConfigurationError(
-            f"constant_delay_s must be non-negative, got {constant_delay_s!r}"
-        )
+    k_const = constant_delay_K(profiles)
     arrivals = np.asarray(stream.timestamps, dtype=float)
-    service_s = profile_mme.per_bearer_delay
-    sojourns = _ps_sojourns_equal_work(arrivals, service_s)
+    sojourns = _ps_sojourns_equal_work(arrivals, profiles[ENTITY_MME].per_bearer_delay)
     # arrival + (sojourn + K), added in that order into one buffer
-    completions = sojourns + constant_delay_s
+    completions = sojourns + k_const
     completions += arrivals
     n = arrivals.shape[0]
     return DelaySampleSet(
@@ -607,6 +602,6 @@ def single_job_mode(stream, profile_mme, constant_delay_s):
         breakdown={
             "MME": sojourns,
             # one read-only float repeated with stride 0, not n copies of it
-            "other": np.broadcast_to(float(constant_delay_s), (n,)),
+            "other": np.broadcast_to(k_const, (n,)),
         },
     )

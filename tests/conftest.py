@@ -34,11 +34,6 @@ def profiles():
     return DEFAULT_ENTITY_PROFILES
 
 
-@pytest.fixture
-def profile_mme(profiles):
-    return profiles["MME"]
-
-
 def by_name(*profiles):
     """The profiles mapping the library reads: entity name -> EntityProfile."""
     return {p.entity: p for p in profiles}

@@ -33,10 +33,10 @@ from miotcore.autoscale import ScalingPolicy, run_scaling_loop
 from miotcore.config import DEFAULT_ENTITY_PROFILES
 from miotcore.delay import (
     build_delay_model,
-    constant_delay_K,
     delay_percentile,
 )
 from miotcore.simulator import (
+    _ps_sojourns_equal_work,
     default_bearer_template,
     run_bearer_simulation,
     single_job_mode,
@@ -46,7 +46,6 @@ from miotcore.traffic import EventStream, TrafficParams, beta_pmf, generate_requ
 
 PERIOD_S = 10.0
 LAMBDA_BETA_10K = 632.1205588285577  # Q = 10^4 sources
-MME = DEFAULT_ENTITY_PROFILES["MME"]
 D_MME = 9.0e-4
 
 
@@ -108,8 +107,7 @@ def test_criterion_4_ps_mean_sojourn_matches_formula():
     outcomes = []
     for rho in (0.3, 0.5, 0.8):
         stream = poisson_stream(rho / D_MME, 1_000_000, seed=int(rho * 1000))
-        samples = single_job_mode(stream, MME, 0.0)
-        mean = float(samples.delays_s.mean())
+        mean = float(_ps_sojourns_equal_work(stream.timestamps, D_MME).mean())
         want = D_MME / (1.0 - rho)
         err = mean / want - 1.0
         assert abs(err) <= 0.02, (rho, err)
@@ -126,7 +124,7 @@ def test_criterion_5_tail_model_matches_simulation_at_stock_load():
 
     # survival of the single-job queue at the model's own percentiles
     stream = poisson_stream(LAMBDA_BETA_10K, 1_000_000, seed=31)
-    jobs = single_job_mode(stream, MME, constant_delay_K(DEFAULT_ENTITY_PROFILES))
+    jobs = single_job_mode(stream, DEFAULT_ENTITY_PROFILES)
     s90 = float(np.mean(jobs.delays_s > tau90))
     s99 = float(np.mean(jobs.delays_s > tau99))
     assert abs(s90 / 0.10 - 1.0) <= 0.10, s90

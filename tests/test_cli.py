@@ -129,6 +129,21 @@ def test_validate_arrivals_tests_the_first_generated_replication(tmp_path, cfg):
         assert (own / name).read_bytes() == (parsed / name).read_bytes()
 
 
+def test_validate_arrivals_spawns_only_the_seed_it_tests(tmp_path, cfg, monkeypatch):
+    # --replications is accepted and ignored: a large value costs no spawn
+    spawned = []
+
+    class RecordingSeedSequence(np.random.SeedSequence):
+        def spawn(self, n_children):
+            spawned.append(n_children)
+            return super().spawn(n_children)
+
+    monkeypatch.setattr(np.random, "SeedSequence", RecordingSeedSequence)
+    assert run(["validate-arrivals", "--config", cfg, "--out", str(tmp_path / "val"),
+                "--seed", "3", "--replications", "200000"]) == 0
+    assert spawned[0] == 1
+
+
 def test_validate_arrivals_rejects_periodic_stream(tmp_path, cfg):
     # 200 equally spaced requests: nothing like the exponential model
     trace = tmp_path / "periodic.csv"

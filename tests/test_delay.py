@@ -322,12 +322,11 @@ def test_tail_model_matches_the_single_job_queue_across_loads(profiles):
     # delay_percentile is what predict reports and single_job_mode the
     # exact M/D/1-PS queue with the same K that simulate --single-job runs
     d_mme = profiles[ENTITY_MME].per_bearer_delay
-    k_const = constant_delay_K(profiles)
     residuals = {}
     for seed, (rho, ps) in enumerate(TAIL_POINTS.items(), start=1):
         model = build_delay_model(rho / d_mme, profiles)
         stream = poisson_stream(rho / d_mme, 1_000_000, seed=seed)
-        samples = single_job_mode(stream, profiles[ENTITY_MME], k_const)
+        samples = single_job_mode(stream, profiles)
         for p in ps:
             residuals[rho, p] = delay_percentile(p, model) / samples.delay_percentile(p) - 1.0
     assert all(abs(r) <= TAIL_RTOL for r in residuals.values()), residuals

@@ -25,7 +25,7 @@ def _traced_peak(call):
     return result, peak - start
 
 
-def test_ks_single_job_and_binary_write_hold_no_stream_sized_copy(tmp_path, profile_mme):
+def test_ks_single_job_and_binary_write_hold_no_stream_sized_copy(tmp_path, profiles):
     # each bound is below one more array of the input's length: the KS
     # distance of 2e5 sorted samples (1.5 MiB) traced 0.5 MiB, where one
     # pass over a sorted copy traced 6.1 MiB; the single-job pass over
@@ -38,7 +38,7 @@ def test_ks_single_job_and_binary_write_hold_no_stream_sized_copy(tmp_path, prof
     assert peak <= 1 * MIB
 
     stream = poisson_stream(600.0, 100_000, seed=4)
-    samples, peak = _traced_peak(lambda: single_job_mode(stream, profile_mme, 0.01))
+    samples, peak = _traced_peak(lambda: single_job_mode(stream, profiles))
     assert samples.arrivals_s is stream.timestamps
     own = samples.completions_s.nbytes + samples.breakdown["MME"].nbytes
     assert peak <= own + MIB // 2

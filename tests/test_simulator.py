@@ -9,9 +9,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import by_name, poisson_stream, with_mme_ops
+from miotcore.autoscale import ScalingPolicy, scaled_profiles
 from miotcore.cli import _replication_stream
 from miotcore.config import DEFAULT_ENTITY_PROFILES, scenario_from_dict
-from miotcore.delay import EntityProfile
+from miotcore.delay import EntityProfile, constant_delay_K
 from miotcore.errors import ConfigurationError, OverloadError
 from miotcore.simulator import (
     DelaySampleSet,
@@ -27,6 +28,9 @@ from miotcore.traffic import EventStream
 
 D_MME = 9.0e-4
 K_CONST = 0.0055
+# the stock profiles in reverse order: their K sums to exactly K_CONST,
+# where the stock order's sum is 0.0055000000000000005
+REVERSED_PROFILES = dict(reversed(DEFAULT_ENTITY_PROFILES.items()))
 
 
 def test_message_hop_and_template_validation():
@@ -372,25 +376,44 @@ def test_simulation_input_validation():
         run_bearer_simulation(stream, template, DEFAULT_ENTITY_PROFILES, n_enb=0)
 
 
-def test_single_job_mode_idle_and_errors(profile_mme):
+def test_single_job_mode_idle_and_errors(profiles):
     stream = EventStream(np.array([0.0, 10.0]))
-    samples = single_job_mode(stream, profile_mme, K_CONST)
+    samples = single_job_mode(stream, profiles)
     assert np.allclose(samples.delays_s, D_MME + K_CONST, atol=1e-12)
     assert np.allclose(samples.breakdown["MME"], D_MME, atol=1e-12)
     assert np.allclose(samples.breakdown["other"], K_CONST, atol=1e-15)
-    with pytest.raises(ConfigurationError):
-        single_job_mode(stream, "MME", K_CONST)
-    with pytest.raises(ConfigurationError):
-        single_job_mode(stream, profile_mme, -1e-3)
+    with pytest.raises(ConfigurationError, match="missing entity profiles: HSS"):
+        single_job_mode(stream, {n: p for n, p in profiles.items() if n != "HSS"})
 
 
-def test_single_job_mean_sojourn_matches_ps_formula(profile_mme):
+@pytest.mark.parametrize("mapping", ["reversed", "mme_scaled"])
+def test_single_job_mode_is_the_mme_sojourn_plus_k_of_the_mapping(mapping):
+    # K is summed in the mapping's own order, and under scope "mme" a
+    # multiplier shortens the MME's job and leaves K as it was: scale's
+    # replay prices every window this way
+    stream = poisson_stream(0.6 / D_MME, 2000, seed=5)
+    if mapping == "reversed":
+        profiles, k_const = REVERSED_PROFILES, K_CONST
+        assert k_const != constant_delay_K(DEFAULT_ENTITY_PROFILES)
+    else:
+        profiles = scaled_profiles(DEFAULT_ENTITY_PROFILES, 2.5, ScalingPolicy(scope="mme"))
+        k_const = constant_delay_K(DEFAULT_ENTITY_PROFILES)
+    assert k_const == constant_delay_K(profiles)
+    times = stream.timestamps
+    sojourns = _ps_sojourns_equal_work(times, profiles["MME"].per_bearer_delay)
+    samples = single_job_mode(stream, profiles)
+    assert np.array_equal(samples.completions_s, (sojourns + k_const) + times)
+    assert np.array_equal(samples.breakdown["MME"], sojourns)
+    assert np.array_equal(samples.breakdown["other"], np.full(len(stream), k_const))
+
+
+def test_single_job_mean_sojourn_matches_ps_formula():
     # M/D/1-PS mean sojourn is D / (1 - rho), insensitive to the job-size
     # distribution beyond its mean
     rho = 0.5
     stream = poisson_stream(rho / D_MME, 200_000, seed=77)
-    samples = single_job_mode(stream, profile_mme, 0.0)
-    assert samples.delays_s.mean() == pytest.approx(
+    sojourns = _ps_sojourns_equal_work(stream.timestamps, D_MME)
+    assert sojourns.mean() == pytest.approx(
         D_MME / (1.0 - rho), rel=0.025)
 
 
@@ -404,20 +427,20 @@ _SINGLE_JOB_SHA256 = {
 
 
 @pytest.mark.parametrize("rho", sorted(_SINGLE_JOB_SHA256))
-def test_single_job_mode_matches_its_golden_digest(profile_mme, rho):
+def test_single_job_mode_matches_its_golden_digest(rho):
     # 5000 Poisson arrivals from nearly idle to nearly saturated: the pass
     # must give every completion and sojourn bit for bit
     stream = poisson_stream(rho / D_MME, 5000, seed=11)
-    samples = single_job_mode(stream, profile_mme, K_CONST)
+    samples = single_job_mode(stream, REVERSED_PROFILES)
     digest = hashlib.sha256(np.ascontiguousarray(samples.completions_s, "<f8").tobytes())
     digest.update(np.ascontiguousarray(samples.breakdown["MME"], "<f8").tobytes())
     assert digest.hexdigest() == _SINGLE_JOB_SHA256[rho]
 
 
-def test_single_job_matches_full_simulation_rate_limit(profile_mme):
+def test_single_job_matches_full_simulation_rate_limit(profiles):
     # as load -> 0 both modes produce the deterministic floor D + K
     stream = EventStream(np.array([0.0, 50.0, 120.0]))
-    single = single_job_mode(stream, profile_mme, K_CONST)
+    single = single_job_mode(stream, profiles)
     template = default_bearer_template(DEFAULT_ENTITY_PROFILES)
     full, _ = run_bearer_simulation(
         stream, template, DEFAULT_ENTITY_PROFILES, horizon_s=120.0)

@@ -149,7 +149,7 @@ def test_walk_with_instant_non_mme_servers_is_the_single_job_queue(
     walk, _ = run_bearer_simulation(
         stream, default_bearer_template(fast), fast, horizon_s=horizon,
         n_enb=n_enb, n_sgw=n_sgw)
-    single = single_job_mode(stream, mme, 0.0)
+    single = single_job_mode(stream, fast)
     assert len(walk) == n_req
     assert np.max(np.abs(walk.completions_s - single.completions_s)) <= 1e-9
     assert np.max(np.abs(walk.breakdown["MME"] - walk.delays_s)) <= 1e-9
